@@ -268,7 +268,7 @@ def weyl_checks(modes: int, cutoff: int, seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    proj = weyl_mod.gaussian_covariance(system, projective=True)
+    proj = covariance_matrix(tensor.rep, tensor.fiducial, projective=True)
     results.append(
         CheckResult(
             "projective-equals-linear",

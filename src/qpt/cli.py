@@ -11,19 +11,18 @@ Subcommands
 Outputs are JSON lines (one header object, one record per grid point, and
 for checking modes a final report object) or a lossy CSV export.  Exit
 codes: 0 success, 2 malformed specification, 3 numerical refusal, 4 check
-failure.  The ``QPT_THREADS`` environment variable caps grid parallelism;
-records are always written in grid order.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import itertools
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,11 +32,10 @@ from .liegroup import (
     EULER_GENERATOR_SCALE,
     LEFT_INVARIANT,
     RIGHT_INVARIANT,
-    euler_point,
+    euler_coframes,
     rep_from_spec,
-    su2_coframe,
 )
-from .pullback import covariance_matrix, evaluate_at
+from .pullback import contract, covariance_matrix
 from .qgt import ham_from_spec, qgt_tensor
 from .weyl import build_weyl, gaussian_covariance, lagrangian_restriction
 
@@ -196,10 +194,10 @@ def _grid_axes(spec: dict, required_names=None) -> list[tuple[str, np.ndarray]]:
     return axes
 
 
-def _grid_points(axes) -> list[np.ndarray]:
+def _grid_points(axes) -> np.ndarray:
+    """All grid points in row-major order, shape ``(P, len(axes))``."""
     mesh = np.meshgrid(*[values for _, values in axes], indexing="ij")
-    stacked = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    return [stacked[i] for i in range(stacked.shape[0])]
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
 def _fiducial_from_spec(spec: dict) -> np.ndarray:
@@ -218,6 +216,13 @@ def _flag(spec, args, name, default):
         return cli_value
     value = spec.get(name, default)
     return value
+
+
+def _projective(spec, args) -> bool:
+    projective = _flag(spec, args, "projective", False)
+    if not isinstance(projective, bool):
+        raise SpecError(f"at $.projective: expected true or false, got {projective!r}")
+    return projective
 
 
 def _tolerances(spec: dict, args) -> dict:
@@ -239,54 +244,43 @@ def _tolerances(spec: dict, args) -> dict:
     }
 
 
-def _pool_map(fn, items):
-    limit = os.environ.get("QPT_THREADS", "")
-    try:
-        workers = int(limit) if limit else (os.cpu_count() or 1)
-    except ValueError as exc:
-        raise SpecError(f"QPT_THREADS must be an integer: {limit!r}") from exc
-    workers = max(1, min(workers, len(items) or 1))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Output plumbing
 
 
-def _write_output(args, header: dict, records: list[dict], report: dict | None = None):
-    fmt = args.format or _format_from_spec(args) or "jsonl"
-    objects = [dict(kind="header", **header)]
-    objects += [dict(kind="record", **rec) for rec in records]
-    if report is not None:
-        objects.append(dict(kind="report", **report))
-    text = _render(objects, records, fmt)
-    out = args.out
-    if hasattr(args, "_spec_output_path") and args._spec_output_path and args.out == "-":
-        out = args._spec_output_path
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _output_target(args, spec: dict) -> tuple[str, str]:
+    """Output path and format: command-line flags override ``$.output``."""
+    output = spec.get("output", {})
+    if output and not isinstance(output, dict):
+        raise SpecError("at $.output: expected an object")
+    fmt = output.get("format")
+    if fmt is not None and fmt not in ("jsonl", "csv"):
+        raise SpecError("at $.output.format: expected 'jsonl' or 'csv'")
+    path = args.out if args.out != "-" else output.get("path") or "-"
+    return path, args.format or fmt or "jsonl"
 
 
-def _format_from_spec(args):
-    return getattr(args, "_spec_output_format", None)
+def _write_output(output, header: dict, records: list[dict], report: dict | None = None):
+    path, fmt = output
+    with (
+        contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+    ) as stream:
+        if fmt == "csv":
+            _write_csv(stream, records)
+            return
+        objects = itertools.chain(
+            [dict(kind="header", **header)],
+            (dict(kind="record", **rec) for rec in records),
+            [] if report is None else [dict(kind="report", **report)],
+        )
+        serialize.write_jsonl(stream, objects)
 
 
-def _render(objects, records, fmt: str) -> str:
-    if fmt == "jsonl":
-        buf = io.StringIO()
-        serialize.write_jsonl(buf, objects)
-        return buf.getvalue()
+def _write_csv(stream, records: list[dict]) -> None:
     # CSV is a lossy convenience export: records only, flattened row-major.
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     if not records:
-        return buf.getvalue()
+        return
+    writer = csv.writer(stream)
     first = records[0]
     m = len(first["point"])
     if "metric" in first:
@@ -296,7 +290,7 @@ def _render(objects, records, fmt: str) -> str:
         head += [f"w{i}{j}" for i in range(side) for j in range(side)]
         writer.writerow(head)
         for rec in records:
-            writer.writerow(list(rec["point"]) + list(rec["metric"]) + list(rec["two_form"]))
+            writer.writerow(rec["point"] + rec["metric"] + rec["two_form"])
     else:
         side = int(round(len(first["h"]) ** 0.5))
         head = [f"x{i}" for i in range(m)]
@@ -305,19 +299,7 @@ def _render(objects, records, fmt: str) -> str:
         writer.writerow(head)
         for rec in records:
             flat = [x for pair in rec["h"] for x in pair]
-            writer.writerow(list(rec["point"]) + flat + [rec["gap"]])
-    return buf.getvalue()
-
-
-def _stash_output_prefs(args, spec):
-    output = spec.get("output", {})
-    if output and not isinstance(output, dict):
-        raise SpecError("at $.output: expected an object")
-    args._spec_output_path = output.get("path")
-    fmt = output.get("format")
-    if fmt is not None and fmt not in ("jsonl", "csv"):
-        raise SpecError("at $.output.format: expected 'jsonl' or 'csv'")
-    args._spec_output_format = fmt
+            writer.writerow(rec["point"] + flat + [rec["gap"]])
 
 
 def _report(results: list[checks.CheckResult]) -> dict:
@@ -333,12 +315,12 @@ def _report(results: list[checks.CheckResult]) -> dict:
 
 def cmd_group(args) -> int:
     spec = _load_spec(args, "group")
-    _stash_output_prefs(args, spec)
+    output = _output_target(args, spec)
     if "rep" not in spec:
         raise SpecError("at $.rep: a representation spec is required")
     rep = rep_from_spec(spec["rep"])
     fiducial = _fiducial_from_spec(spec)
-    projective = bool(_flag(spec, args, "projective", False))
+    projective = _projective(spec, args)
     frame = _flag(spec, args, "frame", RIGHT_INVARIANT)
     if frame not in (RIGHT_INVARIANT, LEFT_INVARIANT):
         raise SpecError(f"at $.frame: unknown frame {frame!r}")
@@ -355,17 +337,15 @@ def cmd_group(args) -> int:
 
     tensor = covariance_matrix(rep, fiducial, projective=projective)
     scale = EULER_GENERATOR_SCALE if normalization == "generator" else 1.0
-
-    def one(point):
-        coframe = su2_coframe(euler_point(*point), frame=frame).rescaled(scale)
-        coord = evaluate_at(tensor, coframe)
-        return {
-            "point": [float(x) for x in point],
-            "metric": serialize.real_matrix_row_major(coord.metric),
-            "two_form": serialize.real_matrix_row_major(coord.two_form),
-        }
-
-    records = _pool_map(one, points)
+    metric, two_form = contract(tensor, euler_coframes(points, frame) * scale)
+    records = [
+        {"point": p, "metric": g, "two_form": w}
+        for p, g, w in zip(
+            points.tolist(),
+            metric.reshape(len(points), -1).tolist(),
+            two_form.reshape(len(points), -1).tolist(),
+        )
+    ]
     header = {
         "mode": "group",
         "rep": spec["rep"],
@@ -377,7 +357,7 @@ def cmd_group(args) -> int:
         "grid": {name: [float(v) for v in values] for name, values in axes},
         "conventions": checks.conventions(),
     }
-    _write_output(args, header, records)
+    _write_output(output, header, records)
     return EXIT_OK
 
 
@@ -406,10 +386,10 @@ def _parse_directions(raw, n2: int):
 
 def cmd_weyl(args) -> int:
     spec = _load_spec(args, "weyl")
-    _stash_output_prefs(args, spec)
+    output = _output_target(args, spec)
     modes = int(_flag(spec, args, "modes", 1))
     cutoff = int(_flag(spec, args, "cutoff", 16))
-    projective = bool(_flag(spec, args, "projective", False))
+    projective = _projective(spec, args)
     system = build_weyl(modes, cutoff)
     tensor = gaussian_covariance(system, projective=projective)
     directions = _parse_directions(_flag(spec, args, "lagrangian", None), 2 * modes)
@@ -441,13 +421,13 @@ def cmd_weyl(args) -> int:
         "conventions": checks.conventions(),
     }
     report = _report(results)
-    _write_output(args, header, [record], report)
+    _write_output(output, header, [record], report)
     return EXIT_OK if report["pass"] else EXIT_CHECK
 
 
 def cmd_qgt(args) -> int:
     spec = _load_spec(args, "qgt")
-    _stash_output_prefs(args, spec)
+    output = _output_target(args, spec)
     if "hamiltonian" not in spec:
         raise SpecError("at $.hamiltonian: a hamiltonian spec is required")
     family = ham_from_spec(spec["hamiltonian"])
@@ -465,12 +445,12 @@ def cmd_qgt(args) -> int:
     def one(point):
         res = qgt_tensor(family, point, a=int(level), degeneracy_tol=degeneracy_tol)
         return {
-            "point": [float(x) for x in point],
+            "point": point.tolist(),
             "h": serialize.matrix_pairs_row_major(res.h),
             "gap": float(res.gap),
         }
 
-    records = _pool_map(one, points)
+    records = [one(point) for point in points]
     header = {
         "mode": "qgt",
         "hamiltonian": spec["hamiltonian"],
@@ -478,13 +458,13 @@ def cmd_qgt(args) -> int:
         "grid": {name: [float(v) for v in values] for name, values in axes},
         "conventions": checks.conventions(),
     }
-    _write_output(args, header, records)
+    _write_output(output, header, records)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     spec = _load_spec(args, "verify")
-    _stash_output_prefs(args, spec)
+    output = _output_target(args, spec)
     target = spec.get("target")
     if target not in ("group", "weyl", "qgt"):
         raise SpecError("at $.target: expected 'group', 'weyl' or 'qgt'")
@@ -497,7 +477,7 @@ def cmd_verify(args) -> int:
         rep = rep_from_spec(spec["rep"])
         fiducial = _fiducial_from_spec(spec)
         axes = _grid_axes(spec)
-        n_points = max(5, min(50, len(_grid_points(axes))))
+        n_points = max(5, min(50, math.prod(len(values) for _, values in axes)))
         results = checks.group_checks(rep, fiducial, n_points=n_points, fd_step=fd_step)
         header = {"mode": "verify", "target": target, "rep": spec["rep"]}
     elif target == "weyl":
@@ -530,12 +510,17 @@ def cmd_verify(args) -> int:
         ]
     header["conventions"] = checks.conventions()
     report = _report(results)
-    _write_output(args, header, [], report)
+    _write_output(output, header, [], report)
     return EXIT_OK if report["pass"] else EXIT_CHECK
 
 
 def _records_of(path: str) -> tuple[list[dict], list[dict]]:
-    objects = serialize.read_jsonl(path)
+    try:
+        objects = serialize.read_jsonl(path)
+    except (OSError, ValueError) as exc:
+        raise SpecError(f"{path}: cannot read jsonl input ({exc})") from exc
+    if not all(isinstance(o, dict) for o in objects):
+        raise SpecError(f"{path}: every jsonl line must be a JSON object")
     records = [o for o in objects if o.get("kind") == "record"]
     headers = [o for o in objects if o.get("kind") == "header"]
     if not records:
@@ -606,13 +591,7 @@ def cmd_compare(args) -> int:
         "pass": worst <= args.tol,
     }
     header = {"mode": "compare", "file_a": args.file_a, "file_b": args.file_b}
-    buf = io.StringIO()
-    serialize.write_jsonl(buf, [dict(kind="header", **header), dict(kind="report", **report)])
-    if args.out == "-":
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+    _write_output((args.out, "jsonl"), header, [], report)
     return EXIT_OK if report["pass"] else EXIT_CHECK
 
 

@@ -144,7 +144,6 @@ class LieAlgebraRep:
                 raise ValueError(f"multiplier form must have shape {(n, n)}")
             if float(np.abs(omega + omega.T).max()) > tol:
                 raise ValueError("multiplier form must be antisymmetric")
-        # Representations are shared across threads; freeze the array data.
         gens = gens.copy()
         gens.setflags(write=False)
         c = c.copy()
@@ -289,11 +288,12 @@ def _complex_matrix(rows) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def su2_coframe(point: GroupPoint, frame: str = RIGHT_INVARIANT) -> Coframe:
-    """Invariant coframe of the z-y-z Euler chart at ``point``.
+def euler_coframes(angles, frame: str = RIGHT_INVARIANT) -> np.ndarray:
+    """Invariant coframe components of the z-y-z Euler chart.
 
-    Rows are the components of ``theta_1..theta_3`` against
-    ``(d alpha, d beta, d gamma)``:
+    ``angles`` has shape ``(..., 3)`` holding ``(alpha, beta, gamma)``; the
+    result has shape ``(..., 3, 3)`` with rows the components of
+    ``theta_1..theta_3`` against ``(d alpha, d beta, d gamma)``:
 
     * right-invariant: ``theta_1 = sin(a) db - sin(b) cos(a) dg``,
       ``theta_2 = cos(a) db + sin(b) sin(a) dg``,
@@ -304,24 +304,28 @@ def su2_coframe(point: GroupPoint, frame: str = RIGHT_INVARIANT) -> Coframe:
     The determinant equals ``sin(beta)`` for both frames, vanishing only at
     the chart-degenerate angles ``beta = 0, pi``.
     """
-    if point.chart != EULER:
-        raise SpecError("su2_coframe requires Euler coordinates")
-    a, b, g = point.coords
+    angles = np.asarray(angles, dtype=float)
+    a, b, g = angles[..., 0], angles[..., 1], angles[..., 2]
+    theta = np.zeros(angles.shape[:-1] + (3, 3))
     if frame == RIGHT_INVARIANT:
-        theta = np.array([
-            [0.0, np.sin(a), -np.sin(b) * np.cos(a)],
-            [0.0, np.cos(a), np.sin(b) * np.sin(a)],
-            [1.0, 0.0, np.cos(b)],
-        ])
+        theta[..., 0, 1], theta[..., 0, 2] = np.sin(a), -np.sin(b) * np.cos(a)
+        theta[..., 1, 1], theta[..., 1, 2] = np.cos(a), np.sin(b) * np.sin(a)
+        theta[..., 2, 0], theta[..., 2, 2] = 1.0, np.cos(b)
     elif frame == LEFT_INVARIANT:
-        theta = np.array([
-            [np.sin(b) * np.cos(g), -np.sin(g), 0.0],
-            [np.sin(b) * np.sin(g), np.cos(g), 0.0],
-            [np.cos(b), 0.0, 1.0],
-        ])
+        theta[..., 0, 0], theta[..., 0, 1] = np.sin(b) * np.cos(g), -np.sin(g)
+        theta[..., 1, 0], theta[..., 1, 1] = np.sin(b) * np.sin(g), np.cos(g)
+        theta[..., 2, 0], theta[..., 2, 2] = np.cos(b), 1.0
     else:
         raise SpecError(f"unknown frame {frame!r}")
-    return Coframe(theta, point.coords, frame)
+    return theta
+
+
+def su2_coframe(point: GroupPoint, frame: str = RIGHT_INVARIANT) -> Coframe:
+    """Invariant coframe of the z-y-z Euler chart at ``point``: the
+    single-point case of :func:`euler_coframes`."""
+    if point.chart != EULER:
+        raise SpecError("su2_coframe requires Euler coordinates")
+    return Coframe(euler_coframes(point.coords, frame), point.coords, frame)
 
 
 def group_element(rep: LieAlgebraRep, point: GroupPoint) -> np.ndarray:

@@ -21,9 +21,6 @@ from .errors import ZeroFiducialError
 from .hilbert import as_state
 from .liegroup import Coframe, GroupPoint, LieAlgebraRep, group_element
 
-LEFT_INVARIANT_AT_FIDUCIAL = "left-invariant-at-fiducial"
-RIGHT_INVARIANT_AT_G = "right-invariant-at-g"
-
 HERMITICITY_ATOL = 1e-12
 
 
@@ -40,7 +37,6 @@ class PullbackTensor:
     projective: bool
     fiducial: np.ndarray
     rep: LieAlgebraRep | None = None
-    frame_tag: str = LEFT_INVARIANT_AT_FIDUCIAL
 
     @property
     def metric_coefficients(self) -> np.ndarray:
@@ -140,21 +136,28 @@ def degeneracy_directions(
     return out
 
 
-def evaluate_at(t: PullbackTensor, coframe: Coframe) -> CoordinateTensor:
-    """Contract constant coefficients with a coframe into coordinate matrices.
+def contract(t: PullbackTensor, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Contract constant coefficients with coframe components.
 
+    ``theta`` has shape ``(..., n, m)`` with any leading stack axes; the
+    result is the pair of coordinate matrices of shape ``(..., m, m)``,
     ``G[a, b] = sum_jk Re(T)[j,k] theta[j,a] theta[k,b]`` and likewise with
-    the imaginary part for the two-form; symmetry and antisymmetry hold by
+    the imaginary part for the two-form.  Symmetry and antisymmetry hold by
     construction.
     """
     metric_c, form_c = split(t)
-    theta = coframe.theta
-    if theta.shape[0] != metric_c.shape[0]:
+    if theta.shape[-2] != metric_c.shape[0]:
         raise ValueError(
-            f"coframe has {theta.shape[0]} forms but tensor has {metric_c.shape[0]}"
+            f"coframe has {theta.shape[-2]} forms but tensor has {metric_c.shape[0]}"
         )
-    metric = theta.T @ metric_c @ theta
-    two_form = theta.T @ form_c @ theta
+    theta_t = np.swapaxes(theta, -1, -2)
+    return theta_t @ metric_c @ theta, theta_t @ form_c @ theta
+
+
+def evaluate_at(t: PullbackTensor, coframe: Coframe) -> CoordinateTensor:
+    """Coordinate matrices at one chart point: the single-point case of
+    :func:`contract`."""
+    metric, two_form = contract(t, coframe.theta)
     return CoordinateTensor(point=coframe.point, metric=metric, two_form=two_form)
 
 

@@ -25,6 +25,7 @@ from .liegroup import (
     EULER_GENERATOR_SCALE,
     LEFT_INVARIANT,
     LieAlgebraRep,
+    _complex_matrix,
     euler_point,
     group_element,
     su2_coframe,
@@ -52,8 +53,7 @@ class HamiltonianFamily:
 
     Affine families ``H0 + sum_mu lam_mu H_mu`` carry analytic derivatives;
     callable families differentiate by central differences unless an
-    analytic derivative callback is supplied.  The callback must be safe for
-    concurrent invocation.
+    analytic derivative callback is supplied.
     """
 
     def __init__(self, evaluate, param_dim, derivative=None, fd_step=1e-5, level=0):
@@ -207,13 +207,6 @@ def ham_from_spec(spec: dict) -> HamiltonianFamily:
     raise SpecError("hamiltonian spec needs 'affine' or 'builtin'")
 
 
-def _complex_matrix(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise SpecError("complex matrix entries must be [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate the first significant component to the positive real axis."""
     pivot = np.flatnonzero(np.abs(vec) > 1e-12)
@@ -251,6 +244,19 @@ def _check_gap(eigvals: np.ndarray, a: int, degeneracy_tol: float | None) -> flo
     return gap
 
 
+def _spectral_derivative(eigvals, eigvecs, a: int, dh) -> np.ndarray:
+    """Spectral sum ``sum_{b != a} |b> <b| dH |a> / (E_a - E_b)``.
+
+    ``dh`` is one derivative matrix ``(d, d)`` or a stack ``(m, d, d)``; the
+    result is the derivative vector, or one row per stacked matrix.
+    """
+    amps = (dh @ eigvecs[:, a]) @ eigvecs.conj()  # <b| dH |a> along the last axis
+    others = np.arange(eigvals.size) != a
+    coef = np.zeros_like(amps)
+    coef[..., others] = amps[..., others] / (eigvals[a] - eigvals[others])
+    return coef @ eigvecs.T
+
+
 def spectral_state_derivative(
     family: HamiltonianFamily, lam, a: int | None = None, mu: int = 0,
     degeneracy_tol: float | None = None,
@@ -263,25 +269,12 @@ def spectral_state_derivative(
     a = family.level if a is None else a
     eigvals, eigvecs = _eigensystem(family, lam)
     _check_gap(eigvals, a, degeneracy_tol)
-    dh = family.derivative(lam, mu)
-    out = np.zeros(eigvals.size, dtype=complex)
-    psi = eigvecs[:, a]
-    for b in range(eigvals.size):
-        if b == a:
-            continue
-        amp = eigvecs[:, b].conj() @ dh @ psi
-        out += eigvecs[:, b] * (amp / (eigvals[a] - eigvals[b]))
-    return out
+    return _spectral_derivative(eigvals, eigvecs, a, family.derivative(lam, mu))
 
 
-def _assemble(point, derivs: list[np.ndarray], psi: np.ndarray, gap: float) -> QGTResult:
-    m = len(derivs)
-    h = np.empty((m, m), dtype=complex)
-    for mu in range(m):
-        for nu in range(m):
-            h[mu, nu] = np.vdot(derivs[mu], derivs[nu]) - np.vdot(psi, derivs[nu]) * np.vdot(
-                derivs[mu], psi
-            )
+def _assemble(point, derivs, psi: np.ndarray, gap: float) -> QGTResult:
+    d = np.asarray(derivs)  # (m, dim): one eigenstate derivative per parameter
+    h = d.conj() @ d.T - np.outer(d.conj() @ psi, d @ psi.conj())
     metric = (h.real + h.real.T) / 2
     curvature = -(h.imag - h.imag.T) / 2
     return QGTResult(
@@ -302,18 +295,9 @@ def qgt_tensor(
     lam = family._point(lam)
     eigvals, eigvecs = _eigensystem(family, lam)
     gap = _check_gap(eigvals, a, degeneracy_tol)
-    psi = eigvecs[:, a]
-    derivs = []
-    for mu in range(family.param_dim):
-        dh = family.derivative(lam, mu)
-        acc = np.zeros(eigvals.size, dtype=complex)
-        for b in range(eigvals.size):
-            if b == a:
-                continue
-            amp = eigvecs[:, b].conj() @ dh @ psi
-            acc += eigvecs[:, b] * (amp / (eigvals[a] - eigvals[b]))
-        derivs.append(acc)
-    return _assemble(lam, derivs, psi, gap)
+    dhs = np.array([family.derivative(lam, mu) for mu in range(family.param_dim)])
+    derivs = _spectral_derivative(eigvals, eigvecs, a, dhs)
+    return _assemble(lam, derivs, eigvecs[:, a], gap)
 
 
 def finite_difference_qgt(

@@ -23,7 +23,7 @@ from scipy.linalg import expm
 from . import fock
 from .errors import NotLagrangianError, SpecError
 from .liegroup import LieAlgebraRep, heisenberg_rep
-from .pullback import LEFT_INVARIANT_AT_FIDUCIAL, PullbackTensor, covariance_matrix
+from .pullback import PullbackTensor, covariance_matrix
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,7 @@ def gaussian_covariance(system: WeylSystem, projective: bool = False) -> Pullbac
     both are exact on the truncated space, and the projective flag changes
     nothing because the vacuum first moments vanish.
     """
-    rep = system.as_rep()
-    t = covariance_matrix(rep, system.vacuum(), projective=projective)
-    return PullbackTensor(
-        coefficients=t.coefficients,
-        projective=projective,
-        fiducial=t.fiducial,
-        rep=rep,
-        frame_tag=LEFT_INVARIANT_AT_FIDUCIAL,
-    )
+    return covariance_matrix(system.as_rep(), system.vacuum(), projective=projective)
 
 
 def lagrangian_restriction(t: PullbackTensor, subspace) -> PullbackTensor:
@@ -161,7 +153,6 @@ def lagrangian_restriction(t: PullbackTensor, subspace) -> PullbackTensor:
         projective=t.projective,
         fiducial=t.fiducial,
         rep=None,
-        frame_tag=t.frame_tag,
     )
 
 

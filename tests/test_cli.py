@@ -5,7 +5,7 @@ import pytest
 
 from qpt import serialize
 from qpt.cli import main
-from qpt.liegroup import euler_point, su2_coframe, su2_spin_rep
+from qpt.liegroup import EULER_GENERATOR_SCALE, euler_point, su2_coframe, su2_spin_rep
 from qpt.pullback import covariance_matrix, evaluate_at
 
 
@@ -52,14 +52,22 @@ def test_group_run_counts_and_rank(tmp_path):
         assert np.linalg.matrix_rank(metric, tol=1e-10) == 2
 
 
-def test_group_records_round_trip_exactly(tmp_path):
-    spec = write_spec(tmp_path, "g.json", group_spec())
+@pytest.mark.parametrize("normalization", ["display", "generator"])
+@pytest.mark.parametrize("frame", ["right", "left"])
+def test_group_records_round_trip_exactly(tmp_path, frame, normalization):
+    # The grid is evaluated as one stacked contraction; every record must
+    # equal the single-point evaluation bit for bit.
+    spec = write_spec(
+        tmp_path, "g.json", group_spec(frame=frame, normalization=normalization)
+    )
     out = tmp_path / "g.jsonl"
     assert main(["group", "--spec", spec, "--out", str(out)]) == 0
     rep = su2_spin_rep(0.5)
     tensor = covariance_matrix(rep, [1, 0], projective=True)
+    scale = EULER_GENERATOR_SCALE if normalization == "generator" else 1.0
     for rec in records_of(str(out)):
-        expected = evaluate_at(tensor, su2_coframe(euler_point(*rec["point"])))
+        coframe = su2_coframe(euler_point(*rec["point"]), frame=frame).rescaled(scale)
+        expected = evaluate_at(tensor, coframe)
         assert rec["metric"] == [float(x) for x in expected.metric.reshape(-1)]
         assert rec["two_form"] == [float(x) for x in expected.two_form.reshape(-1)]
 
@@ -70,16 +78,6 @@ def test_group_runs_deterministic(tmp_path):
     assert main(["group", "--spec", spec, "--out", str(out1)]) == 0
     assert main(["group", "--spec", spec, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_group_parallel_output_identical(tmp_path, monkeypatch):
-    spec = write_spec(tmp_path, "g.json", group_spec())
-    serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-    monkeypatch.setenv("QPT_THREADS", "1")
-    assert main(["group", "--spec", spec, "--out", str(serial)]) == 0
-    monkeypatch.setenv("QPT_THREADS", "3")
-    assert main(["group", "--spec", spec, "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_compare_self_is_zero(tmp_path, capsys):
@@ -128,6 +126,14 @@ def test_compare_grid_mismatch(tmp_path):
     main(["group", "--spec", spec_a, "--out", str(out_a)])
     main(["group", "--spec", spec_b, "--out", str(out_b)])
     assert main(["compare", str(out_a), str(out_b)]) == 2
+
+
+@pytest.mark.parametrize("content", ["{not json\n", "[1, 2]\n"], ids=["not-json", "not-object"])
+def test_compare_malformed_input_is_spec_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(content)
+    assert main(["compare", str(bad), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_compare_detects_deviation(tmp_path):
@@ -295,6 +301,22 @@ def test_malformed_spec_file(tmp_path):
     assert main(["group", "--spec", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        group_spec(projective="no"),
+        {"mode": "weyl", "modes": 1, "cutoff": 8, "projective": "no"},
+    ],
+    ids=["group", "weyl"],
+)
+def test_non_boolean_projective_is_spec_error(tmp_path, capsys, payload):
+    spec = write_spec(tmp_path, "s.json", payload)
+    out = tmp_path / "s.jsonl"
+    assert main([payload["mode"], "--spec", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: at $.projective")
+    assert not out.exists()
+
+
 def test_mode_mismatch(tmp_path):
     spec = write_spec(tmp_path, "w.json", {"mode": "weyl", "modes": 1, "cutoff": 8})
     assert main(["group", "--spec", spec]) == 2
@@ -355,7 +377,7 @@ def test_spec_tolerances_block(tmp_path):
     assert report_of(str(out))["pass"] is False
 
 
-def test_spec_output_block_used(tmp_path):
+def test_output_block_in_spec_used(tmp_path):
     target = tmp_path / "fromspec.jsonl"
     payload = group_spec()
     payload["output"] = {"path": str(target), "format": "jsonl"}
