@@ -163,7 +163,7 @@ def group_checks(
     )
     results.append(CheckResult("generator-hermiticity", herm, tol_dim))
     results.append(
-        CheckResult("closure", rep.closure_residual(rep.closure_projector), tol_dim)
+        CheckResult("closure", rep.closure_residual(rep.closure_mask), tol_dim)
     )
 
     linear = covariance_matrix(rep, fiducial)
@@ -249,9 +249,9 @@ def random_lagrangian_frames(modes: int, n_samples: int = 5, seed: int = 0):
     return frames
 
 
-def weyl_checks(modes: int, cutoff: int, seed: int = 0) -> list[CheckResult]:
+def weyl_checks(system: weyl_mod.WeylSystem, seed: int = 0) -> list[CheckResult]:
     """Invariant battery for a truncated Weyl system."""
-    system = weyl_mod.build_weyl(modes, cutoff)
+    modes = system.modes
     n = 2 * modes
     results = []
 
@@ -268,7 +268,7 @@ def weyl_checks(modes: int, cutoff: int, seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    proj = covariance_matrix(tensor.rep, tensor.fiducial, projective=True)
+    proj = covariance_matrix(system.rep, tensor.fiducial, projective=True)
     results.append(
         CheckResult(
             "projective-equals-linear",
@@ -279,21 +279,16 @@ def weyl_checks(modes: int, cutoff: int, seed: int = 0) -> list[CheckResult]:
 
     vac = system.vacuum()
     gens = system.generators
-    omega = system.symplectic_form
-    comm_dev = 0.0
-    for j in range(n):
-        for k in range(n):
-            val = vac.conj() @ (gens[j] @ gens[k] - gens[k] @ gens[j]) @ vac
-            comm_dev = max(comm_dev, abs(complex(val) - 1j * omega[j, k]))
+    # products[j, k] = <0| R_j R_k |0>, from bra and ket sides separately
+    products = (vac.conj() @ gens) @ (gens @ vac).T
+    comm_dev = float(np.abs(products - products.T - 1j * system.symplectic_form).max())
     results.append(CheckResult("vacuum-commutator", comm_dev, 1e-14))
 
-    quad_dev = 0.0
-    for j in range(modes):
-        for k in range(modes):
-            oracle = weyl_mod.gaussian_moment_oracle(j, k, modes)
-            qq = complex(vac.conj() @ system.position_ops[j] @ system.position_ops[k] @ vac)
-            pp = complex(vac.conj() @ system.momentum_ops[j] @ system.momentum_ops[k] @ vac)
-            quad_dev = max(quad_dev, abs(qq - oracle), abs(pp - oracle))
+    oracle = np.array(
+        [[weyl_mod.gaussian_moment_oracle(j, k, modes) for k in range(modes)] for j in range(modes)]
+    )
+    qq, pp = products[:modes, :modes], products[modes:, modes:]
+    quad_dev = float(max(np.abs(qq - oracle).max(), np.abs(pp - oracle).max()))
     results.append(CheckResult("quadrature-vs-fock", quad_dev, 1e-10))
 
     lag_dev = 0.0
@@ -309,7 +304,11 @@ def weyl_checks(modes: int, cutoff: int, seed: int = 0) -> list[CheckResult]:
         length = float(np.linalg.norm(v))
         return v * (0.5 / length) if length > 0.5 else v
 
-    defects = weyl_mod.defect_convergence(modes, sample_v(), sample_v(), cutoffs=(8, 16, 32))
+    v1, v2 = sample_v(), sample_v()
+    defects = [
+        weyl_mod.weyl_defect(system if c == system.cutoff else weyl_mod.build_weyl(modes, c), v1, v2)
+        for c in (8, 16, 32)
+    ]
     mono = max(0.0, defects[1] - defects[0], defects[2] - defects[1])
     results.append(CheckResult("weyl-defect-monotone", mono, 0.0))
     results.append(CheckResult("weyl-defect-cutoff-32", defects[2], 1e-6))

@@ -22,6 +22,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -218,6 +219,13 @@ def _flag(spec, args, name, default):
     return value
 
 
+def _integer(spec, args, name, default) -> int:
+    value = _flag(spec, args, name, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecError(f"at $.{name}: expected an integer, got {value!r}")
+    return value
+
+
 def _projective(spec, args) -> bool:
     projective = _flag(spec, args, "projective", False)
     if not isinstance(projective, bool):
@@ -257,14 +265,18 @@ def _output_target(args, spec: dict) -> tuple[str, str]:
     if fmt is not None and fmt not in ("jsonl", "csv"):
         raise SpecError("at $.output.format: expected 'jsonl' or 'csv'")
     path = args.out if args.out != "-" else output.get("path") or "-"
+    if path != "-" and not os.path.isdir(os.path.dirname(path) or "."):
+        raise SpecError(f"cannot write output {path!r}: no such directory")
     return path, args.format or fmt or "jsonl"
 
 
 def _write_output(output, header: dict, records: list[dict], report: dict | None = None):
     path, fmt = output
-    with (
-        contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
-    ) as stream:
+    try:
+        stream = sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SpecError(f"cannot write output: {exc}") from exc
+    with contextlib.nullcontext(stream) if path == "-" else stream:
         if fmt == "csv":
             _write_csv(stream, records)
             return
@@ -387,14 +399,14 @@ def _parse_directions(raw, n2: int):
 def cmd_weyl(args) -> int:
     spec = _load_spec(args, "weyl")
     output = _output_target(args, spec)
-    modes = int(_flag(spec, args, "modes", 1))
-    cutoff = int(_flag(spec, args, "cutoff", 16))
+    modes = _integer(spec, args, "modes", 1)
+    cutoff = _integer(spec, args, "cutoff", 16)
     projective = _projective(spec, args)
     system = build_weyl(modes, cutoff)
     tensor = gaussian_covariance(system, projective=projective)
     directions = _parse_directions(_flag(spec, args, "lagrangian", None), 2 * modes)
 
-    results = checks.weyl_checks(modes, cutoff)
+    results = checks.weyl_checks(system)
     emitted = tensor
     if directions is not None:
         emitted = lagrangian_restriction(tensor, directions)
@@ -481,9 +493,9 @@ def cmd_verify(args) -> int:
         results = checks.group_checks(rep, fiducial, n_points=n_points, fd_step=fd_step)
         header = {"mode": "verify", "target": target, "rep": spec["rep"]}
     elif target == "weyl":
-        modes = int(spec.get("modes", 1))
-        cutoff = int(spec.get("cutoff", 16))
-        results = checks.weyl_checks(modes, cutoff)
+        modes = _integer(spec, args, "modes", 1)
+        cutoff = _integer(spec, args, "cutoff", 16)
+        results = checks.weyl_checks(build_weyl(modes, cutoff))
         header = {"mode": "verify", "target": target, "modes": modes, "cutoff": cutoff}
     else:
         if "hamiltonian" not in spec:

@@ -27,14 +27,12 @@ def embed(op: np.ndarray, mode: int, modes: int, cutoff: int) -> np.ndarray:
     return out
 
 
-def position_momentum(modes: int, cutoff: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Return the lists ``[Q^1..Q^n]`` and ``[P^1..P^n]`` on the full space."""
+def position_momentum(modes: int, cutoff: int) -> np.ndarray:
+    """Stack ``(Q^1..Q^n, P^1..P^n)`` of operators on the full space."""
     a = annihilation(cutoff)
     q1 = (a + a.conj().T) / np.sqrt(2.0)
     p1 = 1j * (a.conj().T - a) / np.sqrt(2.0)
-    qs = [embed(q1, m, modes, cutoff) for m in range(modes)]
-    ps = [embed(p1, m, modes, cutoff) for m in range(modes)]
-    return qs, ps
+    return np.array([embed(op, m, modes, cutoff) for op in (q1, p1) for m in range(modes)])
 
 
 def vacuum(modes: int, cutoff: int) -> np.ndarray:
@@ -43,18 +41,14 @@ def vacuum(modes: int, cutoff: int) -> np.ndarray:
     return v
 
 
-def low_fock_projector(modes: int, cutoff: int) -> np.ndarray:
-    """Projector onto states with every mode occupation below ``cutoff - 1``.
+def low_fock_mask(modes: int, cutoff: int) -> np.ndarray:
+    """Basis states with every mode occupation below ``cutoff - 1``.
 
     On this subspace the truncated commutators ``[Q, P] = 1j`` hold exactly;
     the corruption from truncation lives entirely on the top level.
     """
-    keep1 = np.ones(cutoff)
-    keep1[-1] = 0.0
-    diag = np.array([1.0])
-    for _ in range(modes):
-        diag = np.kron(diag, keep1)
-    return np.diag(diag).astype(complex)
+    occupations = np.indices((cutoff,) * modes).reshape(modes, -1)
+    return (occupations < cutoff - 1).all(axis=0)
 
 
 def symplectic_form(modes: int) -> np.ndarray:

@@ -43,6 +43,15 @@ def as_operator(a) -> np.ndarray:
     return arr
 
 
+def _fix_phase(vec: np.ndarray) -> np.ndarray:
+    """Rotate the first significant component to the positive real axis."""
+    pivot = np.flatnonzero(np.abs(vec) > 1e-12)
+    if pivot.size == 0:
+        return vec
+    phase = vec[pivot[0]] / abs(vec[pivot[0]])
+    return vec / phase
+
+
 def _tol(dim: int, atol: float | None) -> float:
     return PROPERTY_ATOL * dim if atol is None else atol
 

@@ -108,10 +108,10 @@ class LieAlgebraRep:
         ``c[j, k, r]`` with ``[R_j, R_k] = 1j c[j,k,r] R_r + 1j omega[j,k] I``.
     multiplier_form : array (n, n) or None
         Antisymmetric central-extension two-form; ``None`` means zero.
-    closure_projector : array (d, d) or None
-        If given, the closure identity is verified on the projected subspace
-        only (used by truncated realisations whose commutators are corrupted
-        at the truncation boundary).
+    closure_mask : bool array (d,) or None
+        If given, the closure identity is verified on the basis states it
+        selects only (used by truncated realisations whose commutators are
+        corrupted at the truncation boundary).
     validate_closure : bool
         Allow deliberately inconsistent data (negative controls) through.
     """
@@ -119,7 +119,7 @@ class LieAlgebraRep:
     generators: np.ndarray
     structure_constants: np.ndarray
     multiplier_form: np.ndarray | None = None
-    closure_projector: np.ndarray | None = field(default=None, repr=False)
+    closure_mask: np.ndarray | None = field(default=None, repr=False)
     validate_closure: bool = field(default=True, repr=False)
     atol: float = 1e-10
 
@@ -155,7 +155,7 @@ class LieAlgebraRep:
         object.__setattr__(self, "structure_constants", c)
         object.__setattr__(self, "multiplier_form", omega)
         if self.validate_closure:
-            residual = self.closure_residual(self.closure_projector)
+            residual = self.closure_residual(self.closure_mask)
             if residual > tol:
                 raise ValueError(
                     f"commutator closure fails: residual {residual:.3e} > {tol:g}"
@@ -174,22 +174,20 @@ class LieAlgebraRep:
         n = self.n_generators
         return np.zeros((n, n)) if self.multiplier_form is None else self.multiplier_form
 
-    def closure_residual(self, projector: np.ndarray | None = None) -> float:
-        """Max-norm defect of the commutator identity, optionally projected."""
+    def closure_residual(self, mask: np.ndarray | None = None) -> float:
+        """Max-norm defect of the commutator identity, on the ``mask`` block if given."""
         gens = self.generators
         n, d = self.n_generators, self.dim
         eye = np.eye(d)
         omega = self.omega()
+        block = slice(None) if mask is None else np.ix_(mask, mask)
         worst = 0.0
         for j in range(n):
             for k in range(j + 1, n):
                 lhs = gens[j] @ gens[k] - gens[k] @ gens[j]
                 rhs = 1j * np.tensordot(self.structure_constants[j, k], gens, axes=1)
                 rhs = rhs + 1j * omega[j, k] * eye
-                defect = lhs - rhs
-                if projector is not None:
-                    defect = projector @ defect @ projector
-                worst = max(worst, float(np.abs(defect).max()))
+                worst = max(worst, float(np.abs((lhs - rhs)[block]).max()))
         return worst
 
 
@@ -233,17 +231,15 @@ def heisenberg_rep(n_modes: int, cutoff: int) -> LieAlgebraRep:
     multiplier form.  Closure is verified away from the truncation boundary.
     """
     if n_modes < 1:
-        raise SpecError("n_modes must be a positive integer")
+        raise SpecError("modes must be a positive integer")
     if cutoff < 3:
         raise SpecError(f"cutoff must be at least 3, got {cutoff}")
-    qs, ps = fock.position_momentum(n_modes, cutoff)
-    gens = np.array(qs + ps)
     n = 2 * n_modes
     return LieAlgebraRep(
-        gens,
+        fock.position_momentum(n_modes, cutoff),
         np.zeros((n, n, n)),
         multiplier_form=fock.symplectic_form(n_modes),
-        closure_projector=fock.low_fock_projector(n_modes, cutoff),
+        closure_mask=fock.low_fock_mask(n_modes, cutoff),
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroFiducialError
-from .hilbert import as_state
+from .hilbert import _fix_phase, as_state
 from .liegroup import Coframe, GroupPoint, LieAlgebraRep, group_element
 
 HERMITICITY_ATOL = 1e-12
@@ -57,11 +57,12 @@ class CoordinateTensor:
 
 
 def _normalized_fiducial(fiducial) -> np.ndarray:
+    """Unit fiducial with its global phase stripped: no rounding residue."""
     psi = as_state(fiducial)
     n = float(np.linalg.norm(psi))
     if n <= 0.0:
         raise ZeroFiducialError("fiducial vector has zero norm")
-    return psi / n
+    return _fix_phase(psi / n)
 
 
 def covariance_matrix(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLevelError, NumericalRefusal, SpecError
-from .hilbert import as_operator, is_hermitian
+from .hilbert import _fix_phase, as_operator, is_hermitian
 from .liegroup import (
     EULER_GENERATOR_SCALE,
     LEFT_INVARIANT,
@@ -205,15 +205,6 @@ def ham_from_spec(spec: dict) -> HamiltonianFamily:
             )
         raise SpecError(f"unknown builtin hamiltonian {name!r}")
     raise SpecError("hamiltonian spec needs 'affine' or 'builtin'")
-
-
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate the first significant component to the positive real axis."""
-    pivot = np.flatnonzero(np.abs(vec) > 1e-12)
-    if pivot.size == 0:
-        return vec
-    phase = vec[pivot[0]] / abs(vec[pivot[0]])
-    return vec / phase
 
 
 def _eigensystem(family: HamiltonianFamily, lam):

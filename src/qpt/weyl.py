@@ -21,51 +21,47 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm
 
 from . import fock
-from .errors import NotLagrangianError, SpecError
+from .errors import NotLagrangianError
 from .liegroup import LieAlgebraRep, heisenberg_rep
 from .pullback import PullbackTensor, covariance_matrix
 
 
 @dataclass(frozen=True)
 class WeylSystem:
-    """Truncated realisation of position/momentum displacement operators."""
+    """Truncated position/momentum realisation: one validated Heisenberg rep."""
 
     modes: int
     cutoff: int
-    position_ops: np.ndarray  # (n, d, d)
-    momentum_ops: np.ndarray  # (n, d, d)
-    symplectic_form: np.ndarray  # (2n, 2n)
+    rep: LieAlgebraRep
 
     @property
     def dim(self) -> int:
-        return self.cutoff**self.modes
+        return self.rep.dim
 
     @property
     def generators(self) -> np.ndarray:
-        return np.concatenate([self.position_ops, self.momentum_ops])
+        return self.rep.generators
+
+    @property
+    def position_ops(self) -> np.ndarray:
+        return self.rep.generators[: self.modes]
+
+    @property
+    def momentum_ops(self) -> np.ndarray:
+        return self.rep.generators[self.modes :]
+
+    @property
+    def symplectic_form(self) -> np.ndarray:
+        return self.rep.multiplier_form
 
     def vacuum(self) -> np.ndarray:
         return fock.vacuum(self.modes, self.cutoff)
-
-    def as_rep(self) -> LieAlgebraRep:
-        return heisenberg_rep(self.modes, self.cutoff)
 
 
 def build_weyl(modes: int, cutoff: int) -> WeylSystem:
     """Build ``Q = (a + a^dag)/sqrt(2)``, ``P = 1j (a^dag - a)/sqrt(2)``
     per mode on a Fock space truncated at ``cutoff`` levels."""
-    if modes < 1:
-        raise SpecError("modes must be a positive integer")
-    if cutoff < 3:
-        raise SpecError(f"cutoff must be at least 3, got {cutoff}")
-    qs, ps = fock.position_momentum(modes, cutoff)
-    return WeylSystem(
-        modes=modes,
-        cutoff=cutoff,
-        position_ops=np.array(qs),
-        momentum_ops=np.array(ps),
-        symplectic_form=fock.symplectic_form(modes),
-    )
+    return WeylSystem(modes, cutoff, heisenberg_rep(modes, cutoff))
 
 
 def displacement(system: WeylSystem, v) -> np.ndarray:
@@ -92,7 +88,7 @@ def weyl_defect(system: WeylSystem, v1, v2) -> float:
     w2 = displacement(system, v2)
     phase = np.exp(-1j * float(v1 @ system.symplectic_form @ v2))
     vac = system.vacuum()
-    return float(np.linalg.norm((w1 @ w2 - phase * (w2 @ w1)) @ vac))
+    return float(np.linalg.norm(w1 @ (w2 @ vac) - phase * (w2 @ (w1 @ vac))))
 
 
 def defect_convergence(modes: int, v1, v2, cutoffs=(8, 16, 32)) -> list[float]:
@@ -107,7 +103,7 @@ def gaussian_covariance(system: WeylSystem, projective: bool = False) -> Pullbac
     both are exact on the truncated space, and the projective flag changes
     nothing because the vacuum first moments vanish.
     """
-    return covariance_matrix(system.as_rep(), system.vacuum(), projective=projective)
+    return covariance_matrix(system.rep, system.vacuum(), projective=projective)
 
 
 def lagrangian_restriction(t: PullbackTensor, subspace) -> PullbackTensor:

@@ -317,6 +317,52 @@ def test_non_boolean_projective_is_spec_error(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["two", 1.7, True], ids=["string", "float", "bool"])
+@pytest.mark.parametrize("field", ["modes", "cutoff"])
+@pytest.mark.parametrize("command", ["weyl", "verify"])
+def test_non_integer_weyl_size_is_spec_error(tmp_path, capsys, command, field, value):
+    payload = {"mode": command, "modes": 1, "cutoff": 8, field: value}
+    if command == "verify":
+        payload["target"] = "weyl"
+    spec = write_spec(tmp_path, "s.json", payload)
+    out = tmp_path / "s.jsonl"
+    assert main([command, "--spec", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: at $.{field}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["group", "weyl", "compare"])
+def test_output_in_missing_directory_is_spec_error(tmp_path, capsys, command):
+    if command == "group":
+        argv = ["group", "--spec", write_spec(tmp_path, "g.json", group_spec())]
+    elif command == "weyl":
+        argv = ["weyl", "--modes", "1", "--cutoff", "4"]
+    else:
+        record = tmp_path / "r.jsonl"
+        record.write_text('{"kind": "record", "point": [0.0], "metric": [1.0], "two_form": [0.0]}\n')
+        argv = ["compare", str(record), str(record)]
+    assert main(argv + ["--out", str(tmp_path / "missing" / "x.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_weyl_run_builds_heisenberg_rep_once(tmp_path, monkeypatch):
+    import qpt.liegroup
+    import qpt.weyl
+
+    original = qpt.liegroup.heisenberg_rep
+    calls = []
+
+    def counting(modes, cutoff):
+        calls.append((modes, cutoff))
+        return original(modes, cutoff)
+
+    monkeypatch.setattr(qpt.liegroup, "heisenberg_rep", counting)
+    monkeypatch.setattr(qpt.weyl, "heisenberg_rep", counting)
+    out = tmp_path / "w.jsonl"
+    assert main(["weyl", "--modes", "1", "--cutoff", "6", "--out", str(out)]) == 0
+    assert calls.count((1, 6)) == 1
+
+
 def test_mode_mismatch(tmp_path):
     spec = write_spec(tmp_path, "w.json", {"mode": "weyl", "modes": 1, "cutoff": 8})
     assert main(["group", "--spec", spec]) == 2

@@ -76,6 +76,26 @@ def test_heisenberg_cutoff_rejected():
         heisenberg_rep(1, 2)
 
 
+@pytest.mark.parametrize("modes, cutoff", [(2, 4), (1, 8)])
+def test_closure_mask_matches_dense_projector(modes, cutoff):
+    # Restricting the defect to the masked rows and columns must give the
+    # residual of a dense 0/1 diagonal projector on both sides, bit for bit.
+    rep = heisenberg_rep(modes, cutoff)
+    assert rep.closure_mask.sum() == (cutoff - 1) ** modes
+    gens, omega = rep.generators, rep.omega()
+    proj = np.diag(rep.closure_mask).astype(complex)
+    eye = np.eye(rep.dim)
+    worst = 0.0
+    for j in range(rep.n_generators):
+        for k in range(j + 1, rep.n_generators):
+            lhs = gens[j] @ gens[k] - gens[k] @ gens[j]
+            rhs = 1j * np.tensordot(rep.structure_constants[j, k], gens, axes=1)
+            defect = lhs - (rhs + 1j * omega[j, k] * eye)
+            worst = max(worst, float(np.abs(proj @ defect @ proj).max()))
+    assert rep.closure_residual(rep.closure_mask) == worst
+    assert rep.closure_residual() > 1.0  # the truncation corner is excluded
+
+
 def test_coframe_pinned_point():
     cf = su2_coframe(euler_point(0, np.pi / 2, 0))
     np.testing.assert_allclose(cf.theta[0], [0, 0, -1], atol=1e-15)

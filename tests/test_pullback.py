@@ -211,6 +211,15 @@ def test_evaluate_at_projective_metric_and_form():
         np.testing.assert_allclose(coord.two_form, expected_form, atol=1e-12)
 
 
+@pytest.mark.parametrize("projective", [False, True])
+def test_fiducial_global_phase_leaves_no_residue(projective):
+    rep = su2_spin_rep(1.5)
+    e0 = np.eye(4)[0]
+    plain = covariance_matrix(rep, e0, projective=projective)
+    phased = covariance_matrix(rep, (0.6 + 0.8j) * e0, projective=projective)
+    np.testing.assert_array_equal(phased.coefficients, plain.coefficients)
+
+
 def test_evaluate_at_dimension_mismatch():
     rep = su2_spin_rep(0.5)
     t = covariance_matrix(heisenberg_rep(1, 4), [1, 0, 0, 0])

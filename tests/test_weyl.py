@@ -23,6 +23,15 @@ def test_position_matrix_elements():
     assert q[2, 1] == pytest.approx(1.0)
 
 
+def test_system_holds_one_rep():
+    system = build_weyl(2, 4)
+    assert gaussian_covariance(system).rep is system.rep
+    assert gaussian_covariance(system, projective=True).rep is system.rep
+    np.testing.assert_array_equal(
+        np.concatenate([system.position_ops, system.momentum_ops]), system.generators
+    )
+
+
 def test_vacuum_is_annihilated():
     from qpt.fock import annihilation
 
