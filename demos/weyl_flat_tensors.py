@@ -17,7 +17,7 @@ np.set_printoptions(precision=6, suppress=True)
 
 system = build_weyl(modes=1, cutoff=16)
 vac = system.vacuum()
-q, p = system.position_ops[0], system.momentum_ops[0]
+q, p = system.mode_rep.generators  # the one validated single-mode rep
 
 print("vacuum moments:  <Q^2> =", (vac @ q @ q @ vac).real,
       "  <QP> =", vac @ q @ p @ vac)

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import checks, serialize
-from .errors import NumericalRefusal, SpecError
+from .errors import NumericalRefusal, SpecError, require_integer
 from .liegroup import (
     EULER_GENERATOR_SCALE,
     LEFT_INVARIANT,
@@ -220,10 +220,17 @@ def _flag(spec, args, name, default):
 
 
 def _integer(spec, args, name, default) -> int:
-    value = _flag(spec, args, name, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecError(f"at $.{name}: expected an integer, got {value!r}")
-    return value
+    return require_integer(_flag(spec, args, name, default), f"$.{name}")
+
+
+def _level(spec, args, family, point) -> int:
+    """Eigenlevel to follow: an integer below the family's dimension at ``point``."""
+    path = "$.level" if _flag(spec, args, "level", None) is not None else "$.hamiltonian.level"
+    level = require_integer(_flag(spec, args, "level", family.level), path)
+    dim = family.hamiltonian(point).shape[0]
+    if not 0 <= level < dim:
+        raise SpecError(f"at {path}: level {level} is out of range for {dim} levels")
+    return level
 
 
 def _projective(spec, args) -> bool:
@@ -443,19 +450,19 @@ def cmd_qgt(args) -> int:
     if "hamiltonian" not in spec:
         raise SpecError("at $.hamiltonian: a hamiltonian spec is required")
     family = ham_from_spec(spec["hamiltonian"])
-    level = _flag(spec, args, "level", family.level)
     axes = _grid_axes(spec)
     if len(axes) != family.param_dim:
         raise SpecError(
             f"at $.grid: family has {family.param_dim} parameters, grid has {len(axes)} axes"
         )
     points = _grid_points(axes)
+    level = _level(spec, args, family, points[0])
     tols = _tolerances(spec, args)
     family.fd_step = float(tols["fd_step"])
     degeneracy_tol = tols["degeneracy_tol"]
 
     def one(point):
-        res = qgt_tensor(family, point, a=int(level), degeneracy_tol=degeneracy_tol)
+        res = qgt_tensor(family, point, a=level, degeneracy_tol=degeneracy_tol)
         return {
             "point": point.tolist(),
             "h": serialize.matrix_pairs_row_major(res.h),
@@ -466,7 +473,7 @@ def cmd_qgt(args) -> int:
     header = {
         "mode": "qgt",
         "hamiltonian": spec["hamiltonian"],
-        "level": int(level),
+        "level": level,
         "grid": {name: [float(v) for v in values] for name, values in axes},
         "conventions": checks.conventions(),
     }
@@ -507,7 +514,8 @@ def cmd_verify(args) -> int:
                 f"at $.grid: family has {family.param_dim} parameters, grid has {len(axes)} axes"
             )
         points = _grid_points(axes)
-        results = checks.qgt_checks(family, points, level=spec.get("level"), fd_step=fd_step)
+        level = _level(spec, args, family, points[0])
+        results = checks.qgt_checks(family, points, level=level, fd_step=fd_step)
         builtin = spec["hamiltonian"].get("builtin") if isinstance(spec["hamiltonian"], dict) else None
         if builtin == "bloch":
             results += checks.bloch_closed_form_checks()

@@ -12,6 +12,14 @@ class SpecError(ValueError):
     """A run description or model specification is invalid."""
 
 
+def require_integer(value, path: str) -> int:
+    """``value`` if it is a JSON integer (not a float or a boolean), else a
+    :class:`SpecError` naming the spec ``path``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecError(f"at {path}: expected an integer, got {value!r}")
+    return value
+
+
 class NumericalRefusal(RuntimeError):
     """A computation was refused because its preconditions fail numerically."""
 

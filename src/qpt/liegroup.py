@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import fock
-from .errors import SpecError
+from .errors import SpecError, require_integer
 from .hilbert import is_hermitian
 
 # Coframe components pair with generators/2 in the z-y-z Euler product.
@@ -229,25 +229,29 @@ def heisenberg_rep(n_modes: int, cutoff: int) -> LieAlgebraRep:
     """Position/momentum generators ``(Q^1..Q^n, P^1..P^n)`` on truncated
     Fock space, with zero structure constants and the standard symplectic
     multiplier form.  Closure is verified away from the truncation boundary.
+
+    The generators are dense ``cutoff**n_modes``-sized matrices, so a space
+    of more than :data:`qpt.fock.MAX_DENSE_STATES` states (1024) is refused
+    with a :class:`SpecError` before any allocation.  Weyl systems
+    (:mod:`qpt.weyl`) use this only at one mode; the dense multi-mode rep
+    serves the ``heisenberg`` builtin of :func:`rep_from_spec` and the tests.
     """
-    if n_modes < 1:
-        raise SpecError("modes must be a positive integer")
-    if cutoff < 3:
-        raise SpecError(f"cutoff must be at least 3, got {cutoff}")
+    gens = fock.position_momentum(n_modes, cutoff)  # checks the size first
     n = 2 * n_modes
     return LieAlgebraRep(
-        fock.position_momentum(n_modes, cutoff),
+        gens,
         np.zeros((n, n, n)),
         multiplier_form=fock.symplectic_form(n_modes),
         closure_mask=fock.low_fock_mask(n_modes, cutoff),
     )
 
 
-def rep_from_spec(spec: dict) -> LieAlgebraRep:
-    """Build a representation from its JSON description.
+def rep_from_spec(spec: dict, path: str = "$.rep") -> LieAlgebraRep:
+    """Build a representation from its JSON description found at ``path``.
 
     Accepted forms: ``{"builtin": "su2", "spin": s}``,
-    ``{"builtin": "heisenberg", "modes": n, "cutoff": N}`` or explicit
+    ``{"builtin": "heisenberg", "modes": n, "cutoff": N}`` with integer
+    ``n`` and ``N`` or explicit
     ``{"generators": [...], "structure_constants": [...],
     "multiplier_form": [...]}`` with complex entries as ``[re, im]`` pairs.
     """
@@ -258,12 +262,14 @@ def rep_from_spec(spec: dict) -> LieAlgebraRep:
         if name == "su2":
             if "spin" not in spec:
                 raise SpecError("su2 spec requires a 'spin' field")
-            return su2_spin_rep(float(spec["spin"]))
+            spin = spec["spin"]
+            if not isinstance(spin, (int, float)) or isinstance(spin, bool):
+                raise SpecError(f"at {path}.spin: expected a number, got {spin!r}")
+            return su2_spin_rep(float(spin))
         if name == "heisenberg":
-            try:
-                return heisenberg_rep(int(spec.get("modes", 1)), int(spec.get("cutoff", 16)))
-            except (TypeError, ValueError) as exc:
-                raise SpecError(f"bad heisenberg spec: {exc}") from exc
+            modes = require_integer(spec.get("modes", 1), f"{path}.modes")
+            cutoff = require_integer(spec.get("cutoff", 16), f"{path}.cutoff")
+            return heisenberg_rep(modes, cutoff)
         raise SpecError(f"unknown builtin representation {name!r}")
     if "generators" not in spec or "structure_constants" not in spec:
         raise SpecError("explicit rep spec needs 'generators' and 'structure_constants'")

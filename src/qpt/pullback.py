@@ -30,13 +30,15 @@ class PullbackTensor:
 
     ``coefficients`` is Hermitian; its real part is the metric coefficient
     matrix and its imaginary part the two-form one.  ``fiducial`` stores the
-    normalised state the expectations were taken at.
+    normalised state the expectations were taken at, and ``multiplier_form``
+    the central-extension two-form of the generators (``None`` when there is
+    none), which :func:`qpt.weyl.lagrangian_restriction` reads.
     """
 
     coefficients: np.ndarray
     projective: bool
     fiducial: np.ndarray
-    rep: LieAlgebraRep | None = None
+    multiplier_form: np.ndarray | None = None
 
     @property
     def metric_coefficients(self) -> np.ndarray:
@@ -78,12 +80,23 @@ def covariance_matrix(
     psi = _normalized_fiducial(fiducial)
     if psi.size != rep.dim:
         raise ValueError(f"fiducial dimension {psi.size} does not match rep dimension {rep.dim}")
-    gpsi = rep.generators @ psi  # (n, d)
+    return PullbackTensor(
+        coefficients=second_moments(psi, rep.generators @ psi, projective),
+        projective=projective,
+        fiducial=psi,
+        multiplier_form=rep.multiplier_form,
+    )
+
+
+def second_moments(psi: np.ndarray, gpsi: np.ndarray, projective: bool = False) -> np.ndarray:
+    """``<psi| R_j R_k |psi>`` from the unit state and the stack
+    ``gpsi[j] = R_j |psi>``; with ``projective`` the product of first
+    moments is subtracted."""
     t = gpsi.conj() @ gpsi.T
     if projective:
         first = psi.conj() @ gpsi.T  # <R_j>, real for Hermitian generators
         t = t - np.outer(first, first)
-    return PullbackTensor(coefficients=t, projective=projective, fiducial=psi, rep=rep)
+    return t
 
 
 def split(t: PullbackTensor) -> tuple[np.ndarray, np.ndarray]:

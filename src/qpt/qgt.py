@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLevelError, NumericalRefusal, SpecError
+from .errors import DegenerateLevelError, NumericalRefusal, SpecError, require_integer
 from .hilbert import _fix_phase, as_operator, is_hermitian
 from .liegroup import (
     EULER_GENERATOR_SCALE,
@@ -170,16 +170,17 @@ def orbit_family(
 
 
 def ham_from_spec(spec: dict) -> HamiltonianFamily:
-    """Build a family from its JSON description.
+    """Build a family from its JSON description, found at ``$.hamiltonian``.
 
     Accepted forms: ``{"affine": {"h0": M, "terms": [M...]}}`` with complex
     entries as ``[re, im]`` pairs, ``{"builtin": "bloch"}``,
     ``{"builtin": "landau_zener", "delta": d}`` or
-    ``{"builtin": "orbit", "rep": {...}, "direction": [...]}``.
+    ``{"builtin": "orbit", "rep": {...}, "direction": [...]}``, each with an
+    optional integer ``"level"``.
     """
     if not isinstance(spec, dict):
         raise SpecError("hamiltonian spec must be an object")
-    level = int(spec.get("level", 0))
+    level = require_integer(spec.get("level", 0), "$.hamiltonian.level")
     if "affine" in spec:
         block = spec["affine"]
         if not isinstance(block, dict) or "h0" not in block or "terms" not in block:
@@ -199,7 +200,7 @@ def ham_from_spec(spec: dict) -> HamiltonianFamily:
             if "rep" not in spec or "direction" not in spec:
                 raise SpecError("orbit spec needs 'rep' and 'direction'")
             return orbit_family(
-                rep_from_spec(spec["rep"]),
+                rep_from_spec(spec["rep"], "$.hamiltonian.rep"),
                 np.asarray(spec["direction"], dtype=float),
                 level=level,
             )

@@ -1,4 +1,4 @@
-"""Weyl systems on truncated Fock space.
+"""Weyl systems on truncated Fock space, factorised over modes.
 
 Displacement operators ``W(v) = expm(1j R(v))`` with
 ``R(v) = sum_j v_j R_j`` over the generator order ``(Q^1..Q^n, P^1..P^n)``
@@ -10,6 +10,33 @@ error is measured rather than assumed.
 
 Sign conventions are pinned by ``[Q, P] = 1j``, which fixes the conjugation
 multiplier to ``W(v1) W(v2) = exp(-1j omega(v1, v2)) W(v2) W(v1)``.
+
+Factorised backend.  The n-mode space is the tensor product of n copies of
+one truncated mode, and ``Q^m``, ``P^m`` act as the single-mode ``Q``, ``P``
+on factor ``m`` and as the identity elsewhere.  A state is a flat vector in
+Kronecker order (mode 0 most significant), read as a ``(cutoff,) * modes``
+tensor, and :func:`apply_mode` applies a single-mode matrix along one of its
+axes.  Nothing multi-mode is ever formed as a dense operator:
+
+* Closure.  A :class:`WeylSystem` holds one single-mode rep,
+  ``heisenberg_rep(1, cutoff)``, whose closure is checked on its low-Fock
+  mask.  Operators on different factors commute exactly, truncated or not
+  (``(A x I)(I x B) = A x B = (I x B)(A x I)``), so every cross-mode
+  commutator vanishes by construction and ``[Q^m, P^m] = [Q, P] x I`` holds
+  wherever the single-mode identity holds.  The ``vacuum-commutator`` check
+  of :func:`qpt.checks.weyl_checks` still evaluates every pair, cross-mode
+  included, on the vacuum.
+* Exponentials.  For the same reason
+  ``W(v) = (x)_m expm(1j (v_{q_m} Q + v_{p_m} P))``: one ``cutoff``-sized
+  ``expm`` per mode.
+* Cost.  One application of a single-mode matrix costs
+  ``O(cutoff**(modes + 1))``, so a displacement of a state costs
+  ``O(modes * cutoff**(modes + 1))`` instead of a dense exponential of a
+  ``cutoff**modes``-sized matrix.
+
+Dense multi-mode operators remain only in :func:`qpt.liegroup.heisenberg_rep`,
+for the ``heisenberg`` builtin of ``rep_from_spec`` (``verify`` on a group
+target) and as an oracle in the tests, under its own size budget.
 """
 
 from __future__ import annotations
@@ -23,56 +50,96 @@ from scipy.linalg import expm
 from . import fock
 from .errors import NotLagrangianError
 from .liegroup import LieAlgebraRep, heisenberg_rep
-from .pullback import PullbackTensor, covariance_matrix
+from .pullback import PullbackTensor, second_moments
+
+# Largest Fock space, cutoff**modes, a Weyl system may hold: 2**20 states is
+# a 16 MiB complex state vector (modes 4 at cutoff 32).  The defect checks
+# keep a few such vectors at cutoff 32 for any requested cutoff.
+MAX_STATES = 2**20
 
 
 @dataclass(frozen=True)
 class WeylSystem:
-    """Truncated position/momentum realisation: one validated Heisenberg rep."""
+    """``modes`` copies of one validated single-mode rep ``(Q, P)``."""
 
     modes: int
     cutoff: int
-    rep: LieAlgebraRep
+    mode_rep: LieAlgebraRep
 
     @property
     def dim(self) -> int:
-        return self.rep.dim
-
-    @property
-    def generators(self) -> np.ndarray:
-        return self.rep.generators
-
-    @property
-    def position_ops(self) -> np.ndarray:
-        return self.rep.generators[: self.modes]
-
-    @property
-    def momentum_ops(self) -> np.ndarray:
-        return self.rep.generators[self.modes :]
+        return self.cutoff**self.modes
 
     @property
     def symplectic_form(self) -> np.ndarray:
-        return self.rep.multiplier_form
+        return fock.symplectic_form(self.modes)
+
+    @property
+    def position_ops(self) -> np.ndarray:
+        """Dense ``Q^1..Q^n`` on the full space, an oracle for small sizes;
+        no Weyl computation uses it."""
+        return fock.position_momentum(self.modes, self.cutoff)[: self.modes]
+
+    @property
+    def momentum_ops(self) -> np.ndarray:
+        """Dense ``P^1..P^n`` on the full space, as :attr:`position_ops`."""
+        return fock.position_momentum(self.modes, self.cutoff)[self.modes :]
 
     def vacuum(self) -> np.ndarray:
         return fock.vacuum(self.modes, self.cutoff)
 
 
 def build_weyl(modes: int, cutoff: int) -> WeylSystem:
-    """Build ``Q = (a + a^dag)/sqrt(2)``, ``P = 1j (a^dag - a)/sqrt(2)``
-    per mode on a Fock space truncated at ``cutoff`` levels."""
-    return WeylSystem(modes, cutoff, heisenberg_rep(modes, cutoff))
+    """Build ``Q = (a + a^dag)/sqrt(2)``, ``P = 1j (a^dag - a)/sqrt(2)`` on
+    one mode truncated at ``cutoff`` levels, shared by ``modes`` modes.
+
+    Refuses a Fock space of more than :data:`MAX_STATES` states before any
+    allocation.
+    """
+    fock.check_size(modes, cutoff, MAX_STATES, "Weyl system")
+    return WeylSystem(modes, cutoff, heisenberg_rep(1, cutoff))
+
+
+def apply_mode(op: np.ndarray, state: np.ndarray, mode: int) -> np.ndarray:
+    """Apply the single-mode ``(N, N)`` matrix ``op`` to factor ``mode`` of a
+    flat Kronecker-ordered state over ``(N,) * modes``."""
+    n = op.shape[1]
+    return (op @ state.reshape(n**mode, n, -1)).reshape(state.shape)
+
+
+def generator_states(system: WeylSystem, state, transpose: bool = False) -> np.ndarray:
+    """Stack ``R_j |state>`` over the generator order ``(Q^1..Q^n, P^1..P^n)``.
+
+    With ``transpose`` the stack holds ``R_j^T |state>``; applied to
+    ``vac.conj()`` its rows are the bras ``<0| R_j``.
+    """
+    ops = system.mode_rep.generators
+    if transpose:
+        ops = np.swapaxes(ops, 1, 2)
+    return np.array([apply_mode(op, state, m) for op in ops for m in range(system.modes)])
 
 
 def displacement(system: WeylSystem, v) -> np.ndarray:
-    """Unitary ``expm(1j sum_j v_j R_j)`` for a real phase-space vector."""
+    """Per-mode factors of ``W(v) = expm(1j sum_j v_j R_j)`` for a real
+    phase-space vector: a ``(modes, N, N)`` stack ``U_m`` with
+    ``W(v) = U_0 x U_1 x ... x U_{n-1}``."""
     v = np.asarray(v, dtype=float)
-    n = 2 * system.modes
-    if v.shape != (n,):
-        raise ValueError(f"displacement vector must have length {n}")
+    modes = system.modes
+    if v.shape != (2 * modes,):
+        raise ValueError(f"displacement vector must have length {2 * modes}")
     if not np.all(np.isfinite(v)):
         raise ValueError("displacement vector has non-finite entries")
-    return expm(1j * np.tensordot(v, system.generators, axes=1))
+    gens = system.mode_rep.generators
+    return np.array(
+        [expm(1j * np.tensordot(v[[m, modes + m]], gens, axes=1)) for m in range(modes)]
+    )
+
+
+def displace(factors: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """``W |state>`` for the per-mode factors returned by :func:`displacement`."""
+    for mode, u in enumerate(factors):
+        state = apply_mode(u, state, mode)
+    return state
 
 
 def weyl_defect(system: WeylSystem, v1, v2) -> float:
@@ -80,7 +147,9 @@ def weyl_defect(system: WeylSystem, v1, v2) -> float:
 
     Returns ``|| (W(v1) W(v2) - exp(-1j omega(v1, v2)) W(v2) W(v1)) |0> ||``,
     which vanishes in the untruncated limit and decreases with cutoff for
-    moderate displacements.
+    moderate displacements.  The difference vector is formed before the
+    norm is taken: expanding the squared norm through per-mode overlaps
+    cancels catastrophically once the defect is small.
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -88,7 +157,8 @@ def weyl_defect(system: WeylSystem, v1, v2) -> float:
     w2 = displacement(system, v2)
     phase = np.exp(-1j * float(v1 @ system.symplectic_form @ v2))
     vac = system.vacuum()
-    return float(np.linalg.norm(w1 @ (w2 @ vac) - phase * (w2 @ (w1 @ vac))))
+    difference = displace(w1, displace(w2, vac)) - phase * displace(w2, displace(w1, vac))
+    return float(np.linalg.norm(difference))
 
 
 def defect_convergence(modes: int, v1, v2, cutoffs=(8, 16, 32)) -> list[float]:
@@ -103,7 +173,13 @@ def gaussian_covariance(system: WeylSystem, projective: bool = False) -> Pullbac
     both are exact on the truncated space, and the projective flag changes
     nothing because the vacuum first moments vanish.
     """
-    return covariance_matrix(system.rep, system.vacuum(), projective=projective)
+    vac = system.vacuum()
+    return PullbackTensor(
+        coefficients=second_moments(vac, generator_states(system, vac), projective),
+        projective=projective,
+        fiducial=vac,
+        multiplier_form=system.symplectic_form,
+    )
 
 
 def lagrangian_restriction(t: PullbackTensor, subspace) -> PullbackTensor:
@@ -114,9 +190,9 @@ def lagrangian_restriction(t: PullbackTensor, subspace) -> PullbackTensor:
     subspace the two-form part dies identically and only the Euclidean
     metric survives.
     """
-    if t.rep is None or t.rep.multiplier_form is None:
+    omega = t.multiplier_form
+    if omega is None:
         raise ValueError("lagrangian_restriction needs a tensor built from a Weyl system")
-    omega = t.rep.multiplier_form
     n2 = omega.shape[0]
     modes = n2 // 2
     rows = []
@@ -148,7 +224,6 @@ def lagrangian_restriction(t: PullbackTensor, subspace) -> PullbackTensor:
         coefficients=restricted,
         projective=t.projective,
         fiducial=t.fiducial,
-        rep=None,
     )
 
 

@@ -431,3 +431,109 @@ def test_output_block_in_spec_used(tmp_path):
     assert main(["group", "--spec", spec]) == 0
     assert target.exists()
     assert len(records_of(str(target))) == 25
+
+
+@pytest.mark.parametrize("modes, cutoff", [(3, 4), (4, 8)])
+def test_weyl_run_builds_no_dense_multimode_operator(tmp_path, monkeypatch, modes, cutoff):
+    import qpt.fock
+    import qpt.liegroup
+    import qpt.weyl
+
+    reps, dense = [], []
+    original_rep = qpt.liegroup.heisenberg_rep
+    original_dense = qpt.fock.position_momentum
+
+    def counting_rep(n_modes, n_cutoff):
+        reps.append(n_modes)
+        return original_rep(n_modes, n_cutoff)
+
+    def counting_dense(n_modes, n_cutoff):
+        dense.append(n_modes)
+        return original_dense(n_modes, n_cutoff)
+
+    monkeypatch.setattr(qpt.liegroup, "heisenberg_rep", counting_rep)
+    monkeypatch.setattr(qpt.weyl, "heisenberg_rep", counting_rep)
+    monkeypatch.setattr(qpt.fock, "position_momentum", counting_dense)
+    out = tmp_path / "w.jsonl"
+    argv = ["weyl", "--modes", str(modes), "--cutoff", str(cutoff), "--out", str(out)]
+    assert main(argv) == 0
+    assert reps and set(reps) == {1}
+    assert dense and set(dense) == {1}
+    (record,) = records_of(str(out))
+    n = 2 * modes
+    omega = np.block([[np.zeros((modes, modes)), np.eye(modes)], [-np.eye(modes), np.zeros((modes, modes))]])
+    np.testing.assert_allclose(np.reshape(record["metric"], (n, n)), np.eye(n) / 2, atol=1e-14)
+    np.testing.assert_allclose(np.reshape(record["two_form"], (n, n)), omega / 2, atol=1e-14)
+    report = report_of(str(out))
+    assert report["pass"] is True
+    assert len(report["checks"]) == 8
+
+
+def test_weyl_over_state_budget_is_spec_error(tmp_path, capsys):
+    # Five modes fit at cutoff 4, but the defect checks need cutoff 32.
+    out = tmp_path / "w.jsonl"
+    assert main(["weyl", "--modes", "5", "--cutoff", "4", "--out", str(out)]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BLOCH_GRID = {"theta": [0.3, 2.8, 2], "phi": [0.0, 6.0, 2]}
+ORBIT_GRID = {"alpha": 0.0, "beta": [0.3, 2.8, 2], "gamma": [0.3, 6.0, 2]}
+
+
+@pytest.mark.parametrize(
+    "payload, path",
+    [
+        ({"hamiltonian": {"builtin": "bloch"}, "level": "x"}, "$.level"),
+        ({"hamiltonian": {"builtin": "bloch", "level": "x"}}, "$.hamiltonian.level"),
+        ({"hamiltonian": {"builtin": "bloch"}, "level": 7}, "$.level"),
+        ({"hamiltonian": {"builtin": "bloch", "level": 7}}, "$.hamiltonian.level"),
+        ({"hamiltonian": {"builtin": "bloch"}, "level": 1.0}, "$.level"),
+        (
+            {
+                "hamiltonian": {
+                    "builtin": "orbit",
+                    "rep": {"builtin": "su2", "spin": "half"},
+                    "direction": [0, 0, 1],
+                },
+                "grid": ORBIT_GRID,
+            },
+            "$.hamiltonian.rep.spin",
+        ),
+    ],
+    ids=["level-string", "hamiltonian-level-string", "level-7", "hamiltonian-level-7",
+         "level-float", "spin-string"],
+)
+@pytest.mark.parametrize("command", ["qgt", "verify"])
+def test_qgt_spec_errors_exit_2(tmp_path, capsys, command, payload, path):
+    spec = {"mode": command, "grid": BLOCH_GRID, **payload}
+    if command == "verify":
+        spec["target"] = "qgt"
+    out = tmp_path / "q.jsonl"
+    assert main([command, "--spec", write_spec(tmp_path, "q.json", spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: at {path}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rep, message",
+    [
+        ({"modes": 1.7, "cutoff": 4}, "error: at $.rep.modes"),
+        ({"modes": True, "cutoff": 4}, "error: at $.rep.modes"),
+        ({"modes": 1, "cutoff": "4"}, "error: at $.rep.cutoff"),
+        ({"modes": 2, "cutoff": 33}, "error: dense position/momentum operators"),
+    ],
+    ids=["modes-float", "modes-bool", "cutoff-string", "over-budget"],
+)
+def test_heisenberg_rep_spec_errors_exit_2(tmp_path, capsys, rep, message):
+    spec = {
+        "mode": "verify",
+        "target": "group",
+        "rep": {"builtin": "heisenberg", **rep},
+        "fiducial": [[1, 0], [0, 0], [0, 0], [0, 0]],
+        "grid": {"x": [0, 1, 2]},
+    }
+    out = tmp_path / "v.jsonl"
+    assert main(["verify", "--spec", write_spec(tmp_path, "v.json", spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()

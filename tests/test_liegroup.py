@@ -273,3 +273,10 @@ def test_rep_from_spec_explicit():
 def test_rep_from_spec_rejects(bad):
     with pytest.raises(SpecError):
         rep_from_spec(bad)
+
+
+def test_heisenberg_size_budget():
+    # Refused from the sizes alone: no power of an oversized request is formed.
+    for modes, cutoff in [(2, 33), (3, 11), (10**6, 3), (1, 10**12)]:
+        with pytest.raises(SpecError, match="budget"):
+            heisenberg_rep(modes, cutoff)

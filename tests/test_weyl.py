@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from qpt.checks import random_lagrangian_frames
+from scipy.linalg import expm
+
+from qpt.checks import DEFECT_FLOOR, CheckResult, defect_growth, random_lagrangian_frames
 from qpt.errors import NotLagrangianError, SpecError
+from qpt.fock import symplectic_form
+from qpt.liegroup import heisenberg_rep
+from qpt.pullback import covariance_matrix
 from qpt.weyl import (
+    MAX_STATES,
     build_weyl,
     defect_convergence,
     displacement,
     gaussian_covariance,
     gaussian_moment_oracle,
+    generator_states,
     lagrangian_restriction,
     weyl_defect,
 )
@@ -25,11 +32,10 @@ def test_position_matrix_elements():
 
 def test_system_holds_one_rep():
     system = build_weyl(2, 4)
-    assert gaussian_covariance(system).rep is system.rep
-    assert gaussian_covariance(system, projective=True).rep is system.rep
-    np.testing.assert_array_equal(
-        np.concatenate([system.position_ops, system.momentum_ops]), system.generators
-    )
+    np.testing.assert_array_equal(system.mode_rep.generators, heisenberg_rep(1, 4).generators)
+    for projective in (False, True):
+        tensor = gaussian_covariance(system, projective=projective)
+        np.testing.assert_array_equal(tensor.multiplier_form, symplectic_form(2))
 
 
 def test_vacuum_is_annihilated():
@@ -61,17 +67,19 @@ def test_build_rejects_small_cutoff():
 
 
 def test_displacement_identity():
-    system = build_weyl(1, 6)
-    np.testing.assert_allclose(displacement(system, [0, 0]), np.eye(6), atol=1e-15)
+    system = build_weyl(2, 6)
+    factors = displacement(system, [0, 0, 0, 0])
+    assert factors.shape == (2, 6, 6)
+    np.testing.assert_allclose(factors, np.broadcast_to(np.eye(6), (2, 6, 6)), atol=1e-15)
 
 
 def test_displacement_unitary():
     rng = np.random.default_rng(0)
-    system = build_weyl(1, 12)
+    system = build_weyl(2, 12)
     for _ in range(5):
-        v = rng.uniform(-0.4, 0.4, 2)
-        w = displacement(system, v)
-        np.testing.assert_allclose(w.conj().T @ w, np.eye(12), atol=1e-12)
+        v = rng.uniform(-0.4, 0.4, 4)
+        for w in displacement(system, v):
+            np.testing.assert_allclose(w.conj().T @ w, np.eye(12), atol=1e-12)
 
 
 def test_weyl_defect_convergence():
@@ -177,3 +185,70 @@ def test_moment_oracle_agrees_with_fock():
 def test_moment_oracle_requires_enough_points():
     with pytest.raises(ValueError):
         gaussian_moment_oracle(0, 0, 1, quadrature_points=8)
+
+
+def dense_defect(rep, v1, v2):
+    """The exchange defect from dense exponentials of a dense Heisenberg rep."""
+    w1 = expm(1j * np.tensordot(np.asarray(v1, dtype=float), rep.generators, axes=1))
+    w2 = expm(1j * np.tensordot(np.asarray(v2, dtype=float), rep.generators, axes=1))
+    phase = np.exp(-1j * float(np.asarray(v1) @ rep.multiplier_form @ np.asarray(v2)))
+    vac = np.zeros(rep.dim, dtype=complex)
+    vac[0] = 1.0
+    return float(np.linalg.norm(w1 @ (w2 @ vac) - phase * (w2 @ (w1 @ vac))))
+
+
+def sample_pair(rng, modes):
+    return [v * 0.5 / max(0.5, float(np.linalg.norm(v))) for v in rng.uniform(-1, 1, (2, 2 * modes))]
+
+
+@pytest.mark.parametrize("modes, cutoff", [(2, 4), (2, 8), (3, 4)])
+def test_factorised_matches_dense(modes, cutoff):
+    system = build_weyl(modes, cutoff)
+    rep = heisenberg_rep(modes, cutoff)
+    vac = system.vacuum()
+    for projective in (False, True):
+        factorised = gaussian_covariance(system, projective=projective).coefficients
+        dense = covariance_matrix(rep, vac, projective=projective).coefficients
+        assert np.array_equal(factorised, dense)
+    gens = rep.generators
+    dense_products = (vac.conj() @ gens) @ (gens @ vac).T
+    products = generator_states(system, vac.conj(), transpose=True) @ generator_states(system, vac).T
+    assert np.array_equal(products, dense_products)
+    rng = np.random.default_rng(modes * 100 + cutoff)
+    for _ in range(3):
+        v1, v2 = sample_pair(rng, modes)
+        assert abs(weyl_defect(system, v1, v2) - dense_defect(rep, v1, v2)) <= 1e-15
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32])
+def test_single_mode_defect_equals_dense(cutoff):
+    # One mode is one expm and one matrix-vector product per displacement,
+    # exactly as on the dense path.
+    system = build_weyl(1, cutoff)
+    rep = heisenberg_rep(1, cutoff)
+    rng = np.random.default_rng(cutoff)
+    for _ in range(3):
+        v1, v2 = sample_pair(rng, 1)
+        assert weyl_defect(system, v1, v2) == dense_defect(rep, v1, v2)
+
+
+def test_state_budget_refused_before_allocation():
+    build_weyl(4, 32)  # 2**20 states: the largest admitted Fock space
+    for modes, cutoff in [(4, 33), (5, 32), (10**6, 3)]:
+        with pytest.raises(SpecError, match="budget"):
+            build_weyl(modes, cutoff)
+    assert 32**4 == MAX_STATES
+
+
+def test_defect_growth_clamps_rounding_floor():
+    # Rounding-level defects may wobble upward without failing the check.
+    assert defect_growth([3.6e-3, 2.07e-16, 2.70e-16]) == 0.0
+    assert defect_growth([1e-3, 1e-9, 1e-12]) == 0.0
+
+
+def test_defect_growth_above_floor_fails():
+    # Negative control: a defect that grows above the floor must fail.
+    for defects in ([1e-3, 1e-12, 1e-9], [1e-6, 1e-5, 1e-16], [1e-16, 5 * DEFECT_FLOOR, 0.0]):
+        growth = defect_growth(defects)
+        assert growth > 0.0
+        assert not CheckResult("weyl-defect-monotone", growth, 0.0).passed
