@@ -7,7 +7,7 @@ tensor.  The Weyl path (:mod:`qpt.weyl`) applies single-mode matrices to
 such states one axis at a time and never forms a multi-mode operator;
 :func:`position_momentum` builds the dense multi-mode operators, as
 Kronecker products in mode order, for :func:`qpt.liegroup.heisenberg_rep`
-alone.  Position and momentum are normalised so that ``<0|Q^2|0> = 1/2``
+and the dense oracles of the tests.  Position and momentum are normalised so that ``<0|Q^2|0> = 1/2``
 and ``[Q, P] = 1j`` on every matrix element except the truncation corner.
 """
 

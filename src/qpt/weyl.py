@@ -16,7 +16,7 @@ one truncated mode, and ``Q^m``, ``P^m`` act as the single-mode ``Q``, ``P``
 on factor ``m`` and as the identity elsewhere.  A state is a flat vector in
 Kronecker order (mode 0 most significant), read as a ``(cutoff,) * modes``
 tensor, and :func:`apply_mode` applies a single-mode matrix along one of its
-axes.  Nothing multi-mode is ever formed as a dense operator:
+axes.  No Weyl computation forms a multi-mode operator as a dense matrix:
 
 * Closure.  A :class:`WeylSystem` holds one single-mode rep,
   ``heisenberg_rep(1, cutoff)``, whose closure is checked on its low-Fock
@@ -34,9 +34,11 @@ axes.  Nothing multi-mode is ever formed as a dense operator:
   ``O(modes * cutoff**(modes + 1))`` instead of a dense exponential of a
   ``cutoff**modes``-sized matrix.
 
-Dense multi-mode operators remain only in :func:`qpt.liegroup.heisenberg_rep`,
-for the ``heisenberg`` builtin of ``rep_from_spec`` (``verify`` on a group
-target) and as an oracle in the tests, under its own size budget.
+Dense multi-mode operators remain only in :func:`qpt.fock.position_momentum`,
+under its own size budget: through :func:`qpt.liegroup.heisenberg_rep` for
+the ``heisenberg`` builtin of ``rep_from_spec`` (``verify`` on a group
+target), and as oracles for the tests (``heisenberg_rep`` and
+:attr:`WeylSystem.position_ops`).
 """
 
 from __future__ import annotations
