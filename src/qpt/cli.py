@@ -28,12 +28,13 @@ import sys
 import numpy as np
 
 from . import checks, serialize
-from .errors import NumericalRefusal, SpecError, require_integer
+from .errors import NumericalRefusal, SpecError, require_integer, require_number
 from .liegroup import (
     EULER_GENERATOR_SCALE,
     LEFT_INVARIANT,
     RIGHT_INVARIANT,
     euler_coframes,
+    grid_points,
     rep_from_spec,
 )
 from .pullback import contract, covariance_matrix
@@ -46,6 +47,11 @@ EXIT_REFUSAL = 3
 EXIT_CHECK = 4
 
 EULER_AXES = ("alpha", "beta", "gamma")
+
+# Largest grid, in points, that a run accepts: about ten times the largest
+# benchmark grid.  ``qgt`` holds the whole grid as one stack of matrices, so
+# the bound is checked before any grid array is allocated.
+MAX_GRID_POINTS = 2**20
 
 
 def main(argv=None) -> int:
@@ -68,16 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    # Each subcommand registers only the flags its handler reads.
+    def add_common(p, grid=True):
         p.add_argument("--spec", help="JSON run description")
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
         p.add_argument("--format", choices=("jsonl", "csv"), default=None)
-        p.add_argument("--grid", help="inline grid, e.g. beta=0.3:2.8:5,gamma=0:6:5")
-        p.add_argument("--tol", type=float, default=None, help="comparison/check tolerance")
-        p.add_argument("--fd-step", type=float, default=None, help="finite-difference step")
-        p.add_argument(
-            "--degeneracy-tol", type=float, default=None, help="eigenvalue gap floor"
-        )
+        if grid:
+            p.add_argument("--grid", help="inline grid, e.g. beta=0.3:2.8:5,gamma=0:6:5")
 
     p_group = sub.add_parser("group", help="group-orbit pull-back over a chart grid")
     add_common(p_group)
@@ -87,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_group.set_defaults(handler=cmd_group)
 
     p_weyl = sub.add_parser("weyl", help="flat tensor of a truncated Weyl system")
-    add_common(p_weyl)
+    add_common(p_weyl, grid=False)
     p_weyl.add_argument("--modes", type=int, default=None)
     p_weyl.add_argument("--cutoff", type=int, default=None)
     p_weyl.add_argument("--projective", action="store_true", default=None)
@@ -100,11 +103,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_qgt = sub.add_parser("qgt", help="spectral geometric tensor over a parameter grid")
     add_common(p_qgt)
+    p_qgt.add_argument("--degeneracy-tol", type=float, help="eigenvalue gap floor")
     p_qgt.add_argument("--level", type=int, default=None)
     p_qgt.set_defaults(handler=cmd_qgt)
 
     p_verify = sub.add_parser("verify", help="run the invariant battery for a spec")
     add_common(p_verify)
+    p_verify.add_argument("--tol", type=float, help="check tolerance cap")
+    p_verify.add_argument("--fd-step", type=float, help="finite-difference step")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_compare = sub.add_parser("compare", help="compare two jsonl outputs")
@@ -142,49 +148,48 @@ def _load_spec(args, expected_mode: str) -> dict:
 
 
 def _parse_grid_arg(text: str) -> dict:
+    """Comma-separated ``name=value`` or ``name=start:stop:count`` chunks as a
+    spec grid, which :func:`_grid_axes` then checks like any other."""
     grid = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise SpecError(f"bad grid chunk {chunk!r}, expected name=start:stop:count")
-        name, _, rest = chunk.partition("=")
+    for chunk in filter(None, map(str.strip, text.split(","))):
+        name, sep, rest = chunk.partition("=")
         parts = rest.split(":")
         try:
-            if len(parts) == 1:
-                grid[name.strip()] = float(parts[0])
-            elif len(parts) == 3:
-                grid[name.strip()] = [float(parts[0]), float(parts[1]), int(parts[2])]
-            else:
-                raise ValueError("expected value or start:stop:count")
+            if not sep or len(parts) not in (1, 3):
+                raise ValueError("expected name=value or name=start:stop:count")
+            values = [float(p) for p in parts[:2]] + [int(p) for p in parts[2:]]
         except ValueError as exc:
             raise SpecError(f"bad grid chunk {chunk!r}: {exc}") from exc
+        grid[name.strip()] = values[0] if len(values) == 1 else values
     if not grid:
         raise SpecError("inline grid is empty")
     return grid
 
 
 def _grid_axes(spec: dict, required_names=None) -> list[tuple[str, np.ndarray]]:
+    """Named grid axes; every count is read, and the total checked against
+    :data:`MAX_GRID_POINTS`, before any axis is allocated."""
     grid = spec.get("grid")
     if not isinstance(grid, dict) or not grid:
         raise SpecError("at $.grid: a non-empty grid object is required")
-    axes = []
+    ranges = []
     for name, rng in grid.items():
         path = f"$.grid.{name}"
-        if isinstance(rng, (int, float)):
-            values = np.array([float(rng)])
-        else:
-            if not isinstance(rng, (list, tuple)) or len(rng) != 3:
-                raise SpecError(f"at {path}: expected [start, stop, count] or a number")
-            start, stop, count = rng
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise SpecError(f"at {path}[2]: count must be an integer >= 1")
-            start, stop = float(start), float(stop)
-            if not (np.isfinite(start) and np.isfinite(stop)):
-                raise SpecError(f"at {path}: range endpoints must be finite")
-            values = np.linspace(start, stop, count) if count > 1 else np.array([start])
-        axes.append((str(name), values))
+        if not isinstance(rng, (list, tuple)):
+            value = require_number(rng, path)
+            ranges.append((str(name), value, value, 1))
+            continue
+        if len(rng) != 3:
+            raise SpecError(f"at {path}: expected [start, stop, count] or a number")
+        count = rng[2]
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise SpecError(f"at {path}[2]: count must be an integer >= 1")
+        start, stop = require_number(rng[0], f"{path}[0]"), require_number(rng[1], f"{path}[1]")
+        ranges.append((str(name), start, stop, count))
+    total = math.prod(count for *_, count in ranges)
+    if total > MAX_GRID_POINTS:
+        raise SpecError(f"at $.grid: {total} points exceed the budget of {MAX_GRID_POINTS}")
+    axes = [(name, np.linspace(start, stop, count)) for name, start, stop, count in ranges]
     if required_names is not None:
         names = [a[0] for a in axes]
         if sorted(names) != sorted(required_names):
@@ -195,42 +200,43 @@ def _grid_axes(spec: dict, required_names=None) -> list[tuple[str, np.ndarray]]:
     return axes
 
 
-def _grid_points(axes) -> np.ndarray:
-    """All grid points in row-major order, shape ``(P, len(axes))``."""
-    mesh = np.meshgrid(*[values for _, values in axes], indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-
 def _fiducial_from_spec(spec: dict) -> np.ndarray:
     if "fiducial" not in spec:
         raise SpecError("at $.fiducial: a fiducial state is required")
     try:
-        vec = serialize.pairs_to_vector(spec["fiducial"])
+        return serialize.pairs_to_vector(spec["fiducial"])
     except (TypeError, ValueError, IndexError) as exc:
         raise SpecError(f"at $.fiducial: expected a list of [re, im] pairs ({exc})") from exc
-    return vec
 
 
 def _flag(spec, args, name, default):
-    cli_value = getattr(args, name, None)
-    if cli_value is not None:
-        return cli_value
-    value = spec.get(name, default)
-    return value
+    """The command-line flag ``name`` if given, else ``spec[name]`` or ``default``."""
+    value = getattr(args, name, None)
+    return spec.get(name, default) if value is None else value
 
 
 def _integer(spec, args, name, default) -> int:
     return require_integer(_flag(spec, args, name, default), f"$.{name}")
 
 
-def _level(spec, args, family, point) -> int:
-    """Eigenlevel to follow: an integer below the family's dimension at ``point``."""
+def _family_on_grid(spec, args):
+    """The family at ``$.hamiltonian``, its grid axes and ``(P, m)`` points,
+    and the eigenlevel to follow: an integer below the family's dimension."""
+    if "hamiltonian" not in spec:
+        raise SpecError("at $.hamiltonian: a hamiltonian spec is required")
+    family = ham_from_spec(spec["hamiltonian"])
+    axes = _grid_axes(spec)
+    if len(axes) != family.param_dim:
+        raise SpecError(
+            f"at $.grid: family has {family.param_dim} parameters, grid has {len(axes)} axes"
+        )
+    points = grid_points(*(values for _, values in axes))
     path = "$.level" if _flag(spec, args, "level", None) is not None else "$.hamiltonian.level"
     level = require_integer(_flag(spec, args, "level", family.level), path)
-    dim = family.hamiltonian(point).shape[0]
+    dim = family.hamiltonian(points[0]).shape[0]
     if not 0 <= level < dim:
         raise SpecError(f"at {path}: level {level} is out of range for {dim} levels")
-    return level
+    return family, axes, points, level
 
 
 def _projective(spec, args) -> bool:
@@ -240,23 +246,13 @@ def _projective(spec, args) -> bool:
     return projective
 
 
-def _tolerances(spec: dict, args) -> dict:
-    """Tolerance settings: command-line flags override the spec block."""
+def _tolerance(spec: dict, args, key: str, default):
+    """One tolerance: its command-line flag overrides ``$.tolerances.<key>``."""
     block = spec.get("tolerances", {})
-    if block and not isinstance(block, dict):
+    if not isinstance(block, dict):
         raise SpecError("at $.tolerances: expected an object")
-
-    def pick(flag, key, default):
-        value = getattr(args, flag, None)
-        if value is not None:
-            return value
-        return block.get(key, default)
-
-    return {
-        "tol": pick("tol", "tol", None),
-        "fd_step": pick("fd_step", "fd_step", 1e-5),
-        "degeneracy_tol": pick("degeneracy_tol", "degeneracy_tol", None),
-    }
+    value = _flag(block, args, key, default)
+    return None if value is None else require_number(value, f"$.tolerances.{key}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +273,7 @@ def _output_target(args, spec: dict) -> tuple[str, str]:
     return path, args.format or fmt or "jsonl"
 
 
-def _write_output(output, header: dict, records: list[dict], report: dict | None = None):
+def _write_output(output, header: dict, records, report: dict | None = None):
     path, fmt = output
     try:
         stream = sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
@@ -295,30 +291,28 @@ def _write_output(output, header: dict, records: list[dict], report: dict | None
         serialize.write_jsonl(stream, objects)
 
 
-def _write_csv(stream, records: list[dict]) -> None:
+def _write_csv(stream, records) -> None:
     # CSV is a lossy convenience export: records only, flattened row-major.
-    if not records:
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
         return
-    writer = csv.writer(stream)
-    first = records[0]
-    m = len(first["point"])
+    records = itertools.chain([first], records)
+    head = [f"x{i}" for i in range(len(first["point"]))]
     if "metric" in first:
         side = int(round(len(first["metric"]) ** 0.5))
-        head = [f"x{i}" for i in range(m)]
         head += [f"g{i}{j}" for i in range(side) for j in range(side)]
         head += [f"w{i}{j}" for i in range(side) for j in range(side)]
-        writer.writerow(head)
-        for rec in records:
-            writer.writerow(rec["point"] + rec["metric"] + rec["two_form"])
+        rows = (rec["point"] + rec["metric"] + rec["two_form"] for rec in records)
     else:
         side = int(round(len(first["h"]) ** 0.5))
-        head = [f"x{i}" for i in range(m)]
         head += [f"h{i}{j}_{part}" for i in range(side) for j in range(side) for part in ("re", "im")]
         head += ["gap"]
-        writer.writerow(head)
-        for rec in records:
-            flat = [x for pair in rec["h"] for x in pair]
-            writer.writerow(rec["point"] + flat + [rec["gap"]])
+        rows = (rec["point"] + [x for pair in rec["h"] for x in pair] + [rec["gap"]]
+                for rec in records)
+    writer = csv.writer(stream)
+    writer.writerow(head)
+    writer.writerows(rows)
 
 
 def _report(results: list[checks.CheckResult]) -> dict:
@@ -352,7 +346,7 @@ def cmd_group(args) -> int:
     if rep.n_generators != 3:
         raise SpecError("at $.rep: the euler chart needs a three-generator representation")
     axes = _grid_axes(spec, required_names=EULER_AXES)
-    points = _grid_points(axes)
+    points = grid_points(*(values for _, values in axes))
 
     tensor = covariance_matrix(rep, fiducial, projective=projective)
     scale = EULER_GENERATOR_SCALE if normalization == "generator" else 1.0
@@ -434,7 +428,7 @@ def cmd_weyl(args) -> int:
     header = {
         "mode": "weyl",
         "rep": {"builtin": "heisenberg", "modes": modes, "cutoff": cutoff},
-        "fiducial": serialize.vector_pairs(tensor.fiducial),
+        "fiducial": "vacuum",
         "projective": projective,
         "lagrangian": None if directions is None else [list(map(float, v)) for v in directions],
         "conventions": checks.conventions(),
@@ -447,29 +441,17 @@ def cmd_weyl(args) -> int:
 def cmd_qgt(args) -> int:
     spec = _load_spec(args, "qgt")
     output = _output_target(args, spec)
-    if "hamiltonian" not in spec:
-        raise SpecError("at $.hamiltonian: a hamiltonian spec is required")
-    family = ham_from_spec(spec["hamiltonian"])
-    axes = _grid_axes(spec)
-    if len(axes) != family.param_dim:
-        raise SpecError(
-            f"at $.grid: family has {family.param_dim} parameters, grid has {len(axes)} axes"
-        )
-    points = _grid_points(axes)
-    level = _level(spec, args, family, points[0])
-    tols = _tolerances(spec, args)
-    family.fd_step = float(tols["fd_step"])
-    degeneracy_tol = tols["degeneracy_tol"]
-
-    def one(point):
-        res = qgt_tensor(family, point, a=level, degeneracy_tol=degeneracy_tol)
-        return {
-            "point": point.tolist(),
-            "h": serialize.matrix_pairs_row_major(res.h),
-            "gap": float(res.gap),
-        }
-
-    records = [one(point) for point in points]
+    family, axes, points, level = _family_on_grid(spec, args)
+    res = qgt_tensor(
+        family, points, a=level, degeneracy_tol=_tolerance(spec, args, "degeneracy_tol", None)
+    )
+    h = res.h.reshape(len(points), -1)
+    pairs = np.stack([h.real, h.imag], axis=-1)  # row-major [re, im] entries
+    # Each record is built as it is written, so no list of records is held.
+    records = (
+        {"point": p.tolist(), "h": hp.tolist(), "gap": float(g)}
+        for p, hp, g in zip(points, pairs, res.gap)
+    )
     header = {
         "mode": "qgt",
         "hamiltonian": spec["hamiltonian"],
@@ -487,8 +469,8 @@ def cmd_verify(args) -> int:
     target = spec.get("target")
     if target not in ("group", "weyl", "qgt"):
         raise SpecError("at $.target: expected 'group', 'weyl' or 'qgt'")
-    tols = _tolerances(spec, args)
-    fd_step = float(tols["fd_step"])
+    fd_step = _tolerance(spec, args, "fd_step", 1e-5)
+    cap = _tolerance(spec, args, "tol", None)
 
     if target == "group":
         if "rep" not in spec:
@@ -505,26 +487,17 @@ def cmd_verify(args) -> int:
         results = checks.weyl_checks(build_weyl(modes, cutoff))
         header = {"mode": "verify", "target": target, "modes": modes, "cutoff": cutoff}
     else:
-        if "hamiltonian" not in spec:
-            raise SpecError("at $.hamiltonian: a hamiltonian spec is required")
-        family = ham_from_spec(spec["hamiltonian"])
-        axes = _grid_axes(spec)
-        if len(axes) != family.param_dim:
-            raise SpecError(
-                f"at $.grid: family has {family.param_dim} parameters, grid has {len(axes)} axes"
-            )
-        points = _grid_points(axes)
-        level = _level(spec, args, family, points[0])
+        family, _, points, level = _family_on_grid(spec, args)
         results = checks.qgt_checks(family, points, level=level, fd_step=fd_step)
-        builtin = spec["hamiltonian"].get("builtin") if isinstance(spec["hamiltonian"], dict) else None
+        builtin = spec["hamiltonian"].get("builtin")
         if builtin == "bloch":
             results += checks.bloch_closed_form_checks()
         elif builtin == "landau_zener":
-            results += checks.landau_zener_checks(float(spec["hamiltonian"].get("delta", 1.0)))
+            delta = require_number(spec["hamiltonian"].get("delta", 1.0), "$.hamiltonian.delta")
+            results += checks.landau_zener_checks(delta)
         header = {"mode": "verify", "target": target, "hamiltonian": spec["hamiltonian"]}
 
-    if tols["tol"] is not None:
-        cap = float(tols["tol"])
+    if cap is not None:
         results = [
             checks.CheckResult(r.name, r.residual, min(r.tolerance, cap)) for r in results
         ]

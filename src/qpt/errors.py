@@ -7,6 +7,8 @@ non-Lagrangian subspace).  The command-line front end maps the two families
 to distinct exit codes.
 """
 
+import sys
+
 
 class SpecError(ValueError):
     """A run description or model specification is invalid."""
@@ -18,6 +20,17 @@ def require_integer(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SpecError(f"at {path}: expected an integer, got {value!r}")
     return value
+
+
+def require_number(value, path: str) -> float:
+    """``value`` as a float if it is a finite JSON number (not a boolean),
+    else a :class:`SpecError` naming the spec ``path``."""
+    # The comparison is exact for integers too, so an integer beyond the
+    # float range is refused here instead of overflowing in float().
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise SpecError(f"at {path}: expected a finite number, got {value!r}")
+    return float(value)
 
 
 class NumericalRefusal(RuntimeError):

@@ -44,12 +44,17 @@ def as_operator(a) -> np.ndarray:
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate the first significant component to the positive real axis."""
-    pivot = np.flatnonzero(np.abs(vec) > 1e-12)
-    if pivot.size == 0:
-        return vec
-    phase = vec[pivot[0]] / abs(vec[pivot[0]])
-    return vec / phase
+    """Rotate the first significant component to the positive real axis.
+
+    ``vec`` is one vector or a stack with the vectors along the last axis;
+    a vector with no significant component is left as it is.
+    """
+    significant = np.abs(vec) > 1e-12
+    pivot = np.take_along_axis(vec, significant.argmax(axis=-1)[..., None], axis=-1)
+    pivot = np.where(significant.any(axis=-1, keepdims=True), pivot, 1)
+    # hypot, not np.abs: on arrays np.abs can differ from the scalar modulus
+    # in the last bit, and the phase of one vector must not depend on stacking.
+    return vec / (pivot / np.hypot(pivot.real, pivot.imag))
 
 
 def _tol(dim: int, atol: float | None) -> float:

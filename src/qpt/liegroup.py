@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import fock
-from .errors import SpecError, require_integer
+from .errors import SpecError, require_integer, require_number
 from .hilbert import is_hermitian
 
 # Coframe components pair with generators/2 in the z-y-z Euler product.
@@ -262,10 +262,7 @@ def rep_from_spec(spec: dict, path: str = "$.rep") -> LieAlgebraRep:
         if name == "su2":
             if "spin" not in spec:
                 raise SpecError("su2 spec requires a 'spin' field")
-            spin = spec["spin"]
-            if not isinstance(spin, (int, float)) or isinstance(spin, bool):
-                raise SpecError(f"at {path}.spin: expected a number, got {spin!r}")
-            return su2_spin_rep(float(spin))
+            return su2_spin_rep(require_number(spec["spin"], f"{path}.spin"))
         if name == "heisenberg":
             modes = require_integer(spec.get("modes", 1), f"{path}.modes")
             cutoff = require_integer(spec.get("cutoff", 16), f"{path}.cutoff")
@@ -288,6 +285,13 @@ def _complex_matrix(rows) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise SpecError("complex matrix entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def grid_points(*axes) -> np.ndarray:
+    """All points of the product of 1-D ``axes`` in row-major order (first
+    axis slowest), shape ``(P, len(axes))``."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
 def euler_coframes(angles, frame: str = RIGHT_INVARIANT) -> np.ndarray:
@@ -330,28 +334,42 @@ def su2_coframe(point: GroupPoint, frame: str = RIGHT_INVARIANT) -> Coframe:
     return Coframe(euler_coframes(point.coords, frame), point.coords, frame)
 
 
+def euler_elements(rep: LieAlgebraRep, angles) -> np.ndarray:
+    """Unitaries of the z-y-z Euler product at a stack of angles.
+
+    ``angles`` has shape ``(..., 3)`` holding ``(alpha, beta, gamma)``; the
+    result has shape ``(..., d, d)``.  Each factor ``exp(1j t R/2)`` comes
+    from one eigendecomposition ``R = V diag(l) V^dag`` of ``R_2`` or
+    ``R_3`` as ``V diag(exp(1j t l/2)) V^dag``, so the whole stack costs two
+    ``eigh`` calls and no matrix exponential.
+    """
+    if rep.n_generators != 3:
+        raise SpecError("Euler chart requires a three-generator representation")
+    angles = np.asarray(angles, dtype=float)
+    (l2, v2), (l3, v3) = (np.linalg.eigh(rep.generators[k]) for k in (1, 2))
+
+    def factor(eigvals, eigvecs, t):
+        phases = np.exp(1j * EULER_GENERATOR_SCALE * t[..., None, None] * eigvals)
+        return (eigvecs * phases) @ eigvecs.conj().T
+
+    a, b, g = angles[..., 0], angles[..., 1], angles[..., 2]
+    return factor(l3, v3, a) @ factor(l2, v2, b) @ factor(l3, v3, g)
+
+
 def group_element(rep: LieAlgebraRep, point: GroupPoint) -> np.ndarray:
     """Unitary representative of a chart point.
 
     Exponential coordinates give ``expm(1j sum_j x_j R_j)``; Euler
-    coordinates give the z-y-z product with half generators.
+    coordinates give the z-y-z product with half generators, the
+    single-point case of :func:`euler_elements`.
     """
-    gens = rep.generators
-    if point.chart == EXPONENTIAL:
-        if point.coords.size != rep.n_generators:
-            raise ValueError(
-                f"need {rep.n_generators} exponential coordinates, got {point.coords.size}"
-            )
-        u = expm(1j * np.tensordot(point.coords, gens, axes=1))
-    else:
-        if rep.n_generators != 3:
-            raise SpecError("Euler chart requires a three-generator representation")
-        a, b, g = point.coords
-        u = (
-            expm(1j * a * gens[2] / 2)
-            @ expm(1j * b * gens[1] / 2)
-            @ expm(1j * g * gens[2] / 2)
+    if point.chart == EULER:
+        return euler_elements(rep, point.coords)
+    if point.coords.size != rep.n_generators:
+        raise ValueError(
+            f"need {rep.n_generators} exponential coordinates, got {point.coords.size}"
         )
+    u = expm(1j * np.tensordot(point.coords, rep.generators, axes=1))
     if not np.all(np.isfinite(u)):
         raise RuntimeError("matrix exponential did not converge")
     return u

@@ -40,14 +40,6 @@ class PullbackTensor:
     fiducial: np.ndarray
     multiplier_form: np.ndarray | None = None
 
-    @property
-    def metric_coefficients(self) -> np.ndarray:
-        return split(self)[0]
-
-    @property
-    def form_coefficients(self) -> np.ndarray:
-        return split(self)[1]
-
 
 @dataclass(frozen=True)
 class CoordinateTensor:

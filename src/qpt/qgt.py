@@ -19,18 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLevelError, NumericalRefusal, SpecError, require_integer
-from .hilbert import _fix_phase, as_operator, is_hermitian
+from .errors import (
+    DegenerateLevelError, NumericalRefusal, SpecError, require_integer, require_number,
+)
+from .hilbert import _fix_phase, as_operator
 from .liegroup import (
     EULER_GENERATOR_SCALE,
     LEFT_INVARIANT,
     LieAlgebraRep,
     _complex_matrix,
-    euler_point,
-    group_element,
-    su2_coframe,
+    euler_coframes,
+    euler_elements,
+    grid_points,
 )
-from .pullback import covariance_matrix, evaluate_at
+from .pullback import contract, covariance_matrix
 
 # Relative gap floor: levels closer than this times the spectral radius
 # count as degenerate.
@@ -39,28 +41,35 @@ DEGENERACY_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class QGTResult:
-    """Tensor of one family at one parameter point."""
+    """Tensor of one family at one parameter point, or at a stack of them.
+
+    For a stack of ``P`` points every field gains a leading axis of length
+    ``P``.
+    """
 
     point: np.ndarray
     h: np.ndarray  # (m, m) complex, Hermitian
     metric: np.ndarray  # Re part, symmetrised
     curvature_form: np.ndarray  # minus the antisymmetrised Im part
-    gap: float
+    gap: float | np.ndarray
 
 
 class HamiltonianFamily:
-    """Parametrized family of Hermitian matrices with derivative access.
+    """Parametrized family of Hermitian matrices, evaluated on point stacks.
 
-    Affine families ``H0 + sum_mu lam_mu H_mu`` carry analytic derivatives;
-    callable families differentiate by central differences unless an
-    analytic derivative callback is supplied.
+    ``evaluate`` maps a stack of points ``(P, m)`` to its matrices
+    ``(P, d, d)``; ``derivative``, when given, maps it to the derivatives
+    along all ``m`` directions at once, ``(P, m, d, d)``.  Without it the
+    derivatives are central differences with step ``fd_step``.  The methods
+    below accept one point ``(m,)`` or a stack ``(P, m)`` and drop the stack
+    axis for one point.  :meth:`from_callable` adapts per-point callables.
     """
 
     def __init__(self, evaluate, param_dim, derivative=None, fd_step=1e-5, level=0):
         if param_dim < 1:
             raise ValueError("param_dim must be positive")
         self._evaluate = evaluate
-        self._derivative = derivative
+        self._derivative = self._central_differences if derivative is None else derivative
         self.param_dim = int(param_dim)
         self.fd_step = float(fd_step)
         self.level = int(level)
@@ -68,51 +77,80 @@ class HamiltonianFamily:
     @classmethod
     def affine(cls, h0, terms, level=0) -> "HamiltonianFamily":
         h0 = as_operator(h0)
-        terms = [as_operator(t) for t in terms]
-        for t in terms:
-            if t.shape != h0.shape:
-                raise ValueError("affine terms must match the base matrix shape")
+        terms = np.array([as_operator(t) for t in terms])
+        if terms.shape[1:] != h0.shape:
+            raise ValueError("affine terms must match the base matrix shape")
 
         def evaluate(lam):
-            lam = np.asarray(lam, dtype=float)
-            out = h0.copy()
-            for coeff, term in zip(lam, terms):
-                out = out + coeff * term
-            return out
+            return h0 + np.tensordot(lam, terms, axes=1)
 
-        def derivative(lam, mu):
-            return terms[mu]
+        def derivative(lam):
+            return np.broadcast_to(terms, (len(lam),) + terms.shape)
 
         return cls(evaluate, param_dim=len(terms), derivative=derivative, level=level)
 
     @classmethod
     def from_callable(cls, fn, param_dim, derivative=None, fd_step=1e-5, level=0):
-        return cls(fn, param_dim, derivative=derivative, fd_step=fd_step, level=level)
+        """Family from per-point callables ``fn(lam) -> (d, d)`` and
+        ``derivative(lam, mu) -> (d, d)``: the single per-point adapter,
+        which calls them point by point and stacks the results."""
+
+        def stacked(lam):
+            dh = [[derivative(p, mu) for mu in range(param_dim)] for p in lam]
+            return np.array(dh, dtype=complex)
+
+        return cls(
+            lambda lam: np.array([fn(p) for p in lam], dtype=complex), param_dim,
+            None if derivative is None else stacked, fd_step=fd_step, level=level,
+        )
 
     def hamiltonian(self, lam) -> np.ndarray:
-        lam = self._point(lam)
-        h = as_operator(self._evaluate(lam))
-        if not is_hermitian(h, atol=1e-10 * h.shape[0] * max(1.0, float(np.abs(h).max()))):
-            raise ValueError(f"family is not Hermitian at {lam.tolist()}")
-        return h
+        """``H`` at a point ``(d, d)`` or a stack ``(P, d, d)``; refuses a
+        family that is not Hermitian, naming the first offending point."""
+        stack, single = self._stack(lam)
+        h = self._call(self._evaluate, stack)
+        scale = 1e-10 * h.shape[-1] * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
+        bad = np.flatnonzero(np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2)) > scale)
+        if bad.size:
+            raise ValueError(f"family is not Hermitian at {stack[bad[0]].tolist()}")
+        return h[0] if single else h
 
-    def derivative(self, lam, mu) -> np.ndarray:
-        lam = self._point(lam)
-        if not 0 <= mu < self.param_dim:
+    def derivative(self, lam, mu=None) -> np.ndarray:
+        """``dH`` along direction ``mu``, or along all directions when
+        ``mu`` is None: ``(..., d, d)`` or ``(..., m, d, d)``."""
+        stack, single = self._stack(lam)
+        if mu is not None and not 0 <= mu < self.param_dim:
             raise ValueError(f"direction {mu} out of range for {self.param_dim} parameters")
-        if self._derivative is not None:
-            return as_operator(self._derivative(lam, mu))
-        dx = np.zeros(self.param_dim)
-        dx[mu] = self.fd_step
-        plus = as_operator(self._evaluate(lam + dx))
-        minus = as_operator(self._evaluate(lam - dx))
-        return (plus - minus) / (2 * self.fd_step)
+        dh = self._call(self._derivative, stack, (self.param_dim,))
+        if mu is not None:
+            dh = dh[:, mu]
+        return dh[0] if single else dh
 
-    def _point(self, lam) -> np.ndarray:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if lam.shape != (self.param_dim,):
-            raise ValueError(f"expected {self.param_dim} parameters, got shape {lam.shape}")
-        return lam
+    def _central_differences(self, stack) -> np.ndarray:
+        """All directional derivatives by central differences with ``fd_step``."""
+        step = self.fd_step
+        diffs = [self._call(self._evaluate, stack + dx) - self._call(self._evaluate, stack - dx)
+                 for dx in step * np.eye(self.param_dim)]
+        return np.stack(diffs, axis=1) / (2 * step)
+
+    def _stack(self, lam) -> tuple[np.ndarray, bool]:
+        """Points as a ``(P, m)`` stack, and whether one point was given."""
+        lam = np.asarray(lam, dtype=float)
+        stack = np.atleast_2d(lam)
+        if lam.ndim > 2 or stack.shape[1] != self.param_dim:
+            raise ValueError(f"expected {self.param_dim} parameters per point, got {lam.shape}")
+        return stack, lam.ndim < 2
+
+    @staticmethod
+    def _call(fn, stack, inner: tuple = ()) -> np.ndarray:
+        """``fn(stack)`` as a finite complex ``(P, *inner, d, d)`` array."""
+        out = np.asarray(fn(stack), dtype=complex)
+        side = out.shape[-1] if out.ndim else 0
+        if out.shape != (len(stack), *inner, side, side) or not np.all(np.isfinite(out)):
+            raise ValueError(
+                f"family gave shape {out.shape} for {len(stack)} points, or non-finite entries"
+            )
+        return out
 
 
 def bloch_family(level: int = 0) -> HamiltonianFamily:
@@ -122,14 +160,14 @@ def bloch_family(level: int = 0) -> HamiltonianFamily:
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
 
     def evaluate(lam):
-        th, ph = lam
+        th, ph = lam.T[..., None, None]  # each (P, 1, 1)
         return np.sin(th) * np.cos(ph) * sx + np.sin(th) * np.sin(ph) * sy + np.cos(th) * sz
 
-    def derivative(lam, mu):
-        th, ph = lam
-        if mu == 0:
-            return np.cos(th) * np.cos(ph) * sx + np.cos(th) * np.sin(ph) * sy - np.sin(th) * sz
-        return -np.sin(th) * np.sin(ph) * sx + np.sin(th) * np.cos(ph) * sy
+    def derivative(lam):
+        th, ph = lam.T[..., None, None]
+        d_th = np.cos(th) * np.cos(ph) * sx + np.cos(th) * np.sin(ph) * sy - np.sin(th) * sz
+        d_ph = -np.sin(th) * np.sin(ph) * sx + np.sin(th) * np.cos(ph) * sy
+        return np.stack([d_th, d_ph], axis=1)
 
     return HamiltonianFamily(evaluate, param_dim=2, derivative=derivative, level=level)
 
@@ -156,15 +194,14 @@ def orbit_family(
     gens = rep.generators
 
     def evaluate(lam):
-        u = group_element(rep, euler_point(*lam))
-        return u @ h0 @ u.conj().T
+        u = euler_elements(rep, lam)
+        return u @ h0 @ u.conj().swapaxes(-1, -2)
 
-    def derivative(lam, mu):
-        point = euler_point(*lam)
-        theta = su2_coframe(point).theta * EULER_GENERATOR_SCALE
-        velocity = 1j * np.tensordot(theta[:, mu], gens, axes=1)
-        h = evaluate(lam)
-        return velocity @ h - h @ velocity
+    def derivative(lam):
+        h = evaluate(lam)[:, None]
+        commutators = 1j * (gens @ h - h @ gens)  # (P, n, d, d): 1j [R_j, H]
+        theta = euler_coframes(lam) * EULER_GENERATOR_SCALE  # (P, n, m)
+        return np.einsum("pjm,pjab->pmab", theta, commutators)
 
     return HamiltonianFamily(evaluate, param_dim=3, derivative=derivative, level=level)
 
@@ -193,88 +230,104 @@ def ham_from_spec(spec: dict) -> HamiltonianFamily:
         if name == "bloch":
             return bloch_family(level=level)
         if name == "landau_zener":
-            return landau_zener_family(float(spec.get("delta", 1.0)), level=level)
+            delta = require_number(spec.get("delta", 1.0), "$.hamiltonian.delta")
+            return landau_zener_family(delta, level=level)
         if name == "orbit":
             from .liegroup import rep_from_spec
 
             if "rep" not in spec or "direction" not in spec:
                 raise SpecError("orbit spec needs 'rep' and 'direction'")
-            return orbit_family(
-                rep_from_spec(spec["rep"], "$.hamiltonian.rep"),
-                np.asarray(spec["direction"], dtype=float),
-                level=level,
-            )
+            rep = rep_from_spec(spec["rep"], "$.hamiltonian.rep")
+            direction = spec["direction"]
+            if not isinstance(direction, list) or len(direction) != rep.n_generators:
+                raise SpecError(
+                    f"at $.hamiltonian.direction: expected a list of {rep.n_generators} numbers"
+                )
+            direction = [
+                require_number(v, f"$.hamiltonian.direction[{i}]") for i, v in enumerate(direction)
+            ]
+            return orbit_family(rep, direction, level=level)
         raise SpecError(f"unknown builtin hamiltonian {name!r}")
     raise SpecError("hamiltonian spec needs 'affine' or 'builtin'")
 
 
-def _eigensystem(family: HamiltonianFamily, lam):
-    h = family.hamiltonian(lam)
-    eigvals, eigvecs = np.linalg.eigh(h)
-    for idx in range(eigvecs.shape[1]):
-        eigvecs[:, idx] = _fix_phase(eigvecs[:, idx])
+def _eigensystem(family: HamiltonianFamily, stack: np.ndarray):
+    """Eigenvalues ``(P, d)`` and phase-fixed eigenvectors ``(P, d, d)``,
+    one column per level, of the family on a point stack."""
+    eigvals, eigvecs = np.linalg.eigh(family.hamiltonian(stack))
+    for idx in range(eigvecs.shape[-1]):
+        eigvecs[..., idx] = _fix_phase(eigvecs[..., idx])
     return eigvals, eigvecs
 
 
-def _check_gap(eigvals: np.ndarray, a: int, degeneracy_tol: float | None) -> float:
-    if not 0 <= a < eigvals.size:
-        raise ValueError(f"level {a} out of range for dimension {eigvals.size}")
-    others = np.delete(eigvals, a)
-    if others.size == 0:
-        return float("inf")
-    gap = float(np.abs(others - eigvals[a]).min())
-    floor = (
-        degeneracy_tol
-        if degeneracy_tol is not None
-        else DEGENERACY_RTOL * max(float(np.abs(eigvals).max()), 1e-300)
-    )
-    if gap < floor:
+def _check_gap(eigvals: np.ndarray, a: int, degeneracy_tol: float | None, points) -> np.ndarray:
+    """Gap of level ``a`` at every point of a stack ``(P, d)``; refuses the
+    first point whose gap is below the floor, naming its index and point."""
+    if not 0 <= a < eigvals.shape[-1]:
+        raise ValueError(f"level {a} out of range for dimension {eigvals.shape[-1]}")
+    others = np.delete(eigvals, a, axis=-1)
+    gaps = np.abs(others - eigvals[:, a, None]).min(axis=-1, initial=np.inf)
+    floors = DEGENERACY_RTOL * np.maximum(np.abs(eigvals).max(axis=-1), 1e-300)
+    if degeneracy_tol is not None:
+        floors[:] = degeneracy_tol
+    bad = np.flatnonzero(gaps < floors)
+    if bad.size:
+        i = bad[0]
         raise DegenerateLevelError(
-            f"level {a} is degenerate within tolerance (gap {gap:.3e} < {floor:.3e})",
-            gap=gap,
+            f"level {a} is degenerate within tolerance at grid index {i}, point "
+            f"{np.asarray(points[i]).tolist()} (gap {gaps[i]:.3e} < {floors[i]:.3e})",
+            gap=float(gaps[i]),
         )
-    return gap
+    return gaps
 
 
-def _spectral_derivative(eigvals, eigvecs, a: int, dh) -> np.ndarray:
-    """Spectral sum ``sum_{b != a} |b> <b| dH |a> / (E_a - E_b)``.
-
-    ``dh`` is one derivative matrix ``(d, d)`` or a stack ``(m, d, d)``; the
-    result is the derivative vector, or one row per stacked matrix.
-    """
-    amps = (dh @ eigvecs[:, a]) @ eigvecs.conj()  # <b| dH |a> along the last axis
-    others = np.arange(eigvals.size) != a
+def _spectral(family: HamiltonianFamily, lam, a: int | None, degeneracy_tol: float | None):
+    """Shared core on a point or a stack: the ``(P, m)`` stack, whether one
+    point was given, the level's eigenstates ``(P, d)``, its gaps ``(P,)``
+    and the eigenstate derivatives ``(P, m, d)`` from the spectral sum
+    ``sum_{b != a} |b> <b| dH |a> / (E_a - E_b)``."""
+    a = family.level if a is None else a
+    stack, single = family._stack(lam)
+    eigvals, eigvecs = _eigensystem(family, stack)
+    gaps = _check_gap(eigvals, a, degeneracy_tol, stack)
+    psi = eigvecs[..., a]
+    amps = (family.derivative(stack) @ psi[:, None, :, None])[..., 0] @ eigvecs.conj()  # <b| dH |a>
+    others = np.arange(eigvals.shape[-1]) != a
     coef = np.zeros_like(amps)
-    coef[..., others] = amps[..., others] / (eigvals[a] - eigvals[others])
-    return coef @ eigvecs.T
+    coef[..., others] = amps[..., others] / (eigvals[:, None, a, None] - eigvals[:, None, others])
+    return stack, single, psi, gaps, coef @ eigvecs.swapaxes(-1, -2)
 
 
 def spectral_state_derivative(
     family: HamiltonianFamily, lam, a: int | None = None, mu: int = 0,
     degeneracy_tol: float | None = None,
 ) -> np.ndarray:
-    """Eigenstate derivative along parameter direction ``mu``.
+    """Eigenstate derivative along parameter direction ``mu``, at a point
+    ``(d,)`` or on a stack ``(P, d)``.
 
     The component along the level itself is zero (the gauge implicit in the
     spectral sum).  Refuses degenerate levels, reporting the offending gap.
     """
-    a = family.level if a is None else a
-    eigvals, eigvecs = _eigensystem(family, lam)
-    _check_gap(eigvals, a, degeneracy_tol)
-    return _spectral_derivative(eigvals, eigvecs, a, family.derivative(lam, mu))
+    if not 0 <= mu < family.param_dim:
+        raise ValueError(f"direction {mu} out of range for {family.param_dim} parameters")
+    _, single, _, _, derivs = _spectral(family, lam, a, degeneracy_tol)
+    return derivs[0, mu] if single else derivs[:, mu]
 
 
-def _assemble(point, derivs, psi: np.ndarray, gap: float) -> QGTResult:
-    d = np.asarray(derivs)  # (m, dim): one eigenstate derivative per parameter
-    h = d.conj() @ d.T - np.outer(d.conj() @ psi, d @ psi.conj())
-    metric = (h.real + h.real.T) / 2
-    curvature = -(h.imag - h.imag.T) / 2
+def _assemble(points, derivs, psi, gaps) -> QGTResult:
+    """Tensor from eigenstate derivatives ``(P, m, d)`` and states ``(P, d)``."""
+    d = np.asarray(derivs)
+    bra_psi = d.conj() @ psi[..., None]  # <d_mu psi | psi>, a column
+    psi_ket = (d @ psi.conj()[..., None]).swapaxes(-1, -2)  # <psi | d_nu psi>, a row
+    h = d.conj() @ d.swapaxes(-1, -2) - bra_psi * psi_ket
+    metric = (h.real + h.real.swapaxes(-1, -2)) / 2
+    curvature = -(h.imag - h.imag.swapaxes(-1, -2)) / 2
     return QGTResult(
-        point=np.asarray(point, dtype=float),
+        point=np.asarray(points, dtype=float),
         h=h,
         metric=metric,
         curvature_form=curvature,
-        gap=gap,
+        gap=gaps,
     )
 
 
@@ -282,21 +335,20 @@ def qgt_tensor(
     family: HamiltonianFamily, lam, a: int | None = None,
     degeneracy_tol: float | None = None,
 ) -> QGTResult:
-    """Geometric tensor at ``lam`` for eigenlevel ``a`` via the spectral sum."""
-    a = family.level if a is None else a
-    lam = family._point(lam)
-    eigvals, eigvecs = _eigensystem(family, lam)
-    gap = _check_gap(eigvals, a, degeneracy_tol)
-    dhs = np.array([family.derivative(lam, mu) for mu in range(family.param_dim)])
-    derivs = _spectral_derivative(eigvals, eigvecs, a, dhs)
-    return _assemble(lam, derivs, eigvecs[:, a], gap)
+    """Geometric tensor for eigenlevel ``a`` via the spectral sum, at a point
+    ``lam`` of shape ``(m,)`` or on a stack of shape ``(P, m)``."""
+    stack, single, psi, gaps, derivs = _spectral(family, lam, a, degeneracy_tol)
+    if single:
+        return _assemble(stack[0], derivs[0], psi[0], float(gaps[0]))
+    return _assemble(stack, derivs, psi, gaps)
 
 
 def finite_difference_qgt(
     family: HamiltonianFamily, lam, a: int | None = None, step: float = 1e-5,
     degeneracy_tol: float | None = None,
 ) -> QGTResult:
-    """Independent finite-difference evaluation of the geometric tensor.
+    """Independent finite-difference evaluation of the geometric tensor at
+    one point.
 
     Eigenvectors at displaced points are phase-aligned so their overlap with
     the center state is real positive; the alignment removes the eigensolver
@@ -306,15 +358,18 @@ def finite_difference_qgt(
     if step <= 0:
         raise ValueError("step must be positive")
     a = family.level if a is None else a
-    lam = family._point(lam)
-    eigvals, eigvecs = _eigensystem(family, lam)
-    gap = _check_gap(eigvals, a, degeneracy_tol)
-    psi = eigvecs[:, a]
+    lam, single = family._stack(lam)
+    if not single:
+        raise ValueError("finite_difference_qgt evaluates one point at a time")
+
+    def state(point):  # point: a (1, m) stack
+        vals, vecs = _eigensystem(family, point)
+        return vecs[0, :, a], _check_gap(vals, a, degeneracy_tol, point)[0]
+
+    psi, gap = state(lam)
 
     def aligned_state(point):
-        vals, vecs = _eigensystem(family, point)
-        _check_gap(vals, a, degeneracy_tol)
-        phi = vecs[:, a]
+        phi, _ = state(point)
         overlap = np.vdot(psi, phi)
         if abs(overlap) < 0.5:
             raise NumericalRefusal(
@@ -323,14 +378,9 @@ def finite_difference_qgt(
             )
         return phi * (overlap.conjugate() / abs(overlap))
 
-    derivs = []
-    for mu in range(family.param_dim):
-        dx = np.zeros(family.param_dim)
-        dx[mu] = step
-        plus = aligned_state(lam + dx)
-        minus = aligned_state(lam - dx)
-        derivs.append((plus - minus) / (2 * step))
-    return _assemble(lam, derivs, psi, gap)
+    steps = step * np.eye(family.param_dim)
+    derivs = [(aligned_state(lam + dx) - aligned_state(lam - dx)) / (2 * step) for dx in steps]
+    return _assemble(lam[0], derivs, psi, float(gap))
 
 
 def orbit_consistency_check(
@@ -362,27 +412,15 @@ def orbit_consistency_check(
     n = np.asarray(direction, dtype=float)
     h0 = -np.tensordot(n, rep.generators, axes=1)
     eigvals, eigvecs = np.linalg.eigh(h0)
-    others = eigvals[1:] - eigvals[0]
-    if others.size and float(others.min()) < 1e-8 * max(1.0, float(np.abs(eigvals).max())):
-        raise DegenerateLevelError(
-            "ground state of the direction Hamiltonian is degenerate",
-            gap=float(others.min()) if others.size else 0.0,
-        )
+    # H0 is the family at the identity, Euler angles (0, 0, 0).
+    _check_gap(eigvals[None], 0, None, np.zeros((1, 3)))
     if abs(np.vdot(eigvecs[:, 0], psi)) < 1.0 - 1e-8:
         raise NumericalRefusal("fiducial is not the ground state of -n.R for the given direction")
 
-    family = orbit_family(rep, n)
-    t_proj = covariance_matrix(rep, psi, projective=True)
     betas = np.linspace(0.3, np.pi - 0.3, grid_shape[0])
     gammas = np.linspace(0.3, 2 * np.pi - 0.3, grid_shape[1])
-    worst = 0.0
-    for beta in betas:
-        for gamma in gammas:
-            point = euler_point(alpha, beta, gamma)
-            spectral = qgt_tensor(family, point.coords, a=0)
-            coframe = su2_coframe(point, frame=LEFT_INVARIANT).rescaled(
-                EULER_GENERATOR_SCALE
-            )
-            pulled = evaluate_at(t_proj, coframe)
-            worst = max(worst, float(np.abs(spectral.metric - pulled.metric).max()))
-    return worst
+    points = grid_points([alpha], betas, gammas)
+    spectral = qgt_tensor(orbit_family(rep, n), points, a=0)
+    t_proj = covariance_matrix(rep, psi, projective=True)
+    pulled, _ = contract(t_proj, euler_coframes(points, LEFT_INVARIANT) * EULER_GENERATOR_SCALE)
+    return float(np.abs(spectral.metric - pulled).max())

@@ -30,10 +30,6 @@ def pairs_to_vector(pairs) -> np.ndarray:
     return np.array([pair_to_complex(p) for p in pairs], dtype=complex)
 
 
-def matrix_pairs_row_major(m) -> list[list[float]]:
-    return [complex_pair(z) for z in np.asarray(m, dtype=complex).reshape(-1)]
-
-
 def row_major_pairs_to_matrix(pairs, side: int) -> np.ndarray:
     flat = pairs_to_vector(pairs)
     return flat.reshape(side, side)

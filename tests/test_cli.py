@@ -537,3 +537,120 @@ def test_heisenberg_rep_spec_errors_exit_2(tmp_path, capsys, rep, message):
     assert main(["verify", "--spec", write_spec(tmp_path, "v.json", spec), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
+
+
+def exit_code(argv):
+    """``main``'s exit code, including argparse's exit on a bad command line."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+ORBIT_FAMILY = {"builtin": "orbit", "rep": {"builtin": "su2", "spin": 0.5}, "direction": [0, 0, 1]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, path",
+    [
+        ("qgt", {"hamiltonian": {"builtin": "bloch"}, "grid": {"theta": ["x", 1, 2], "phi": 0}},
+         "$.grid.theta[0]"),
+        ("qgt", {"hamiltonian": {"builtin": "bloch"}, "grid": {"theta": [0.3, 1, 2], "phi": True}},
+         "$.grid.phi"),
+        ("qgt", {"hamiltonian": {"builtin": "landau_zener", "delta": "x"}, "grid": {"lam": [0, 1, 2]}},
+         "$.hamiltonian.delta"),
+        ("verify", {"hamiltonian": {"builtin": "landau_zener", "delta": "x"}, "grid": {"lam": [0, 1, 2]}},
+         "$.hamiltonian.delta"),
+        ("qgt", {"hamiltonian": dict(ORBIT_FAMILY, direction=[0, "z", 1]), "grid": ORBIT_GRID},
+         "$.hamiltonian.direction[1]"),
+        ("verify", {"hamiltonian": {"builtin": "bloch"}, "grid": BLOCH_GRID, "tolerances": {"fd_step": "x"}},
+         "$.tolerances.fd_step"),
+        ("verify", {"hamiltonian": {"builtin": "bloch"}, "grid": BLOCH_GRID, "tolerances": {"tol": "x"}},
+         "$.tolerances.tol"),
+        ("qgt", {"hamiltonian": {"builtin": "bloch"}, "grid": BLOCH_GRID, "tolerances": {"degeneracy_tol": "x"}},
+         "$.tolerances.degeneracy_tol"),
+    ],
+    ids=["grid-endpoint", "grid-bool", "qgt-delta", "verify-delta", "direction", "fd-step", "tol",
+         "degeneracy-tol"],
+)
+def test_non_numeric_spec_values_exit_2(tmp_path, capsys, command, payload, path):
+    spec = {"mode": command, **payload}
+    if command == "verify":
+        spec["target"] = "qgt"
+    out = tmp_path / "s.jsonl"
+    assert main([command, "--spec", write_spec(tmp_path, "s.json", spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: at {path}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count, code", [(11, 2), (10, 0)])
+def test_grid_over_budget_exits_2_before_allocation(tmp_path, capsys, monkeypatch, count, code):
+    import qpt.cli
+
+    monkeypatch.setattr(qpt.cli, "MAX_GRID_POINTS", 10)
+    if code:  # refused before any axis is allocated
+        monkeypatch.setattr(qpt.cli.np, "linspace", lambda *args: pytest.fail("grid allocated"))
+    spec = {"mode": "qgt", "hamiltonian": {"builtin": "bloch"}, "grid": {"theta": [0.3, 2.8, count], "phi": 0.5}}
+    out = tmp_path / "q.jsonl"
+    assert main(["qgt", "--spec", write_spec(tmp_path, "q.json", spec), "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: at $.grid: 11 points exceed")
+    else:
+        assert len(records_of(str(out))) == 10
+
+
+def runnable_argv(tmp_path, command):
+    """A command line on which ``command`` succeeds."""
+    if command == "weyl":
+        return ["weyl", "--modes", "1", "--cutoff", "4"]
+    if command == "group":
+        spec = group_spec()
+    elif command == "qgt":
+        spec = {"mode": "qgt", "hamiltonian": {"builtin": "bloch"}, "grid": BLOCH_GRID}
+    else:
+        spec = {"mode": "verify", "target": "weyl", "modes": 1, "cutoff": 8}
+    return [command, "--spec", write_spec(tmp_path, f"{command}.json", spec)]
+
+
+REMOVED_FLAGS = [
+    ("group", "--tol", "1e-3"), ("group", "--fd-step", "1e-5"), ("group", "--degeneracy-tol", "1e-9"),
+    ("weyl", "--grid", "x=0:1:2"), ("weyl", "--tol", "1e-3"), ("weyl", "--fd-step", "1e-5"),
+    ("weyl", "--degeneracy-tol", "1e-9"),
+    ("qgt", "--tol", "1e-3"), ("qgt", "--fd-step", "1e-5"),
+    ("verify", "--degeneracy-tol", "1e-9"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f, _ in REMOVED_FLAGS])
+def test_flag_no_handler_reads_exits_2(tmp_path, capsys, command, flag, value):
+    out = str(tmp_path / "x.jsonl")
+    assert exit_code(runnable_argv(tmp_path, command) + ["--out", out]) == 0
+    assert exit_code(runnable_argv(tmp_path, command) + [flag, value, "--out", out]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_weyl_header_names_the_vacuum(tmp_path):
+    # At 4 modes and cutoff 16 the vacuum has 65536 entries; the header no
+    # longer lists them, so its size is that of the conventions block.
+    out = tmp_path / "w.jsonl"
+    assert main(["weyl", "--modes", "4", "--cutoff", "16", "--out", str(out)]) == 0
+    header_line = out.read_text().splitlines()[0]
+    assert json.loads(header_line)["fiducial"] == "vacuum"
+    assert len(header_line) < 2048
+
+
+def test_qgt_degenerate_refusal_names_grid_index(tmp_path, capsys):
+    spec = {
+        "mode": "qgt",
+        "hamiltonian": {
+            "affine": {
+                "h0": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+                "terms": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]],
+            }
+        },
+        "grid": {"x": [-1, 1, 3]},
+    }
+    out = tmp_path / "q.jsonl"
+    assert main(["qgt", "--spec", write_spec(tmp_path, "q.json", spec), "--out", str(out)]) == 3
+    assert "at grid index 1, point [0.0]" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,0 +1,31 @@
+"""Each demo script runs to completion.
+
+The demos call the public API the way a reader would, so a change to a
+contract they use (per-point callables, eigenstate derivatives, the orbit
+family) shows here.  Each runs in its own process on one BLAS thread.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def test_all_four_demos_are_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, **ONE_THREAD)
+    proc = subprocess.run(
+        [sys.executable, str(demo)], env=env, cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qpt.errors import SpecError
 from qpt.liegroup import (
     LieAlgebraRep,
     adjoint_matrix,
+    euler_elements,
     euler_point,
     exponential_point,
     group_element,
@@ -171,6 +173,36 @@ def test_group_element_four_pi_periodic(s):
     u1 = group_element(rep, euler_point(a, b, g))
     u2 = group_element(rep, euler_point(a + 4 * np.pi, b, g))
     assert np.abs(u1 - u2).max() <= 1e-10
+
+
+def rotated_spin_rep(s, seed):
+    """Spin-``s`` generators conjugated by a random unitary: ``R_3`` is not diagonal."""
+    rng = np.random.default_rng(seed)
+    base = su2_spin_rep(s)
+    w, _ = np.linalg.qr(rng.normal(size=(base.dim,) * 2) + 1j * rng.normal(size=(base.dim,) * 2))
+    return LieAlgebraRep(w @ base.generators @ w.conj().T, base.structure_constants)
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [su2_spin_rep(0.5), su2_spin_rep(1.0), su2_spin_rep(1.5), su2_spin_rep(2.0), rotated_spin_rep(1.0, 7)],
+    ids=["spin-1/2", "spin-1", "spin-3/2", "spin-2", "rotated-spin-1"],
+)
+def test_euler_elements_match_expm_product(rep):
+    r = rep.generators
+    angles = np.random.default_rng(11).uniform(-2 * np.pi, 4 * np.pi, (4, 5, 3))
+    stacked = euler_elements(rep, angles)
+    assert stacked.shape == (4, 5, rep.dim, rep.dim)
+    for point, u in zip(angles.reshape(-1, 3), stacked.reshape(-1, rep.dim, rep.dim)):
+        a, b, g = point
+        expected = expm(1j * a * r[2] / 2) @ expm(1j * b * r[1] / 2) @ expm(1j * g * r[2] / 2)
+        assert np.abs(u - expected).max() <= 1e-14
+        np.testing.assert_array_equal(group_element(rep, euler_point(a, b, g)), euler_elements(rep, point))
+
+
+def test_rotated_rep_has_non_diagonal_r3():
+    r3 = rotated_spin_rep(1.0, 7).generators[2]
+    assert np.abs(r3 - np.diag(np.diag(r3))).max() > 0.1
 
 
 def test_adjoint_identity_point():

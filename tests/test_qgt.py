@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qpt import qgt
 from qpt.errors import DegenerateLevelError, NumericalRefusal, SpecError
-from qpt.liegroup import su2_spin_rep
+from qpt.liegroup import euler_coframes, su2_spin_rep
 from qpt.qgt import (
     HamiltonianFamily,
     bloch_family,
@@ -258,3 +259,71 @@ def test_callable_fd_derivative_matches_affine():
     d_analytic = fam_analytic.derivative([0.3], 0)
     d_fd = fam_fd.derivative([0.3], 0)
     assert np.abs(d_analytic - d_fd).max() <= 1e-9
+
+
+def per_point_orbit_family(rep, direction):
+    """The orbit family from per-point callables: the z-y-z product by
+    ``expm`` and ``dH = [dU U^-1, H]`` one direction at a time."""
+    r = rep.generators
+    h0 = -np.tensordot(direction, r, axes=1)
+
+    def evaluate(lam):
+        a, b, g = lam
+        u = expm(1j * a * r[2] / 2) @ expm(1j * b * r[1] / 2) @ expm(1j * g * r[2] / 2)
+        return u @ h0 @ u.conj().T
+
+    def derivative(lam, mu):
+        velocity = 0.5j * np.tensordot(euler_coframes(lam)[:, mu], r, axes=1)
+        h = evaluate(lam)
+        return velocity @ h - h @ velocity
+
+    return HamiltonianFamily.from_callable(evaluate, param_dim=3, derivative=derivative)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5])
+def test_stacked_orbit_family_matches_per_point_reference(s):
+    rep = su2_spin_rep(s)
+    n = np.array([0.3, -0.4, 0.866])
+    points = np.random.default_rng(4).uniform([0, 0.2, 0], [4 * np.pi, np.pi - 0.2, 2 * np.pi], (30, 3))
+    stacked, reference = orbit_family(rep, n), per_point_orbit_family(rep, n)
+    assert np.abs(stacked.hamiltonian(points) - reference.hamiltonian(points)).max() <= 1e-13
+    assert np.abs(stacked.derivative(points) - reference.derivative(points)).max() <= 1e-13
+    res = qgt_tensor(stacked, points, a=0)
+    ref = qgt_tensor(reference, points, a=0)
+    assert res.h.shape == (30, 3, 3) and res.gap.shape == (30,)
+    assert np.abs(res.h - ref.h).max() <= 1e-12
+    np.testing.assert_allclose(res.gap, ref.gap, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "family, points",
+    [
+        (bloch_family(), [[0.4, 0.1], [1.2, 2.0], [2.5, 5.0]]),
+        (landau_zener_family(0.7), [[-1.0], [0.0], [0.3]]),
+        (HamiltonianFamily.from_callable(lambda lam: np.cos(lam[0]) * SZ + np.sin(lam[0]) * SX, 1),
+         [[0.0], [0.5], [1.0]]),
+    ],
+    ids=["bloch", "landau-zener", "callable-fd"],
+)
+def test_stack_equals_single_points(family, points):
+    stacked = qgt_tensor(family, points, a=0)
+    derivs = spectral_state_derivative(family, points, a=0, mu=0)
+    assert derivs.shape == (len(points), 2)
+    for i, point in enumerate(points):
+        single = qgt_tensor(family, point, a=0)
+        assert np.abs(stacked.h[i] - single.h).max() <= 1e-15
+        assert stacked.gap[i] == single.gap
+        assert np.abs(derivs[i] - spectral_state_derivative(family, point, a=0, mu=0)).max() <= 1e-15
+        assert np.abs(family.hamiltonian(points)[i] - family.hamiltonian(point)).max() <= 1e-15
+
+
+def test_degenerate_point_of_a_stack_is_named():
+    fam = HamiltonianFamily.affine(np.zeros((2, 2), dtype=complex), [SZ])
+    with pytest.raises(DegenerateLevelError, match=r"grid index 1, point \[0\.0\]") as err:
+        qgt_tensor(fam, [[-1.0], [0.0], [1.0]], a=0)
+    assert err.value.gap == 0.0
+
+
+def test_finite_difference_refuses_a_stack():
+    with pytest.raises(ValueError, match="one point"):
+        finite_difference_qgt(bloch_family(), [[1.0, 0.2], [1.1, 0.3]])
