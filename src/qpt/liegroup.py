@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import fock
-from .errors import SpecError, require_integer, require_number
+from .errors import SpecError, require_array, require_integer, require_number, require_object
 from .hilbert import is_hermitian
 
 # Coframe components pair with generators/2 in the z-y-z Euler product.
@@ -254,37 +254,31 @@ def rep_from_spec(spec: dict, path: str = "$.rep") -> LieAlgebraRep:
     ``n`` and ``N`` or explicit
     ``{"generators": [...], "structure_constants": [...],
     "multiplier_form": [...]}`` with complex entries as ``[re, im]`` pairs.
+    A spin whose dimension ``2s + 1`` exceeds :data:`qpt.fock.MAX_DENSE_STATES`
+    is refused before any matrix is allocated.
     """
-    if not isinstance(spec, dict):
-        raise SpecError("representation spec must be an object")
+    spec = require_object(spec, path)
     if "builtin" in spec:
         name = spec["builtin"]
         if name == "su2":
-            if "spin" not in spec:
-                raise SpecError("su2 spec requires a 'spin' field")
-            return su2_spin_rep(require_number(spec["spin"], f"{path}.spin"))
+            spin = require_number(spec.get("spin"), f"{path}.spin")
+            if 2 * spin + 1 > fock.MAX_DENSE_STATES:  # before angular_momentum allocates
+                raise SpecError(f"at {path}.spin: dimension 2s+1 = {2 * spin + 1:g} exceeds "
+                                f"the budget of {fock.MAX_DENSE_STATES} states")
+            return su2_spin_rep(spin)
         if name == "heisenberg":
             modes = require_integer(spec.get("modes", 1), f"{path}.modes")
             cutoff = require_integer(spec.get("cutoff", 16), f"{path}.cutoff")
             return heisenberg_rep(modes, cutoff)
-        raise SpecError(f"unknown builtin representation {name!r}")
-    if "generators" not in spec or "structure_constants" not in spec:
-        raise SpecError("explicit rep spec needs 'generators' and 'structure_constants'")
-    gens = np.array([_complex_matrix(g) for g in spec["generators"]])
-    c = np.asarray(spec["structure_constants"], dtype=float)
+        raise SpecError(f"at {path}.builtin: unknown builtin representation {name!r}")
+    gens = require_array(spec.get("generators"), f"{path}.generators", 3, pairs=True)
+    c = require_array(spec.get("structure_constants"), f"{path}.structure_constants", 3)
     omega = spec.get("multiplier_form")
-    omega = None if omega is None else np.asarray(omega, dtype=float)
+    omega = None if omega is None else require_array(omega, f"{path}.multiplier_form", 2)
     try:
         return LieAlgebraRep(gens, c, multiplier_form=omega)
     except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-
-
-def _complex_matrix(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise SpecError("complex matrix entries must be [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+        raise SpecError(f"at {path}: {exc}") from exc
 
 
 def grid_points(*axes) -> np.ndarray:

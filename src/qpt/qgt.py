@@ -20,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateLevelError, NumericalRefusal, SpecError, require_integer, require_number,
+    DegenerateLevelError, NumericalRefusal, SpecError, require_array, require_integer,
+    require_number, require_object,
 )
 from .hilbert import _fix_phase, as_operator
 from .liegroup import (
     EULER_GENERATOR_SCALE,
     LEFT_INVARIANT,
     LieAlgebraRep,
-    _complex_matrix,
     euler_coframes,
     euler_elements,
     grid_points,
@@ -87,7 +87,10 @@ class HamiltonianFamily:
         def derivative(lam):
             return np.broadcast_to(terms, (len(lam),) + terms.shape)
 
-        return cls(evaluate, param_dim=len(terms), derivative=derivative, level=level)
+        family = cls(evaluate, param_dim=len(terms), derivative=derivative, level=level)
+        # H is affine in lam: Hermitian at 0 and at each unit point, it is Hermitian everywhere.
+        family.hamiltonian(np.vstack([np.zeros(len(terms)), np.eye(len(terms))]))
+        return family
 
     @classmethod
     def from_callable(cls, fn, param_dim, derivative=None, fd_step=1e-5, level=0):
@@ -215,16 +218,16 @@ def ham_from_spec(spec: dict) -> HamiltonianFamily:
     ``{"builtin": "orbit", "rep": {...}, "direction": [...]}``, each with an
     optional integer ``"level"``.
     """
-    if not isinstance(spec, dict):
-        raise SpecError("hamiltonian spec must be an object")
+    spec = require_object(spec, "$.hamiltonian")
     level = require_integer(spec.get("level", 0), "$.hamiltonian.level")
     if "affine" in spec:
-        block = spec["affine"]
-        if not isinstance(block, dict) or "h0" not in block or "terms" not in block:
-            raise SpecError("affine spec needs 'h0' and 'terms'")
-        h0 = _complex_matrix(block["h0"])
-        terms = [_complex_matrix(t) for t in block["terms"]]
-        return HamiltonianFamily.affine(h0, terms, level=level)
+        block = require_object(spec["affine"], "$.hamiltonian.affine")
+        h0 = require_array(block.get("h0"), "$.hamiltonian.affine.h0", 2, pairs=True)
+        terms = require_array(block.get("terms"), "$.hamiltonian.affine.terms", 3, pairs=True)
+        try:
+            return HamiltonianFamily.affine(h0, terms, level=level)
+        except ValueError as exc:
+            raise SpecError(f"at $.hamiltonian.affine: {exc}") from exc
     if "builtin" in spec:
         name = spec["builtin"]
         if name == "bloch":
@@ -235,20 +238,13 @@ def ham_from_spec(spec: dict) -> HamiltonianFamily:
         if name == "orbit":
             from .liegroup import rep_from_spec
 
-            if "rep" not in spec or "direction" not in spec:
-                raise SpecError("orbit spec needs 'rep' and 'direction'")
-            rep = rep_from_spec(spec["rep"], "$.hamiltonian.rep")
-            direction = spec["direction"]
-            if not isinstance(direction, list) or len(direction) != rep.n_generators:
-                raise SpecError(
-                    f"at $.hamiltonian.direction: expected a list of {rep.n_generators} numbers"
-                )
-            direction = [
-                require_number(v, f"$.hamiltonian.direction[{i}]") for i, v in enumerate(direction)
-            ]
+            rep = rep_from_spec(spec.get("rep"), "$.hamiltonian.rep")
+            direction = require_array(spec.get("direction"), "$.hamiltonian.direction", 1)
+            if len(direction) != rep.n_generators:
+                raise SpecError(f"at $.hamiltonian.direction: expected {rep.n_generators} numbers")
             return orbit_family(rep, direction, level=level)
-        raise SpecError(f"unknown builtin hamiltonian {name!r}")
-    raise SpecError("hamiltonian spec needs 'affine' or 'builtin'")
+        raise SpecError(f"at $.hamiltonian.builtin: unknown builtin hamiltonian {name!r}")
+    raise SpecError("at $.hamiltonian: expected an 'affine' or a 'builtin' family")
 
 
 def _eigensystem(family: HamiltonianFamily, stack: np.ndarray):

@@ -18,29 +18,12 @@ def complex_pair(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def pair_to_complex(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
-
-
 def vector_pairs(v) -> list[list[float]]:
     return [complex_pair(z) for z in np.asarray(v, dtype=complex)]
 
 
-def pairs_to_vector(pairs) -> np.ndarray:
-    return np.array([pair_to_complex(p) for p in pairs], dtype=complex)
-
-
-def row_major_pairs_to_matrix(pairs, side: int) -> np.ndarray:
-    flat = pairs_to_vector(pairs)
-    return flat.reshape(side, side)
-
-
 def real_matrix_row_major(m) -> list[float]:
     return [float(x) for x in np.asarray(m, dtype=float).reshape(-1)]
-
-
-def row_major_to_matrix(values, side: int) -> np.ndarray:
-    return np.asarray(values, dtype=float).reshape(side, side)
 
 
 def dump_line(obj: dict) -> str:
@@ -53,11 +36,9 @@ def write_jsonl(stream, objects) -> None:
         stream.write("\n")
 
 
-def read_jsonl(path: str) -> list[dict]:
-    out = []
+def read_jsonl(path: str):
+    """The objects of a jsonl file, parsed one line at a time."""
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+            if line.strip():
+                yield json.loads(line)

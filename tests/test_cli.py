@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpt import serialize
 from qpt.cli import main
+from qpt.errors import require_array
 from qpt.liegroup import EULER_GENERATOR_SCALE, euler_point, su2_coframe, su2_spin_rep
 from qpt.pullback import covariance_matrix, evaluate_at
 
@@ -128,12 +134,41 @@ def test_compare_grid_mismatch(tmp_path):
     assert main(["compare", str(out_a), str(out_b)]) == 2
 
 
-@pytest.mark.parametrize("content", ["{not json\n", "[1, 2]\n"], ids=["not-json", "not-object"])
-def test_compare_malformed_input_is_spec_error(tmp_path, capsys, content):
+GOOD_RECORD = '{"kind": "record", "point": [0.0], "metric": [1.0], "two_form": [0.0]}\n'
+QGT_RECORD = '{"kind": "record", "point": [0.0], "h": [[1, 0], [0, 0], [0, 0], [1, 0]], "gap": 1.0}\n'
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        ("{not json\n", "cannot read"),
+        ("[1, 2]\n", "line 1"),
+        (GOOD_RECORD + '{"kind": "record", "metric": [1.0], "two_form": [0.0]}\n', "point of record[1]"),
+        (GOOD_RECORD + '{"kind": "record", "point": [0.0], "metric": [1.0]}\n', "two_form of record[1]"),
+        (GOOD_RECORD + '{"kind": "record", "point": [0.0], "metric": ["x"], "two_form": [0.0]}\n',
+         "metric of record[1][0]"),
+        (QGT_RECORD + '{"kind": "record", "point": [0.0], "h": [[1, 0], [0, 0], [0, 0]], "gap": 1.0}\n',
+         "h of record[1]"),
+    ],
+    ids=["not-json", "not-object", "no-point", "no-two-form", "string-entry", "h-length"],
+)
+def test_compare_malformed_input_is_spec_error(tmp_path, capsys, content, where):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(content)
     assert main(["compare", str(bad), str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and where in err
+
+
+def test_compare_h_deviation_is_max_of_parts(tmp_path, capsys):
+    # Both parts of h differ, by 3e-9 and 4e-9: the deviation is the larger
+    # part, 4e-9, as for metric and two_form, not the modulus 5e-9.
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text(QGT_RECORD)
+    b.write_text(QGT_RECORD.replace("[0, 0], [1, 0]]", "[0, 0], [1.000000003, 4e-09]]"))
+    assert main(["compare", str(a), str(b), "--tol", "4.5e-9"]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["per_record_max"] == [pytest.approx(4e-9, abs=1e-18)]
 
 
 def test_compare_detects_deviation(tmp_path):
@@ -191,7 +226,7 @@ def test_qgt_run(tmp_path):
     records = records_of(str(out))
     assert len(records) == 16
     for rec in records:
-        h = serialize.row_major_pairs_to_matrix(rec["h"], 2)
+        h = require_array(rec["h"], "$.h", 1, pairs=True).reshape(2, 2)
         assert rec["gap"] == pytest.approx(2.0, abs=1e-12)
         assert np.abs(h - h.conj().T).max() <= 1e-12
 
@@ -479,6 +514,13 @@ def test_weyl_over_state_budget_is_spec_error(tmp_path, capsys):
 
 BLOCH_GRID = {"theta": [0.3, 2.8, 2], "phi": [0.0, 6.0, 2]}
 ORBIT_GRID = {"alpha": 0.0, "beta": [0.3, 2.8, 2], "gamma": [0.3, 6.0, 2]}
+ORBIT_FAMILY = {"builtin": "orbit", "rep": {"builtin": "su2", "spin": 0.5}, "direction": [0, 0, 1]}
+SX_PAIRS = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+SZ_PAIRS = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+
+
+def affine_spec(h0, terms):
+    return {"hamiltonian": {"affine": {"h0": h0, "terms": terms}}, "grid": {"x": [0, 1, 2]}}
 
 
 @pytest.mark.parametrize(
@@ -500,9 +542,18 @@ ORBIT_GRID = {"alpha": 0.0, "beta": [0.3, 2.8, 2], "gamma": [0.3, 6.0, 2]}
             },
             "$.hamiltonian.rep.spin",
         ),
+        ({"hamiltonian": dict(ORBIT_FAMILY, rep={"builtin": "su2", "spin": 1e9}), "grid": ORBIT_GRID},
+         "$.hamiltonian.rep.spin"),
+        (affine_spec([[["a", 0], [1, 0]], [[1, 0], [0, 0]]], [SZ_PAIRS]), "$.hamiltonian.affine.h0[0][0][0]"),
+        (affine_spec(SX_PAIRS, [[[[1, 0]]]]), "$.hamiltonian.affine"),
+        (affine_spec(SX_PAIRS, [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]]), "$.hamiltonian.affine"),
+        (affine_spec(SX_PAIRS, []), "$.hamiltonian.affine"),
+        (affine_spec(SX_PAIRS, 5), "$.hamiltonian.affine.terms"),
+        (affine_spec(SX_PAIRS, [[[[1e400, 0], [0, 0]], [[0, 0], [-1, 0]]]]), "$.hamiltonian.affine.terms[0][0][0][0]"),
     ],
     ids=["level-string", "hamiltonian-level-string", "level-7", "hamiltonian-level-7",
-         "level-float", "spin-string"],
+         "level-float", "spin-string", "spin-1e9", "affine-h0-string", "affine-terms-shape",
+         "affine-not-hermitian", "affine-terms-empty", "affine-terms-5", "affine-infinite"],
 )
 @pytest.mark.parametrize("command", ["qgt", "verify"])
 def test_qgt_spec_errors_exit_2(tmp_path, capsys, command, payload, path):
@@ -539,6 +590,69 @@ def test_heisenberg_rep_spec_errors_exit_2(tmp_path, capsys, rep, message):
     assert not out.exists()
 
 
+PAULI_PAIRS = [
+    SX_PAIRS,
+    [[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
+    SZ_PAIRS,
+]
+PAULI_STRUCTURE = [
+    [[0, 0, 0], [0, 0, 2], [0, -2, 0]],
+    [[0, 0, -2], [0, 0, 0], [2, 0, 0]],
+    [[0, 2, 0], [-2, 0, 0], [0, 0, 0]],
+]
+EXPLICIT_REP = {"generators": PAULI_PAIRS, "structure_constants": PAULI_STRUCTURE}
+
+
+@pytest.mark.parametrize(
+    "change, path",
+    [
+        ({"fiducial": [[1, 0], [0, 0], [0, 0]]}, "$.fiducial"),
+        ({"fiducial": [["nan", 0], [0, 0]]}, "$.fiducial[0][0]"),
+        ({"fiducial": [[True, 0], [0, 0]]}, "$.fiducial[0][0]"),
+        ({"fiducial": [["1", 0], [0, 0]]}, "$.fiducial[0][0]"),
+        ({"fiducial": [[1, 0, 5], [0, 0]]}, "$.fiducial[0]"),
+        ({"rep": dict(EXPLICIT_REP, generators=[SX_PAIRS, PAULI_PAIRS[1], [[["a", 0], [0, 0]], [[0, 0], [-1, 0]]]])},
+         "$.rep.generators[2][0][0][0]"),
+        ({"rep": dict(EXPLICIT_REP, generators=[SX_PAIRS, PAULI_PAIRS[1], [[[True, 0], [0, 0]], [[0, 0], [-1, 0]]]])},
+         "$.rep.generators[2][0][0][0]"),
+        ({"rep": dict(EXPLICIT_REP, structure_constants="x")}, "$.rep.structure_constants"),
+        ({"rep": dict(EXPLICIT_REP, multiplier_form=[["a", 0, 0], [0, 0, 0], [0, 0, 0]])},
+         "$.rep.multiplier_form[0][0]"),
+        ({"rep": {"builtin": "su2", "spin": 1e9}}, "$.rep.spin"),
+        ({"output": {"path": 5}}, "$.output.path"),
+    ],
+    ids=["fiducial-dimension", "fiducial-nan-string", "fiducial-bool", "fiducial-string", "fiducial-triple",
+         "generator-string", "generator-bool", "structure-constants-string", "multiplier-form-string",
+         "spin-1e9", "output-path"],
+)
+@pytest.mark.parametrize("command", ["group", "verify"])
+def test_group_spec_errors_exit_2(tmp_path, capsys, command, change, path):
+    spec = dict(group_spec(), mode=command, **change)
+    if command == "verify":
+        spec["target"] = "group"
+    out = tmp_path / "g.jsonl"
+    assert main([command, "--spec", write_spec(tmp_path, "g.json", spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: at {path}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spin, code", [(1.5, 0), (2, 2)])
+def test_spin_over_dense_budget_exits_2_before_allocation(tmp_path, capsys, monkeypatch, spin, code):
+    import qpt.fock
+    import qpt.liegroup
+
+    monkeypatch.setattr(qpt.fock, "MAX_DENSE_STATES", 4)
+    if code:  # refused before any spin matrix is allocated
+        monkeypatch.setattr(qpt.liegroup, "angular_momentum", lambda s: pytest.fail("allocated"))
+    spec = dict(group_spec(), rep={"builtin": "su2", "spin": spin}, fiducial=[[1, 0]] + [[0, 0]] * int(2 * spin))
+    out = tmp_path / "g.jsonl"
+    assert main(["group", "--spec", write_spec(tmp_path, "g.json", spec), "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: at $.rep.spin: dimension 2s+1 = 5 exceeds")
+    else:
+        assert len(records_of(str(out))) == 25
+
+
 def exit_code(argv):
     """``main``'s exit code, including argparse's exit on a bad command line."""
     try:
@@ -546,8 +660,6 @@ def exit_code(argv):
     except SystemExit as exc:
         return exc.code
 
-
-ORBIT_FAMILY = {"builtin": "orbit", "rep": {"builtin": "su2", "spin": 0.5}, "direction": [0, 0, 1]}
 
 
 @pytest.mark.parametrize(
@@ -569,9 +681,21 @@ ORBIT_FAMILY = {"builtin": "orbit", "rep": {"builtin": "su2", "spin": 0.5}, "dir
          "$.tolerances.tol"),
         ("qgt", {"hamiltonian": {"builtin": "bloch"}, "grid": BLOCH_GRID, "tolerances": {"degeneracy_tol": "x"}},
          "$.tolerances.degeneracy_tol"),
+        ("verify", {"hamiltonian": {"builtin": "bloch"}, "grid": BLOCH_GRID, "tolerances": {"fd_step": 0}},
+         "$.tolerances.fd_step"),
+        ("verify", {"hamiltonian": {"builtin": "bloch"}, "grid": BLOCH_GRID, "tolerances": {"fd_step": -1}},
+         "$.tolerances.fd_step"),
+        ("verify", {"hamiltonian": {"builtin": "bloch"}, "grid": BLOCH_GRID, "tolerances": {"fd_step": None}},
+         "$.tolerances.fd_step"),
+        ("qgt", {"hamiltonian": {"builtin": "bloch"}, "grid": BLOCH_GRID, "tolerances": {"degeneracy_tol": -1}},
+         "$.tolerances.degeneracy_tol"),
+        ("weyl", {"modes": 1, "cutoff": 8, "lagrangian": [["a", 0]]}, "$.lagrangian[0][0]"),
+        ("weyl", {"modes": 1, "cutoff": 8, "lagrangian": [[True, 0]]}, "$.lagrangian[0][0]"),
+        ("weyl", {"modes": 1, "cutoff": 8, "lagrangian": "nan,0"}, "$.lagrangian[0][0]"),
     ],
     ids=["grid-endpoint", "grid-bool", "qgt-delta", "verify-delta", "direction", "fd-step", "tol",
-         "degeneracy-tol"],
+         "degeneracy-tol", "fd-step-zero", "fd-step-negative", "fd-step-null", "degeneracy-tol-negative",
+         "lagrangian-string", "lagrangian-bool", "lagrangian-text-nan"],
 )
 def test_non_numeric_spec_values_exit_2(tmp_path, capsys, command, payload, path):
     spec = {"mode": command, **payload}
@@ -654,3 +778,71 @@ def test_qgt_degenerate_refusal_names_grid_index(tmp_path, capsys):
     assert main(["qgt", "--spec", write_spec(tmp_path, "q.json", spec), "--out", str(out)]) == 3
     assert "at grid index 1, point [0.0]" in capsys.readouterr().err
     assert not out.exists()
+
+
+# One valid spec per subcommand and verify target; every one runs with exit 0.
+VALID_SPECS = {
+    "group": dict(group_spec(frame="right", normalization="display", grid=ORBIT_GRID), chart="euler",
+                  output={"path": "unused.jsonl", "format": "jsonl"}),
+    "weyl": {"mode": "weyl", "modes": 1, "cutoff": 4, "projective": False, "lagrangian": [[1, 0]]},
+    "qgt": {
+        "mode": "qgt",
+        "hamiltonian": {"affine": {"h0": SX_PAIRS, "terms": [SZ_PAIRS]}, "level": 0},
+        "grid": {"x": [-1, 1, 2]},
+        "tolerances": {"degeneracy_tol": 1e-9},
+    },
+    "verify-group": {
+        "mode": "verify", "target": "group",
+        "rep": EXPLICIT_REP,
+        "fiducial": [[1, 0], [0, 0]], "grid": {"x": [0, 1, 2]},
+        "tolerances": {"tol": 1e-6, "fd_step": 1e-5},
+    },
+    "verify-weyl": {"mode": "verify", "target": "weyl", "modes": 1, "cutoff": 4},
+    "verify-qgt": {"mode": "verify", "target": "qgt", "hamiltonian": ORBIT_FAMILY, "grid": ORBIT_GRID},
+}
+# Small values only: none of them reaches what the size budgets guard.
+# ``1e400`` parses to infinity, like ``Infinity``.
+REPLACEMENTS = [json.loads(text) for text in
+                ('"x"', "true", "null", "[]", "{}", "-1", "0", "2", "1.5", "NaN", "Infinity", "1e400")]
+
+
+def spec_paths(value, path=()):
+    """Every path into a JSON value, the root included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from spec_paths(child, path + (key,))
+
+
+def mutated(spec, path, kind, value):
+    """``spec`` with the value at ``path`` replaced, deleted or wrapped in a list."""
+    root = {"spec": copy.deepcopy(spec)}
+    parent, key = root, "spec"
+    for step in path:
+        parent, key = parent[key], step
+    if kind == "delete":
+        del parent[key]
+    else:
+        parent[key] = value if kind == "replace" else [parent[key]]
+    return root.get("spec", {})
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_mutated_specs_exit_cleanly(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(sorted(VALID_SPECS)), label="spec")
+    spec = VALID_SPECS[name]
+    path = data.draw(st.sampled_from(list(spec_paths(spec))), label="path")
+    kind = data.draw(st.sampled_from(["replace", "delete", "wrap"]), label="kind")
+    value = data.draw(st.sampled_from(REPLACEMENTS), label="value") if kind == "replace" else None
+    work = tmp_path_factory.mktemp("mutation")
+    payload = mutated(spec, path, kind, value)
+    argv = [name.split("-")[0], "--spec", write_spec(work, "s.json", payload), "--out", str(work / "o.jsonl")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
