@@ -25,14 +25,12 @@ from .errors import (
     ZeroFiducialError,
 )
 from .hilbert import (
-    TensorValue,
-    hermitian_tensor_at,
+    hermitian_tensor,
     inner,
     is_hermitian,
     is_skew_hermitian,
     is_unitary,
     norm,
-    projective_tensor_at,
 )
 from .liegroup import (
     Coframe,

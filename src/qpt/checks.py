@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fock
 from . import weyl as weyl_mod
 from .errors import NumericalRefusal
 from .liegroup import (
@@ -256,16 +257,27 @@ def defect_growth(defects) -> float:
     return float(max(0.0, np.diff(clamped).max()))
 
 
+def check_defect_budget(modes: int, path: str | None = None) -> None:
+    """Refuse a mode count whose Weyl system at the top of
+    :data:`DEFECT_CUTOFFS` exceeds :data:`qpt.weyl.MAX_STATES`, naming the
+    spec ``path`` of ``modes`` if given."""
+    top = DEFECT_CUTOFFS[-1]
+    fock.check_size(
+        modes, top, weyl_mod.MAX_STATES, f"the cutoff-{top} defect check's Weyl system", (path, None)
+    )
+
+
 def weyl_checks(system: weyl_mod.WeylSystem, seed: int = 0) -> list[CheckResult]:
     """Invariant battery for a truncated Weyl system.
 
     The defect checks use systems at :data:`DEFECT_CUTOFFS` whatever the
-    system's own cutoff; they are built first, so that a mode count whose
-    cutoff-32 space exceeds :data:`qpt.weyl.MAX_STATES` is refused before
-    any state is allocated.
+    system's own cutoff; their size is checked first, so that a mode count
+    whose cutoff-32 space exceeds :data:`qpt.weyl.MAX_STATES` is refused
+    before any state is allocated.
     """
     modes = system.modes
     n = 2 * modes
+    check_defect_budget(modes)
     defect_systems = [
         system if c == system.cutoff else weyl_mod.build_weyl(modes, c) for c in DEFECT_CUTOFFS
     ]

@@ -212,6 +212,17 @@ def _rep_and_fiducial(spec: dict):
     return rep, fiducial
 
 
+def _weyl_system(spec: dict, args):
+    """The Weyl system of ``$.modes`` and ``$.cutoff``.  Its own size and that
+    of the cutoff-32 defect check are checked before any state is allocated,
+    and a refusal names the spec path."""
+    modes = require_integer(_flag(spec, args, "modes", 1), "$.modes")
+    cutoff = require_integer(_flag(spec, args, "cutoff", 16), "$.cutoff")
+    system = build_weyl(modes, cutoff, ("$.modes", "$.cutoff"))
+    checks.check_defect_budget(modes, "$.modes")
+    return system
+
+
 def _flag(spec, args, name, default):
     """The command-line flag ``name`` if given, else ``spec[name]`` or ``default``."""
     value = getattr(args, name, None)
@@ -337,14 +348,13 @@ def cmd_group(args) -> int:
     tensor = covariance_matrix(rep, fiducial, projective=projective)
     scale = EULER_GENERATOR_SCALE if normalization == "generator" else 1.0
     metric, two_form = contract(tensor, euler_coframes(points, frame) * scale)
-    records = [
-        {"point": p, "metric": g, "two_form": w}
+    # Each record is built as it is written, so no list of records is held.
+    records = (
+        {"point": p.tolist(), "metric": g.tolist(), "two_form": w.tolist()}
         for p, g, w in zip(
-            points.tolist(),
-            metric.reshape(len(points), -1).tolist(),
-            two_form.reshape(len(points), -1).tolist(),
+            points, metric.reshape(len(points), -1), two_form.reshape(len(points), -1)
         )
-    ]
+    )
     header = {
         "mode": "group",
         "rep": spec["rep"],
@@ -380,12 +390,10 @@ def _parse_directions(raw, n2: int):
 def cmd_weyl(args) -> int:
     spec = _load_spec(args, "weyl")
     output = _output_target(args, spec)
-    modes = require_integer(_flag(spec, args, "modes", 1), "$.modes")
-    cutoff = require_integer(_flag(spec, args, "cutoff", 16), "$.cutoff")
+    system = _weyl_system(spec, args)
     projective = require_bool(_flag(spec, args, "projective", False), "$.projective")
-    system = build_weyl(modes, cutoff)
     tensor = gaussian_covariance(system, projective=projective)
-    directions = _parse_directions(_flag(spec, args, "lagrangian", None), 2 * modes)
+    directions = _parse_directions(_flag(spec, args, "lagrangian", None), 2 * system.modes)
 
     results = checks.weyl_checks(system)
     emitted = tensor
@@ -407,7 +415,7 @@ def cmd_weyl(args) -> int:
     }
     header = {
         "mode": "weyl",
-        "rep": {"builtin": "heisenberg", "modes": modes, "cutoff": cutoff},
+        "rep": {"builtin": "heisenberg", "modes": system.modes, "cutoff": system.cutoff},
         "fiducial": "vacuum",
         "projective": projective,
         "lagrangian": None if directions is None else directions.tolist(),
@@ -427,7 +435,6 @@ def cmd_qgt(args) -> int:
     )
     h = res.h.reshape(len(points), -1)
     pairs = np.stack([h.real, h.imag], axis=-1)  # row-major [re, im] entries
-    # Each record is built as it is written, so no list of records is held.
     records = (
         {"point": p.tolist(), "h": hp.tolist(), "gap": float(g)}
         for p, hp, g in zip(points, pairs, res.gap)
@@ -457,10 +464,9 @@ def cmd_verify(args) -> int:
         results = checks.group_checks(rep, fiducial, n_points=n_points, fd_step=fd_step)
         header = {"mode": "verify", "target": target, "rep": spec["rep"]}
     elif target == "weyl":
-        modes = require_integer(_flag(spec, args, "modes", 1), "$.modes")
-        cutoff = require_integer(_flag(spec, args, "cutoff", 16), "$.cutoff")
-        results = checks.weyl_checks(build_weyl(modes, cutoff))
-        header = {"mode": "verify", "target": target, "modes": modes, "cutoff": cutoff}
+        system = _weyl_system(spec, args)
+        results = checks.weyl_checks(system)
+        header = {"mode": "verify", "target": target, "modes": system.modes, "cutoff": system.cutoff}
     else:
         family, _, points, level = _family_on_grid(spec, args)
         results = checks.qgt_checks(family, points, level=level, fd_step=fd_step)

@@ -23,18 +23,25 @@ from .errors import SpecError
 MAX_DENSE_STATES = 1024
 
 
-def check_size(modes: int, cutoff: int, max_states: int, what: str) -> None:
+def check_size(modes: int, cutoff: int, max_states: int, what: str, paths=(None, None)) -> None:
     """Refuse ``modes < 1``, ``cutoff < 3`` or ``cutoff**modes > max_states``,
-    without forming the power of an oversized request."""
+    without forming the power of an oversized request.  ``paths`` are the
+    spec paths of ``modes`` and ``cutoff``; the refusal names those that are
+    not None."""
+
+    def refuse(message, *named):
+        named = [p for p in named if p is not None]
+        raise SpecError(f"at {' and '.join(named)}: {message}" if named else message)
+
     if modes < 1:
-        raise SpecError("modes must be a positive integer")
+        refuse(f"modes must be a positive integer, got {modes}", paths[0])
     if cutoff < 3:
-        raise SpecError(f"cutoff must be at least 3, got {cutoff}")
+        refuse(f"cutoff must be at least 3, got {cutoff}", paths[1])
     # cutoff >= 3 > 2, so past this many modes the power exceeds any budget.
     if modes >= max_states.bit_length() or cutoff**modes > max_states:
-        raise SpecError(
+        refuse(
             f"{what} of {modes} modes at cutoff {cutoff} exceeds the budget of "
-            f"{max_states} Fock states"
+            f"{max_states} Fock states", *paths
         )
 
 

@@ -2,22 +2,26 @@
 
 States and operators are plain numpy arrays.  This module provides the
 Hermitian inner product, tested operator predicates (hermitian / unitary /
-skew-hermitian), and pointwise evaluation of the flat Hermitian tensor and
-of its ray-space (projective, Fubini-Study type) version.
+skew-hermitian), and the one evaluation of the Hermitian tensor,
+:func:`hermitian_tensor`, flat or ray-space (projective, Fubini-Study type),
+with :func:`hermitian_split` into metric and two-form.
+
+Every embedding pulls the tensor back through that one function and only
+supplies its tangent vectors at a unit state: the group orbit passes
+``R_j psi`` (:func:`qpt.pullback.covariance_matrix`), the Weyl system the
+mode-factorised ``R_j |0>`` (:func:`qpt.weyl.gaussian_covariance`), and a
+Hamiltonian family the eigenstate derivatives ``d_mu psi``
+(:func:`qpt.qgt.qgt_tensor` and :func:`qpt.qgt.finite_difference_qgt`).
 
 The orthonormal frame is fixed once and does not depend on the base point,
-so the Hermitian tensor is position independent.  The complex structure is
+so the flat Hermitian tensor is position independent.  The complex structure is
 multiplication by ``1j`` on coefficients and is never materialised as a
 matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ZeroFiducialError
 
 # Base tolerance for operator-property tests; scaled by matrix dimension.
 PROPERTY_ATOL = 1e-10
@@ -90,49 +94,29 @@ def norm(psi) -> float:
     return float(np.linalg.norm(as_state(psi)))
 
 
-@dataclass(frozen=True)
-class TensorValue:
-    """One complex tensor evaluation split into metric and two-form parts."""
+def hermitian_tensor(psi, tangents, projective: bool = False) -> np.ndarray:
+    """Hermitian tensor at the unit state ``psi`` on its tangent vectors.
 
-    value: complex
-    real_part: float
-    imag_part: float
-
-    @classmethod
-    def of(cls, z: complex) -> "TensorValue":
-        z = complex(z)
-        return cls(value=z, real_part=z.real, imag_part=z.imag)
-
-
-def hermitian_tensor_at(psi, u, v) -> TensorValue:
-    """Flat Hermitian tensor on tangent vectors ``u``, ``v`` at ``psi``.
-
-    The real part is the Euclidean metric contribution and the imaginary
-    part the symplectic one.  The value does not depend on the base point.
+    ``psi`` has shape ``(..., d)`` and ``tangents`` shape ``(..., m, d)``,
+    with matching leading stack axes; the result ``h`` has shape
+    ``(..., m, m)``, ``h[j, k] = <u_j|u_k>``, the flat tensor, which does not
+    depend on the base point.  With ``projective`` it is
+    ``<u_j|u_k> - <u_j|psi><psi|u_k>``, the ray-space tensor, which vanishes
+    on ``psi`` and ``1j * psi``.  ``psi`` must already be normalised.
     """
-    psi = as_state(psi)
-    u = as_state(u)
-    v = as_state(v)
-    if not (psi.shape == u.shape == v.shape):
-        raise ValueError("base point and tangent vectors must share one dimension")
-    return TensorValue.of(np.vdot(u, v))
+    u = np.asarray(tangents)
+    h = u.conj() @ u.swapaxes(-1, -2)
+    if projective:
+        psi = np.asarray(psi)
+        bra_psi = u.conj() @ psi[..., None]  # <u_j|psi>, a column
+        psi_ket = (u @ psi.conj()[..., None]).swapaxes(-1, -2)  # <psi|u_k>, a row
+        h = h - bra_psi * psi_ket
+    return h
 
 
-def projective_tensor_at(psi, u, v) -> TensorValue:
-    """Ray-space (projective) Hermitian tensor at ``psi``.
-
-    Evaluates ``<u|v>/<psi|psi> - <psi|v><u|psi>/<psi|psi>^2``.  The result
-    is invariant under rescaling ``psi -> lam*psi`` (with tangent vectors
-    transported the same way) and vanishes whenever ``u`` or ``v`` is
-    proportional to ``psi`` or ``1j*psi``.
-    """
-    psi = as_state(psi)
-    u = as_state(u)
-    v = as_state(v)
-    if not (psi.shape == u.shape == v.shape):
-        raise ValueError("base point and tangent vectors must share one dimension")
-    nsq = float(np.vdot(psi, psi).real)
-    if nsq <= 0.0 or not np.isfinite(nsq):
-        raise ZeroFiducialError("projective tensor undefined at the zero vector")
-    value = np.vdot(u, v) / nsq - np.vdot(psi, v) * np.vdot(u, psi) / nsq**2
-    return TensorValue.of(value)
+def hermitian_split(h) -> tuple[np.ndarray, np.ndarray]:
+    """Split ``h (..., m, m)`` into its symmetrised real part, the metric,
+    and its antisymmetrised imaginary part, the two-form; a Hermitian ``h``
+    is ``metric + 1j * form``."""
+    h = np.asarray(h)
+    return (h.real + h.real.swapaxes(-1, -2)) / 2, (h.imag - h.imag.swapaxes(-1, -2)) / 2

@@ -265,10 +265,16 @@ def rep_from_spec(spec: dict, path: str = "$.rep") -> LieAlgebraRep:
             if 2 * spin + 1 > fock.MAX_DENSE_STATES:  # before angular_momentum allocates
                 raise SpecError(f"at {path}.spin: dimension 2s+1 = {2 * spin + 1:g} exceeds "
                                 f"the budget of {fock.MAX_DENSE_STATES} states")
-            return su2_spin_rep(spin)
+            try:
+                return su2_spin_rep(spin)
+            except SpecError as exc:
+                raise SpecError(f"at {path}.spin: {exc}") from exc
         if name == "heisenberg":
             modes = require_integer(spec.get("modes", 1), f"{path}.modes")
             cutoff = require_integer(spec.get("cutoff", 16), f"{path}.cutoff")
+            # The size check of heisenberg_rep, made first to name the spec paths.
+            fock.check_size(modes, cutoff, fock.MAX_DENSE_STATES, "dense position/momentum "
+                            "operators", (f"{path}.modes", f"{path}.cutoff"))
             return heisenberg_rep(modes, cutoff)
         raise SpecError(f"at {path}.builtin: unknown builtin representation {name!r}")
     gens = require_array(spec.get("generators"), f"{path}.generators", 3, pairs=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroFiducialError
-from .hilbert import _fix_phase, as_state
+from .hilbert import _fix_phase, as_state, hermitian_split, hermitian_tensor
 from .liegroup import Coframe, GroupPoint, LieAlgebraRep, group_element
 
 HERMITICITY_ATOL = 1e-12
@@ -62,7 +62,8 @@ def _normalized_fiducial(fiducial) -> np.ndarray:
 def covariance_matrix(
     rep: LieAlgebraRep, fiducial, projective: bool = False
 ) -> PullbackTensor:
-    """Second-moment matrix ``<0|R_j R_k|0>`` of the generators.
+    """Second-moment matrix ``<0|R_j R_k|0>`` of the generators: the
+    Hermitian tensor on the tangent vectors ``R_j |0>``.
 
     The fiducial is normalised internally; with ``projective=True`` the
     product of first moments is subtracted, which makes the result invariant
@@ -73,22 +74,11 @@ def covariance_matrix(
     if psi.size != rep.dim:
         raise ValueError(f"fiducial dimension {psi.size} does not match rep dimension {rep.dim}")
     return PullbackTensor(
-        coefficients=second_moments(psi, rep.generators @ psi, projective),
+        coefficients=hermitian_tensor(psi, rep.generators @ psi, projective),
         projective=projective,
         fiducial=psi,
         multiplier_form=rep.multiplier_form,
     )
-
-
-def second_moments(psi: np.ndarray, gpsi: np.ndarray, projective: bool = False) -> np.ndarray:
-    """``<psi| R_j R_k |psi>`` from the unit state and the stack
-    ``gpsi[j] = R_j |psi>``; with ``projective`` the product of first
-    moments is subtracted."""
-    t = gpsi.conj() @ gpsi.T
-    if projective:
-        first = psi.conj() @ gpsi.T  # <R_j>, real for Hermitian generators
-        t = t - np.outer(first, first)
-    return t
 
 
 def split(t: PullbackTensor) -> tuple[np.ndarray, np.ndarray]:
@@ -101,9 +91,7 @@ def split(t: PullbackTensor) -> tuple[np.ndarray, np.ndarray]:
     defect = float(np.abs(c - c.conj().T).max())
     if defect > HERMITICITY_ATOL * max(1.0, float(np.abs(c).max())):
         raise ValueError(f"coefficient matrix is not Hermitian: defect {defect:.3e}")
-    metric = (c.real + c.real.T) / 2
-    form = (c.imag - c.imag.T) / 2
-    return metric, form
+    return hermitian_split(c)
 
 
 def multiplier_consistency(rep: LieAlgebraRep, fiducial) -> float:

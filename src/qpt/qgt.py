@@ -6,7 +6,9 @@ derivative follows from first-order perturbation theory,
     d|a> = sum_{b != a} |b> <b| dH |a> / (E_a - E_b),
 
 and the pulled-back tensor is
-``h[mu, nu] = <d_mu psi | d_nu psi> - <psi | d_nu psi><d_mu psi | psi>``.
+``h[mu, nu] = <d_mu psi | d_nu psi> - <d_mu psi | psi><psi | d_nu psi>``,
+the projective :func:`qpt.hilbert.hermitian_tensor` on the tangent vectors
+``d_mu psi``.
 In the spectral gauge the second term vanishes identically, but it is
 evaluated anyway so the formula is checked as stated.  An independent
 finite-difference evaluation with explicit phase alignment serves as the
@@ -23,7 +25,7 @@ from .errors import (
     DegenerateLevelError, NumericalRefusal, SpecError, require_array, require_integer,
     require_number, require_object,
 )
-from .hilbert import _fix_phase, as_operator
+from .hilbert import _fix_phase, as_operator, hermitian_split, hermitian_tensor
 from .liegroup import (
     EULER_GENERATOR_SCALE,
     LEFT_INVARIANT,
@@ -32,7 +34,7 @@ from .liegroup import (
     euler_elements,
     grid_points,
 )
-from .pullback import contract, covariance_matrix
+from .pullback import _normalized_fiducial, contract, covariance_matrix
 
 # Relative gap floor: levels closer than this times the spectral radius
 # count as degenerate.
@@ -49,9 +51,17 @@ class QGTResult:
 
     point: np.ndarray
     h: np.ndarray  # (m, m) complex, Hermitian
-    metric: np.ndarray  # Re part, symmetrised
-    curvature_form: np.ndarray  # minus the antisymmetrised Im part
     gap: float | np.ndarray
+
+    @property
+    def metric(self) -> np.ndarray:
+        """Symmetrised real part of ``h``."""
+        return hermitian_split(self.h)[0]
+
+    @property
+    def curvature_form(self) -> np.ndarray:
+        """Minus the antisymmetrised imaginary part of ``h``."""
+        return -hermitian_split(self.h)[1]
 
 
 class HamiltonianFamily:
@@ -310,23 +320,6 @@ def spectral_state_derivative(
     return derivs[0, mu] if single else derivs[:, mu]
 
 
-def _assemble(points, derivs, psi, gaps) -> QGTResult:
-    """Tensor from eigenstate derivatives ``(P, m, d)`` and states ``(P, d)``."""
-    d = np.asarray(derivs)
-    bra_psi = d.conj() @ psi[..., None]  # <d_mu psi | psi>, a column
-    psi_ket = (d @ psi.conj()[..., None]).swapaxes(-1, -2)  # <psi | d_nu psi>, a row
-    h = d.conj() @ d.swapaxes(-1, -2) - bra_psi * psi_ket
-    metric = (h.real + h.real.swapaxes(-1, -2)) / 2
-    curvature = -(h.imag - h.imag.swapaxes(-1, -2)) / 2
-    return QGTResult(
-        point=np.asarray(points, dtype=float),
-        h=h,
-        metric=metric,
-        curvature_form=curvature,
-        gap=gaps,
-    )
-
-
 def qgt_tensor(
     family: HamiltonianFamily, lam, a: int | None = None,
     degeneracy_tol: float | None = None,
@@ -335,8 +328,8 @@ def qgt_tensor(
     ``lam`` of shape ``(m,)`` or on a stack of shape ``(P, m)``."""
     stack, single, psi, gaps, derivs = _spectral(family, lam, a, degeneracy_tol)
     if single:
-        return _assemble(stack[0], derivs[0], psi[0], float(gaps[0]))
-    return _assemble(stack, derivs, psi, gaps)
+        stack, psi, gaps, derivs = stack[0], psi[0], float(gaps[0]), derivs[0]
+    return QGTResult(stack, hermitian_tensor(psi, derivs, projective=True), gaps)
 
 
 def finite_difference_qgt(
@@ -376,7 +369,7 @@ def finite_difference_qgt(
 
     steps = step * np.eye(family.param_dim)
     derivs = [(aligned_state(lam + dx) - aligned_state(lam - dx)) / (2 * step) for dx in steps]
-    return _assemble(lam[0], derivs, psi, float(gap))
+    return QGTResult(lam[0], hermitian_tensor(psi, derivs, projective=True), float(gap))
 
 
 def orbit_consistency_check(
@@ -397,8 +390,7 @@ def orbit_consistency_check(
     left-invariant coframe in generator normalisation.  Returns the largest
     deviation.
     """
-    psi = np.asarray(fiducial, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    psi = _normalized_fiducial(fiducial)
     if direction is None:
         first = np.real(np.einsum("i,nij,j->n", psi.conj(), rep.generators, psi))
         scale = float(np.linalg.norm(first))

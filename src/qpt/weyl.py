@@ -51,8 +51,9 @@ from scipy.linalg import expm
 
 from . import fock
 from .errors import NotLagrangianError
+from .hilbert import hermitian_tensor
 from .liegroup import LieAlgebraRep, heisenberg_rep
-from .pullback import PullbackTensor, second_moments
+from .pullback import PullbackTensor
 
 # Largest Fock space, cutoff**modes, a Weyl system may hold: 2**20 states is
 # a 16 MiB complex state vector (modes 4 at cutoff 32).  The defect checks
@@ -91,14 +92,14 @@ class WeylSystem:
         return fock.vacuum(self.modes, self.cutoff)
 
 
-def build_weyl(modes: int, cutoff: int) -> WeylSystem:
+def build_weyl(modes: int, cutoff: int, paths=(None, None)) -> WeylSystem:
     """Build ``Q = (a + a^dag)/sqrt(2)``, ``P = 1j (a^dag - a)/sqrt(2)`` on
     one mode truncated at ``cutoff`` levels, shared by ``modes`` modes.
 
     Refuses a Fock space of more than :data:`MAX_STATES` states before any
-    allocation.
+    allocation, naming the spec ``paths`` of ``modes`` and ``cutoff``.
     """
-    fock.check_size(modes, cutoff, MAX_STATES, "Weyl system")
+    fock.check_size(modes, cutoff, MAX_STATES, "Weyl system", paths)
     return WeylSystem(modes, cutoff, heisenberg_rep(1, cutoff))
 
 
@@ -169,7 +170,8 @@ def defect_convergence(modes: int, v1, v2, cutoffs=(8, 16, 32)) -> list[float]:
 
 
 def gaussian_covariance(system: WeylSystem, projective: bool = False) -> PullbackTensor:
-    """Pulled-back tensor of the vacuum orbit over the 2n generators.
+    """Pulled-back tensor of the vacuum orbit over the 2n generators: the
+    Hermitian tensor on the mode-factorised tangent vectors ``R_j |0>``.
 
     The real part is ``(1/2) I`` and the imaginary part ``(1/2) omega``;
     both are exact on the truncated space, and the projective flag changes
@@ -177,7 +179,7 @@ def gaussian_covariance(system: WeylSystem, projective: bool = False) -> Pullbac
     """
     vac = system.vacuum()
     return PullbackTensor(
-        coefficients=second_moments(vac, generator_states(system, vac), projective),
+        coefficients=hermitian_tensor(vac, generator_states(system, vac), projective),
         projective=projective,
         fiducial=vac,
         multiplier_form=system.symplectic_form,

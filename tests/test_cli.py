@@ -508,7 +508,9 @@ def test_weyl_over_state_budget_is_spec_error(tmp_path, capsys):
     # Five modes fit at cutoff 4, but the defect checks need cutoff 32.
     out = tmp_path / "w.jsonl"
     assert main(["weyl", "--modes", "5", "--cutoff", "4", "--out", str(out)]) == 2
-    assert "budget" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "error: at $.modes: the cutoff-32 defect check's Weyl system of 5 modes at cutoff 32"
+    )
     assert not out.exists()
 
 
@@ -544,6 +546,12 @@ def affine_spec(h0, terms):
         ),
         ({"hamiltonian": dict(ORBIT_FAMILY, rep={"builtin": "su2", "spin": 1e9}), "grid": ORBIT_GRID},
          "$.hamiltonian.rep.spin"),
+        ({"hamiltonian": dict(ORBIT_FAMILY, rep={"builtin": "su2", "spin": -1}), "grid": ORBIT_GRID},
+         "$.hamiltonian.rep.spin"),
+        ({"hamiltonian": dict(ORBIT_FAMILY, rep={"builtin": "su2", "spin": 0}), "grid": ORBIT_GRID},
+         "$.hamiltonian.rep.spin"),
+        ({"hamiltonian": dict(ORBIT_FAMILY, rep={"builtin": "su2", "spin": 1.7}), "grid": ORBIT_GRID},
+         "$.hamiltonian.rep.spin"),
         (affine_spec([[["a", 0], [1, 0]], [[1, 0], [0, 0]]], [SZ_PAIRS]), "$.hamiltonian.affine.h0[0][0][0]"),
         (affine_spec(SX_PAIRS, [[[[1, 0]]]]), "$.hamiltonian.affine"),
         (affine_spec(SX_PAIRS, [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]]), "$.hamiltonian.affine"),
@@ -552,8 +560,9 @@ def affine_spec(h0, terms):
         (affine_spec(SX_PAIRS, [[[[1e400, 0], [0, 0]], [[0, 0], [-1, 0]]]]), "$.hamiltonian.affine.terms[0][0][0][0]"),
     ],
     ids=["level-string", "hamiltonian-level-string", "level-7", "hamiltonian-level-7",
-         "level-float", "spin-string", "spin-1e9", "affine-h0-string", "affine-terms-shape",
-         "affine-not-hermitian", "affine-terms-empty", "affine-terms-5", "affine-infinite"],
+         "level-float", "spin-string", "spin-1e9", "spin-negative", "spin-zero", "spin-1.7",
+         "affine-h0-string", "affine-terms-shape", "affine-not-hermitian", "affine-terms-empty",
+         "affine-terms-5", "affine-infinite"],
 )
 @pytest.mark.parametrize("command", ["qgt", "verify"])
 def test_qgt_spec_errors_exit_2(tmp_path, capsys, command, payload, path):
@@ -572,9 +581,11 @@ def test_qgt_spec_errors_exit_2(tmp_path, capsys, command, payload, path):
         ({"modes": 1.7, "cutoff": 4}, "error: at $.rep.modes"),
         ({"modes": True, "cutoff": 4}, "error: at $.rep.modes"),
         ({"modes": 1, "cutoff": "4"}, "error: at $.rep.cutoff"),
-        ({"modes": 2, "cutoff": 33}, "error: dense position/momentum operators"),
+        ({"modes": 0, "cutoff": 4}, "error: at $.rep.modes: modes must be a positive integer"),
+        ({"modes": 1, "cutoff": 2}, "error: at $.rep.cutoff: cutoff must be at least 3"),
+        ({"modes": 2, "cutoff": 33}, "error: at $.rep.modes and $.rep.cutoff: dense position/momentum"),
     ],
-    ids=["modes-float", "modes-bool", "cutoff-string", "over-budget"],
+    ids=["modes-float", "modes-bool", "cutoff-string", "modes-zero", "cutoff-2", "over-budget"],
 )
 def test_heisenberg_rep_spec_errors_exit_2(tmp_path, capsys, rep, message):
     spec = {
@@ -619,11 +630,12 @@ EXPLICIT_REP = {"generators": PAULI_PAIRS, "structure_constants": PAULI_STRUCTUR
         ({"rep": dict(EXPLICIT_REP, multiplier_form=[["a", 0, 0], [0, 0, 0], [0, 0, 0]])},
          "$.rep.multiplier_form[0][0]"),
         ({"rep": {"builtin": "su2", "spin": 1e9}}, "$.rep.spin"),
+        ({"rep": {"builtin": "su2", "spin": 1.7}}, "$.rep.spin"),
         ({"output": {"path": 5}}, "$.output.path"),
     ],
     ids=["fiducial-dimension", "fiducial-nan-string", "fiducial-bool", "fiducial-string", "fiducial-triple",
          "generator-string", "generator-bool", "structure-constants-string", "multiplier-form-string",
-         "spin-1e9", "output-path"],
+         "spin-1e9", "spin-1.7", "output-path"],
 )
 @pytest.mark.parametrize("command", ["group", "verify"])
 def test_group_spec_errors_exit_2(tmp_path, capsys, command, change, path):
@@ -692,15 +704,19 @@ def exit_code(argv):
         ("weyl", {"modes": 1, "cutoff": 8, "lagrangian": [["a", 0]]}, "$.lagrangian[0][0]"),
         ("weyl", {"modes": 1, "cutoff": 8, "lagrangian": [[True, 0]]}, "$.lagrangian[0][0]"),
         ("weyl", {"modes": 1, "cutoff": 8, "lagrangian": "nan,0"}, "$.lagrangian[0][0]"),
+        ("weyl", {"modes": 0, "cutoff": 8}, "$.modes"),
+        ("weyl", {"modes": 3, "cutoff": 128}, "$.modes and $.cutoff"),
+        ("verify", {"target": "weyl", "modes": 1, "cutoff": 2}, "$.cutoff"),
     ],
     ids=["grid-endpoint", "grid-bool", "qgt-delta", "verify-delta", "direction", "fd-step", "tol",
          "degeneracy-tol", "fd-step-zero", "fd-step-negative", "fd-step-null", "degeneracy-tol-negative",
-         "lagrangian-string", "lagrangian-bool", "lagrangian-text-nan"],
+         "lagrangian-string", "lagrangian-bool", "lagrangian-text-nan", "weyl-modes-zero",
+         "weyl-over-budget", "verify-weyl-cutoff-2"],
 )
 def test_non_numeric_spec_values_exit_2(tmp_path, capsys, command, payload, path):
     spec = {"mode": command, **payload}
     if command == "verify":
-        spec["target"] = "qgt"
+        spec.setdefault("target", "qgt")
     out = tmp_path / "s.jsonl"
     assert main([command, "--spec", write_spec(tmp_path, "s.json", spec), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: at {path}")

@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpt.errors import ZeroFiducialError
 from qpt.hilbert import (
-    hermitian_tensor_at,
+    hermitian_split,
+    hermitian_tensor,
     inner,
     is_hermitian,
     is_skew_hermitian,
     is_unitary,
     norm,
-    projective_tensor_at,
 )
 
 E1 = np.array([1, 0], dtype=complex)
@@ -59,67 +58,74 @@ def test_inner_sesquilinearity(phi, chi, psi, a, b):
     assert abs(lhs - rhs) <= 1e-12
 
 
+def unit(psi):
+    """``psi`` normalised; a near-zero draw is moved off the origin first."""
+    if np.linalg.norm(psi) < 1e-3:
+        psi = psi + np.array([1.0, 0, 0])
+    return psi / np.linalg.norm(psi)
+
+
 def test_hermitian_tensor_basis_values():
-    t = hermitian_tensor_at(E1, E1, E1)
-    assert (t.value, t.real_part, t.imag_part) == (1, 1, 0)
-    t = hermitian_tensor_at(E1, E1, 1j * E1)
-    assert (t.value, t.real_part, t.imag_part) == (1j, 0, 1)
-    assert hermitian_tensor_at(E1, E1, E2).value == 0
+    h = hermitian_tensor(E1, np.array([E1, 1j * E1, E2]))
+    np.testing.assert_array_equal(h[0], [1, 1j, 0])
+    metric, form = hermitian_split(h)
+    assert (metric[0, 0], form[0, 0]) == (1, 0)
+    assert (metric[0, 1], form[0, 1]) == (0, 1)
 
 
 def test_hermitian_tensor_base_point_independent():
     rng = np.random.default_rng(7)
-    u = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    a = hermitian_tensor_at(E1, u, v).value
-    b = hermitian_tensor_at(E1 + 2j * E2, u, v).value
-    assert a == b
+    tangents = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    moved = (E1 + 2j * E2) / np.sqrt(5)
+    np.testing.assert_array_equal(hermitian_tensor(E1, tangents), hermitian_tensor(moved, tangents))
 
 
 def test_projective_tensor_anchor_value():
-    # psi = e1, u = v = e2: 1/1 - 0 = 1, the ray-space normalization anchor.
-    assert projective_tensor_at(E1, E2, E2).value == pytest.approx(1)
+    # psi = e1, u = v = e2: 1 - 0 = 1, the ray-space normalization anchor.
+    assert hermitian_tensor(E1, E2[None], projective=True)[0, 0] == pytest.approx(1)
 
 
 @settings(deadline=None, max_examples=50)
 @given(vectors(), vectors())
 def test_projective_degeneracy_directions(psi, v):
-    if np.linalg.norm(psi) < 1e-3:
-        psi = psi + np.array([1.0, 0, 0])
-    assert abs(projective_tensor_at(psi, psi, v).value) <= 1e-12
-    assert abs(projective_tensor_at(psi, 1j * psi, v).value) <= 1e-12
-    assert abs(projective_tensor_at(psi, v, psi).value) <= 1e-12
+    psi = unit(psi)
+    h = hermitian_tensor(psi, np.array([psi, 1j * psi, v]), projective=True)
+    assert np.abs(h[:2]).max() <= 1e-12  # rows of psi and 1j psi
+    assert np.abs(h[:, :2]).max() <= 1e-12  # and their columns
 
 
 @settings(deadline=None, max_examples=50)
-@given(vectors(), vectors(), vectors(), complex_numbers())
-def test_projective_scale_invariance(psi, u, v, lam):
-    if np.linalg.norm(psi) < 1e-3:
-        psi = psi + np.array([1.0, 0, 0])
-    if abs(lam) < 1e-3:
-        lam += 1.0
-    base = projective_tensor_at(psi, u, v).value
-    moved = projective_tensor_at(lam * psi, lam * u, lam * v).value
-    assert abs(moved - base) <= 1e-10 * max(1.0, abs(base))
+@given(vectors(), vectors(), vectors(), st.floats(0.0, 2 * np.pi))
+def test_projective_phase_invariance(psi, u, v, angle):
+    psi = unit(psi)
+    phase = np.exp(1j * angle)
+    base = hermitian_tensor(psi, np.array([u, v]), projective=True)
+    moved = hermitian_tensor(phase * psi, phase * np.array([u, v]), projective=True)
+    assert np.abs(moved - base).max() <= 1e-10 * max(1.0, np.abs(base).max())
 
 
 def test_projective_hermitian_split_symmetry():
     rng = np.random.default_rng(3)
     psi, u, v = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(3))
-    t_uv = projective_tensor_at(psi, u, v)
-    t_vu = projective_tensor_at(psi, v, u)
-    assert t_uv.real_part == pytest.approx(t_vu.real_part, abs=1e-12)
-    assert t_uv.imag_part == pytest.approx(-t_vu.imag_part, abs=1e-12)
+    h = hermitian_tensor(psi / np.linalg.norm(psi), np.array([u, v]), projective=True)
+    metric, form = hermitian_split(h)
+    np.testing.assert_array_equal(metric, metric.T)
+    np.testing.assert_array_equal(form, -form.T)
+    np.testing.assert_allclose(metric + 1j * form, h, atol=1e-12)
 
 
-def test_projective_zero_fiducial_rejected():
-    with pytest.raises(ZeroFiducialError):
-        projective_tensor_at([0, 0], E1, E1)
-
-
-def test_tensor_value_consistency():
-    t = projective_tensor_at(E1, E2, 1j * E2)
-    assert t.value == pytest.approx(t.real_part + 1j * t.imag_part)
+@pytest.mark.parametrize("projective", [False, True])
+def test_hermitian_tensor_stack_matches_slices(projective):
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    tangents = rng.normal(size=(5, 3, 4)) + 1j * rng.normal(size=(5, 3, 4))
+    stacked = hermitian_tensor(psi, tangents, projective)
+    assert stacked.shape == (5, 3, 3)
+    for p in range(5):
+        np.testing.assert_allclose(
+            stacked[p], hermitian_tensor(psi[p], tangents[p], projective), rtol=0, atol=1e-14
+        )
 
 
 def test_norm():

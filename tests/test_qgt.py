@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from qpt import qgt
-from qpt.errors import DegenerateLevelError, NumericalRefusal, SpecError
+from qpt.errors import DegenerateLevelError, NumericalRefusal, SpecError, ZeroFiducialError
 from qpt.liegroup import euler_coframes, su2_spin_rep
 from qpt.qgt import (
     HamiltonianFamily,
@@ -209,6 +209,12 @@ def test_orbit_consistency_rejects_non_ground_fiducial():
     rep = su2_spin_rep(0.5)
     with pytest.raises(NumericalRefusal):
         orbit_consistency_check(rep, np.array([0, 1], dtype=complex), direction=[0, 0, 1])
+
+
+@pytest.mark.parametrize("direction", [None, [0, 0, 1]])
+def test_orbit_consistency_zero_fiducial_refused(direction):
+    with pytest.raises(ZeroFiducialError):
+        orbit_consistency_check(su2_spin_rep(1.5), np.zeros(4), direction=direction)
 
 
 def test_ham_from_spec_affine():
