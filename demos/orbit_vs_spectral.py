@@ -38,7 +38,7 @@ family = orbit_family(rep, [0, 0, 1])
 spectral = qgt_tensor(family, point.coords, a=0)
 
 tensor = covariance_matrix(rep, [1, 0], projective=True)
-coframe = su2_coframe(point, frame=LEFT_INVARIANT).rescaled(EULER_GENERATOR_SCALE)
+coframe = su2_coframe(point, frame=LEFT_INVARIANT) * EULER_GENERATOR_SCALE
 pulled = evaluate_at(tensor, coframe)
 
 print("\nspectral Re(h):\n", spectral.metric)

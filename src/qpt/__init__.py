@@ -33,7 +33,6 @@ from .hilbert import (
     norm,
 )
 from .liegroup import (
-    Coframe,
     GroupPoint,
     LieAlgebraRep,
     adjoint_matrix,

@@ -14,6 +14,7 @@ import numpy as np
 from . import fock
 from . import weyl as weyl_mod
 from .errors import NumericalRefusal
+from .hilbert import hermitian_tensor, hermiticity_defect
 from .liegroup import (
     LieAlgebraRep,
     adjoint_matrix,
@@ -27,9 +28,10 @@ from .liegroup import (
 )
 from .pullback import (
     PullbackTensor,
-    contract,
     covariance_matrix,
     degeneracy_directions,
+    evaluate_at,
+    first_moments,
     multiplier_consistency,
     split,
 )
@@ -103,19 +105,37 @@ def equivariance_residual(
     """Covariance of the displaced fiducial versus the adjoint-conjugated one.
 
     For every sampled group element ``g`` the identity
-    ``T(U(g)|0>) = A(g) T(|0>) A(g)^T`` is evaluated in max norm.
+    ``T(U(g)|0>) = A(g) T(|0>) A(g)^T`` is evaluated in max norm.  The
+    group elements and their adjoint matrices are one stack each.
     """
     rng = np.random.default_rng(seed)
     base = covariance_matrix(rep, fiducial).coefficients
     psi = np.asarray(fiducial, dtype=complex)
-    worst = 0.0
-    for _ in range(n_samples):
-        point = exponential_point(rng.uniform(-1.5, 1.5, rep.n_generators))
-        u = group_element(rep, point)
-        a = adjoint_matrix(rep, point)
-        displaced = covariance_matrix(rep, u @ psi).coefficients
-        worst = max(worst, float(np.abs(displaced - a @ base @ a.T).max()))
-    return worst
+    points = exponential_point(rng.uniform(-1.5, 1.5, (n_samples, rep.n_generators)))
+    a = adjoint_matrix(rep, points)
+    transported = a @ base @ a.swapaxes(-1, -2)
+    displaced = group_element(rep, points) @ psi
+    return max(
+        float(np.abs(covariance_matrix(rep, phi).coefficients - t).max())
+        for phi, t in zip(displaced, transported)
+    )
+
+
+def projective_scale_residual(
+    rep: LieAlgebraRep, fiducial, projective: bool = True, seed: int = 0
+) -> float:
+    """Largest change of the tensor when each tangent vector ``R_j psi``
+    gains a seeded complex multiple ``c_j psi`` of the state.
+
+    That is a move along the scale and phase direction ``psi``, which the
+    projective tensor does not see; the linear tensor
+    (``projective=False``) does, which makes it the negative control.
+    """
+    t = covariance_matrix(rep, fiducial, projective=projective)
+    psi = t.fiducial
+    c = np.random.default_rng(seed).normal(size=(rep.n_generators, 2)) @ [1.0, 1j]
+    shifted = hermitian_tensor(psi, rep.generators @ psi + c[:, None] * psi, projective)
+    return float(np.abs(shifted - t.coefficients).max())
 
 
 def two_form_closedness_residual(
@@ -131,7 +151,7 @@ def two_form_closedness_residual(
     """
 
     def w_at(points):
-        return contract(tensor, euler_coframes(points))[1]
+        return evaluate_at(tensor, euler_coframes(points)).two_form
 
     betas = np.linspace(0.3, np.pi - 0.3, grid_shape[0])
     gammas = np.linspace(0.1, 2 * np.pi - 0.1, grid_shape[1])
@@ -153,7 +173,7 @@ def group_checks(
     tol_dim = 1e-10 * rep.dim
     results = []
 
-    herm = float(np.abs(rep.generators - rep.generators.conj().swapaxes(1, 2)).max())
+    herm = float(hermiticity_defect(rep.generators).max())
     results.append(CheckResult("generator-hermiticity", herm, tol_dim))
     results.append(
         CheckResult("closure", rep.closure_residual(rep.closure_mask), tol_dim)
@@ -162,25 +182,21 @@ def group_checks(
     linear = covariance_matrix(rep, fiducial)
     projective = covariance_matrix(rep, fiducial, projective=True)
     for label, t in (("linear", linear), ("projective", projective)):
-        c = t.coefficients
-        results.append(
-            CheckResult(f"covariance-hermiticity-{label}", float(np.abs(c - c.conj().T).max()), 1e-12)
-        )
+        defect = float(hermiticity_defect(t.coefficients))
+        results.append(CheckResult(f"covariance-hermiticity-{label}", defect, 1e-12))
     metric, _ = split(projective)
     min_eig = float(np.linalg.eigvalsh(metric).min())
     results.append(CheckResult("projective-psd", max(0.0, -min_eig), 1e-10))
-
-    lam = complex(rng.uniform(0.2, 2.0), rng.uniform(-2.0, 2.0))
-    rescaled = covariance_matrix(rep, lam * np.asarray(fiducial, dtype=complex), projective=True)
-    scale_dev = float(np.abs(rescaled.coefficients - projective.coefficients).max())
-    results.append(CheckResult("projective-scale-invariance", scale_dev, 1e-10))
+    results.append(CheckResult(
+        "projective-scale-invariance", projective_scale_residual(rep, fiducial, seed=seed), 1e-10
+    ))
 
     psi = projective.fiducial
+    first = first_moments(rep, psi)
     worst_dir = 0.0
     for u in degeneracy_directions(rep, fiducial):
         op = np.tensordot(u, rep.generators, axes=1)
-        mean = np.real(psi.conj() @ op @ psi)
-        worst_dir = max(worst_dir, float(np.linalg.norm(op @ psi - mean * psi)))
+        worst_dir = max(worst_dir, float(np.linalg.norm(op @ psi - (u @ first) * psi)))
     results.append(CheckResult("degeneracy-direction-residual", worst_dir, 1e-6))
 
     results.append(
@@ -195,17 +211,10 @@ def group_checks(
         )
 
     if rep.n_generators == 3 and rep.multiplier_form is None:
-        det_dev = 0.0
-        mc_dev = 0.0
-        for _ in range(n_points):
-            a, g = rng.uniform(0.0, 2 * np.pi, 2)
-            b = rng.uniform(0.15, np.pi - 0.15)
-            point = euler_point(a, b, g)
-            det_dev = max(
-                det_dev,
-                abs(float(np.linalg.det(su2_coframe(point).theta)) - np.sin(b)),
-            )
-            mc_dev = max(mc_dev, maurer_cartan_residual(rep, point, step=fd_step))
+        angles = rng.uniform([0.0, 0.15, 0.0], [2 * np.pi, np.pi - 0.15, 2 * np.pi], (n_points, 3))
+        points = euler_point(*angles.T)
+        det_dev = float(np.abs(np.linalg.det(su2_coframe(points)) - np.sin(angles[:, 1])).max())
+        mc_dev = float(maurer_cartan_residual(rep, points, step=fd_step).max())
         results.append(CheckResult("coframe-determinant", det_dev, 1e-12))
         results.append(CheckResult("maurer-cartan", mc_dev, 1e-8))
         results.append(
@@ -347,28 +356,19 @@ def qgt_checks(
 ) -> list[CheckResult]:
     """Invariant battery for a Hamiltonian family over sample points.
 
-    The spectral tensor is one stacked evaluation; the finite-difference
-    oracle runs point by point.
+    The spectral tensor and its finite-difference oracle are one stacked
+    evaluation each.
     """
     spectral = qgt_tensor(family, points, a=level)
-    h = spectral.h
-    herm_dev = float(np.abs(h - h.conj().swapaxes(-1, -2)).max())
+    herm_dev = float(hermiticity_defect(spectral.h).max())
     psd_dev = max(0.0, -float(np.linalg.eigvalsh(spectral.metric).min()))
-    fd_dev = _fd_deviation(family, spectral, level, fd_step)
+    fd = finite_difference_qgt(family, points, a=level, step=fd_step)
+    fd_dev = float(np.abs(spectral.h - fd.h).max())
     return [
         CheckResult("qgt-hermiticity", herm_dev, 1e-12),
         CheckResult("qgt-metric-psd", psd_dev, 1e-10),
         CheckResult("qgt-spectral-vs-finite-difference", fd_dev, 1e-6),
     ]
-
-
-def _fd_deviation(family: HamiltonianFamily, spectral, level, step: float) -> float:
-    """Largest entrywise distance of a stacked spectral result from the
-    finite-difference oracle, which is evaluated point by point."""
-    return max(
-        float(np.abs(h - finite_difference_qgt(family, p, a=level, step=step).h).max())
-        for p, h in zip(spectral.point, spectral.h)
-    )
 
 
 def bloch_closed_form_checks(grid_shape: tuple[int, int] = (10, 10)) -> list[CheckResult]:
@@ -381,7 +381,7 @@ def bloch_closed_form_checks(grid_shape: tuple[int, int] = (10, 10)) -> list[Che
     expected = np.zeros_like(res.metric)
     expected[:, 0, 0], expected[:, 1, 1] = 0.25, 0.25 * np.sin(points[:, 0]) ** 2
     metric_dev = float(np.abs(res.metric - expected).max())
-    fd_dev = _fd_deviation(family, res, 0, 1e-5)
+    fd_dev = float(np.abs(res.h - finite_difference_qgt(family, points, a=0, step=1e-5).h).max())
     return [
         CheckResult("bloch-metric-closed-form", metric_dev, 1e-8),
         CheckResult("bloch-spectral-vs-finite-difference", fd_dev, 1e-6),

@@ -40,7 +40,7 @@ from .liegroup import (
     grid_points,
     rep_from_spec,
 )
-from .pullback import contract, covariance_matrix
+from .pullback import covariance_matrix, evaluate_at
 from .qgt import ham_from_spec, qgt_tensor
 from .weyl import build_weyl, gaussian_covariance, lagrangian_restriction
 
@@ -347,7 +347,7 @@ def cmd_group(args) -> int:
 
     tensor = covariance_matrix(rep, fiducial, projective=projective)
     scale = EULER_GENERATOR_SCALE if normalization == "generator" else 1.0
-    metric, two_form = contract(tensor, euler_coframes(points, frame) * scale)
+    metric, two_form = evaluate_at(tensor, euler_coframes(points, frame) * scale)
     # Each record is built as it is written, so no list of records is held.
     records = (
         {"point": p.tolist(), "metric": g.tolist(), "two_form": w.tolist()}

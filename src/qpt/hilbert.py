@@ -65,9 +65,16 @@ def _tol(dim: int, atol: float | None) -> float:
     return PROPERTY_ATOL * dim if atol is None else atol
 
 
+def hermiticity_defect(a):
+    """Max of ``|a - a^dag|`` over the last two axes: a float for one
+    matrix, an array of shape ``a.shape[:-2]`` for a stack."""
+    a = np.asarray(a)
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
 def is_hermitian(a, atol: float | None = None) -> bool:
     a = as_operator(a)
-    return float(np.abs(a - a.conj().T).max()) <= _tol(a.shape[0], atol)
+    return float(hermiticity_defect(a)) <= _tol(a.shape[0], atol)
 
 
 def is_skew_hermitian(a, atol: float | None = None) -> bool:

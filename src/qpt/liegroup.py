@@ -27,7 +27,7 @@ from scipy.linalg import expm
 
 from . import fock
 from .errors import SpecError, require_array, require_integer, require_number, require_object
-from .hilbert import is_hermitian
+from .hilbert import hermiticity_defect
 
 # Coframe components pair with generators/2 in the z-y-z Euler product.
 EULER_GENERATOR_SCALE = 0.5
@@ -41,8 +41,10 @@ LEFT_INVARIANT = "left"
 
 @dataclass(frozen=True)
 class GroupPoint:
-    """Chart coordinates of a group element.
+    """Chart coordinates of a group element, or of a stack of them.
 
+    ``coords`` has shape ``(m,)`` for one point or ``(P, m)`` for a stack;
+    the functions that take a point return one value or a stack to match.
     Euler angles cover the group for ``alpha in [0, 4 pi)``,
     ``beta in [0, pi]``, ``gamma in [0, 2 pi)``; only finiteness is
     enforced, the covering convention is documentation.
@@ -53,47 +55,23 @@ class GroupPoint:
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float).copy()
-        if coords.ndim != 1 or not np.all(np.isfinite(coords)):
-            raise ValueError("group point coordinates must be a finite 1-D array")
+        if coords.ndim not in (1, 2) or not np.all(np.isfinite(coords)):
+            raise ValueError("group point coordinates must be a finite (m,) or (P, m) array")
         if self.chart not in (EULER, EXPONENTIAL):
             raise SpecError(f"unknown chart {self.chart!r}")
-        if self.chart == EULER and coords.size != 3:
+        if self.chart == EULER and coords.shape[-1] != 3:
             raise SpecError("Euler chart needs exactly three angles")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
 
-def euler_point(alpha: float, beta: float, gamma: float) -> GroupPoint:
-    return GroupPoint(np.array([alpha, beta, gamma]), chart=EULER)
+def euler_point(alpha, beta, gamma) -> GroupPoint:
+    """Euler chart point; arrays of angles of one shape ``(P,)`` give a stack."""
+    return GroupPoint(np.stack([alpha, beta, gamma], axis=-1), chart=EULER)
 
 
 def exponential_point(x) -> GroupPoint:
     return GroupPoint(np.asarray(x, dtype=float), chart=EXPONENTIAL)
-
-
-@dataclass(frozen=True)
-class Coframe:
-    """Invariant one-form components at one chart point.
-
-    ``theta[j, a]`` is the component of the j-th invariant one-form against
-    the coordinate differential ``dx^a``.  ``frame`` records whether the
-    forms are right or left invariant.
-    """
-
-    theta: np.ndarray
-    point: np.ndarray
-    frame: str = RIGHT_INVARIANT
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        point = np.asarray(self.point, dtype=float)
-        if theta.ndim != 2 or not np.all(np.isfinite(theta)):
-            raise ValueError("coframe components must be a finite 2-D array")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "point", point)
-
-    def rescaled(self, factor: float) -> "Coframe":
-        return Coframe(self.theta * factor, self.point, self.frame)
 
 
 @dataclass(frozen=True)
@@ -127,11 +105,13 @@ class LieAlgebraRep:
         gens = np.asarray(self.generators, dtype=complex)
         if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
             raise ValueError("generators must be a stack of square matrices")
+        if not np.all(np.isfinite(gens)):
+            raise ValueError("generators have non-finite entries")
         n, d = gens.shape[0], gens.shape[1]
         tol = self.atol * d
-        for j in range(n):
-            if not is_hermitian(gens[j], atol=tol):
-                raise ValueError(f"generator {j} is not Hermitian within {tol:g}")
+        bad = np.flatnonzero(hermiticity_defect(gens) > tol)
+        if bad.size:
+            raise ValueError(f"generator {bad[0]} is not Hermitian within {tol:g}")
         c = np.asarray(self.structure_constants, dtype=float)
         if c.shape != (n, n, n):
             raise ValueError(f"structure constants must have shape {(n, n, n)}")
@@ -326,12 +306,14 @@ def euler_coframes(angles, frame: str = RIGHT_INVARIANT) -> np.ndarray:
     return theta
 
 
-def su2_coframe(point: GroupPoint, frame: str = RIGHT_INVARIANT) -> Coframe:
-    """Invariant coframe of the z-y-z Euler chart at ``point``: the
-    single-point case of :func:`euler_coframes`."""
+def su2_coframe(point: GroupPoint, frame: str = RIGHT_INVARIANT) -> np.ndarray:
+    """Invariant coframe components of the z-y-z Euler chart at ``point``,
+    ``(3, 3)`` for one point or ``(P, 3, 3)`` for a stack: the components
+    of :func:`euler_coframes`, ``theta[..., j, a]`` pairing the j-th
+    invariant one-form with ``dx^a``."""
     if point.chart != EULER:
         raise SpecError("su2_coframe requires Euler coordinates")
-    return Coframe(euler_coframes(point.coords, frame), point.coords, frame)
+    return euler_coframes(point.coords, frame)
 
 
 def euler_elements(rep: LieAlgebraRep, angles) -> np.ndarray:
@@ -357,17 +339,18 @@ def euler_elements(rep: LieAlgebraRep, angles) -> np.ndarray:
 
 
 def group_element(rep: LieAlgebraRep, point: GroupPoint) -> np.ndarray:
-    """Unitary representative of a chart point.
+    """Unitary representative of a chart point, ``(d, d)``, or of a stack,
+    ``(P, d, d)``.
 
-    Exponential coordinates give ``expm(1j sum_j x_j R_j)``; Euler
-    coordinates give the z-y-z product with half generators, the
-    single-point case of :func:`euler_elements`.
+    Exponential coordinates give ``expm(1j sum_j x_j R_j)``, one batched
+    ``expm`` call for a stack; Euler coordinates give the z-y-z product with
+    half generators from :func:`euler_elements`.
     """
     if point.chart == EULER:
         return euler_elements(rep, point.coords)
-    if point.coords.size != rep.n_generators:
+    if point.coords.shape[-1] != rep.n_generators:
         raise ValueError(
-            f"need {rep.n_generators} exponential coordinates, got {point.coords.size}"
+            f"need {rep.n_generators} exponential coordinates, got {point.coords.shape[-1]}"
         )
     u = expm(1j * np.tensordot(point.coords, rep.generators, axes=1))
     if not np.all(np.isfinite(u)):
@@ -378,12 +361,15 @@ def group_element(rep: LieAlgebraRep, point: GroupPoint) -> np.ndarray:
 def adjoint_matrix(
     rep: LieAlgebraRep, point: GroupPoint, return_shift: bool = False
 ):
-    """Matrix of the adjoint action on the generator basis.
+    """Matrix of the adjoint action on the generator basis, ``(n, n)`` at
+    one point or ``(P, n, n)`` on a stack.
 
     Column ``j`` holds the expansion ``U R_j U^dag = sum_k A[k, j] R_k``
     (plus ``shift[j] * I`` when a multiplier form makes the identity enter).
     With this indexing ``A(g h) = A(g) A(h)`` and the covariance matrix of a
-    displaced fiducial transforms as ``A T A^T``.
+    displaced fiducial transforms as ``A T A^T``.  Every conjugated
+    generator of every point is one column of a single least-squares solve
+    against the fixed generator basis.
     """
     gens = rep.generators
     n, d = rep.n_generators, rep.dim
@@ -396,69 +382,62 @@ def adjoint_matrix(
     rank = np.linalg.matrix_rank(bmat, tol=1e-12 * d)
     if rank < len(basis):
         raise ValueError("generators are not linearly independent; cannot solve for the adjoint")
-    a = np.zeros((n, n))
-    shift = np.zeros(n)
-    for j in range(n):
-        target = (u @ gens[j] @ u.conj().T).reshape(-1)
-        coef, *_ = np.linalg.lstsq(bmat, target, rcond=None)
-        if float(np.abs(coef.imag).max()) > 1e-8:
-            raise ValueError("adjoint coefficients are not real; inconsistent representation")
-        a[:, j] = coef[:n].real
-        if use_identity:
-            shift[j] = coef[n].real
+    u = u[..., None, :, :]  # against the generator axis
+    targets = (u @ gens @ u.conj().swapaxes(-1, -2)).reshape(-1, d * d)  # (P * n, d * d)
+    coef, *_ = np.linalg.lstsq(bmat, targets.T, rcond=None)
+    if float(np.abs(coef.imag).max()) > 1e-8:
+        raise ValueError("adjoint coefficients are not real; inconsistent representation")
+    coef = coef.real.reshape(len(basis), *point.coords.shape[:-1], n)  # [k, ..., j]
+    a = np.moveaxis(coef[:n], 0, -2)
+    shift = coef[n] if use_identity else np.zeros(a.shape[:-2] + (n,))
     return (a, shift) if return_shift else a
 
 
 def _coframe_for_rep(rep: LieAlgebraRep, point: GroupPoint) -> np.ndarray:
-    """Coframe components dual to the representation's own generators."""
+    """Coframe components dual to the representation's own generators,
+    ``(..., n, m)``."""
     if point.chart == EULER:
-        return su2_coframe(point).theta * EULER_GENERATOR_SCALE
+        return su2_coframe(point) * EULER_GENERATOR_SCALE
     # Exponential chart: exact invariant coframe is coordinate-valued only
     # for abelian algebras.
     if float(np.abs(rep.structure_constants).max()) > 1e-12:
         raise SpecError(
             "exponential-chart coframe is only available for abelian representations"
         )
-    if point.coords.size != rep.n_generators:
+    n = rep.n_generators
+    if point.coords.shape[-1] != n:
         raise ValueError("coordinate count must match the number of generators")
-    return np.eye(rep.n_generators)
+    return np.broadcast_to(np.eye(n), point.coords.shape[:-1] + (n, n))
 
 
-def maurer_cartan_residual(
-    rep: LieAlgebraRep, point: GroupPoint, step: float = 1e-5
-) -> float:
-    """Defect of ``d theta_r + (1/2) c[j,k,r] theta_j ^ theta_k = 0``.
+def maurer_cartan_residual(rep: LieAlgebraRep, point: GroupPoint, step: float = 1e-5):
+    """Defect of ``d theta_r + (1/2) c[j,k,r] theta_j ^ theta_k = 0``, a
+    float at one point or a ``(P,)`` array on a stack.
 
     The exterior derivative is taken by central finite differences of the
-    coframe components; wedge products carry no 1/2
-    (``a ^ b = a x b - b x a``).  The coframe is the one dual to the
-    representation's generators, so the identity closes with the stored
-    structure constants.  Chart-degenerate points are flagged with a warning
-    but still evaluated.
+    coframe components, one displaced stack per coordinate; wedge products
+    carry no 1/2 (``a ^ b = a x b - b x a``).  The coframe is the one dual
+    to the representation's generators, so the identity closes with the
+    stored structure constants.  Chart-degenerate points are flagged with a
+    warning but still evaluated.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    if point.chart == EULER and abs(np.sin(point.coords[1])) < 1e-8:
-        warnings.warn("chart-degenerate point (sin(beta) ~ 0); residual may be meaningless")
     coords = point.coords
-    m = coords.size
-    n = rep.n_generators
+    if point.chart == EULER and np.any(np.abs(np.sin(coords[..., 1])) < 1e-8):
+        warnings.warn("chart-degenerate point (sin(beta) ~ 0); residual may be meaningless")
     theta = _coframe_for_rep(rep, point)
-
-    def theta_at(x):
-        return _coframe_for_rep(rep, GroupPoint(x, chart=point.chart))
-
-    grad = np.zeros((m, n, m))  # grad[a, r, b] = d theta[r, b] / d x_a
-    for a in range(m):
-        dx = np.zeros(m)
-        dx[a] = step
-        grad[a] = (theta_at(coords + dx) - theta_at(coords - dx)) / (2 * step)
-
-    c = rep.structure_constants
-    worst = 0.0
-    for r in range(n):
-        # d theta_r on the coordinate bivector (a, b), plus the wedge term.
-        exterior = grad[:, r, :] - grad[:, r, :].T
-        wedge = theta.T @ c[:, :, r] @ theta  # sum_jk c[j,k,r] theta_ja theta_kb
-        worst = max(worst, float(np.abs(exterior + wedge).max()))
-    return worst
+    # grad[..., a, r, b] = d theta[r, b] / d x_a
+    grad = np.stack(
+        [
+            (_coframe_for_rep(rep, GroupPoint(coords + dx, point.chart))
+             - _coframe_for_rep(rep, GroupPoint(coords - dx, point.chart))) / (2 * step)
+            for dx in step * np.eye(coords.shape[-1])
+        ],
+        axis=-3,
+    )
+    # d theta_r on the coordinate bivector (a, b), plus the wedge term
+    # sum_jk c[j,k,r] theta_ja theta_kb.
+    exterior = grad - np.swapaxes(grad, -3, -1)
+    wedge = np.einsum("...ja,jkr,...kb->...arb", theta, rep.structure_constants, theta)
+    return np.abs(exterior + wedge).max(axis=(-3, -2, -1))

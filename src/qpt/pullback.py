@@ -14,12 +14,13 @@ products are ``a (.) b = a(x)b + b(x)a`` and ``a ^ b = a(x)b - b(x)a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ZeroFiducialError
-from .hilbert import _fix_phase, as_state, hermitian_split, hermitian_tensor
-from .liegroup import Coframe, GroupPoint, LieAlgebraRep, group_element
+from .hilbert import _fix_phase, as_state, hermitian_split, hermitian_tensor, hermiticity_defect
+from .liegroup import GroupPoint, LieAlgebraRep, group_element
 
 HERMITICITY_ATOL = 1e-12
 
@@ -41,11 +42,10 @@ class PullbackTensor:
     multiplier_form: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class CoordinateTensor:
-    """Metric and two-form matrices at one chart point."""
+class CoordinateTensor(NamedTuple):
+    """Metric and two-form coordinate matrices, ``(m, m)`` at one chart
+    point or ``(P, m, m)`` on a stack."""
 
-    point: np.ndarray
     metric: np.ndarray
     two_form: np.ndarray
 
@@ -88,10 +88,16 @@ def split(t: PullbackTensor) -> tuple[np.ndarray, np.ndarray]:
     reconstruct it as ``metric + 1j * form``.
     """
     c = t.coefficients
-    defect = float(np.abs(c - c.conj().T).max())
+    defect = float(hermiticity_defect(c))
     if defect > HERMITICITY_ATOL * max(1.0, float(np.abs(c).max())):
         raise ValueError(f"coefficient matrix is not Hermitian: defect {defect:.3e}")
     return hermitian_split(c)
+
+
+def first_moments(rep: LieAlgebraRep, psi) -> np.ndarray:
+    """First moments ``<psi|R_j|psi>`` of the generators at a unit state,
+    real because the generators are Hermitian."""
+    return np.real(np.einsum("i,nij,j->n", np.conj(psi), rep.generators, psi))
 
 
 def multiplier_consistency(rep: LieAlgebraRep, fiducial) -> float:
@@ -102,7 +108,7 @@ def multiplier_consistency(rep: LieAlgebraRep, fiducial) -> float:
     """
     psi = _normalized_fiducial(fiducial)
     t = covariance_matrix(rep, psi).coefficients
-    first = np.real(np.einsum("i,nij,j->n", psi.conj(), rep.generators, psi))
+    first = first_moments(rep, psi)
     expected = np.tensordot(rep.structure_constants, first, axes=([2], [0])) + rep.omega()
     return float(np.abs(2.0 * t.imag - expected).max())
 
@@ -130,33 +136,29 @@ def degeneracy_directions(
     return out
 
 
-def contract(t: PullbackTensor, theta) -> tuple[np.ndarray, np.ndarray]:
+def evaluate_at(t: PullbackTensor, theta) -> CoordinateTensor:
     """Contract constant coefficients with coframe components.
 
-    ``theta`` has shape ``(..., n, m)`` with any leading stack axes; the
-    result is the pair of coordinate matrices of shape ``(..., m, m)``,
+    ``theta`` has shape ``(n, m)`` at one chart point or ``(P, n, m)`` on a
+    stack, as :func:`qpt.liegroup.su2_coframe` returns it; the result holds
+    the coordinate matrices of shape ``(..., m, m)``,
     ``G[a, b] = sum_jk Re(T)[j,k] theta[j,a] theta[k,b]`` and likewise with
     the imaginary part for the two-form.  Symmetry and antisymmetry hold by
     construction.
     """
     metric_c, form_c = split(t)
+    theta = np.asarray(theta)
     if theta.shape[-2] != metric_c.shape[0]:
         raise ValueError(
             f"coframe has {theta.shape[-2]} forms but tensor has {metric_c.shape[0]}"
         )
     theta_t = np.swapaxes(theta, -1, -2)
-    return theta_t @ metric_c @ theta, theta_t @ form_c @ theta
-
-
-def evaluate_at(t: PullbackTensor, coframe: Coframe) -> CoordinateTensor:
-    """Coordinate matrices at one chart point: the single-point case of
-    :func:`contract`."""
-    metric, two_form = contract(t, coframe.theta)
-    return CoordinateTensor(point=coframe.point, metric=metric, two_form=two_form)
+    return CoordinateTensor(theta_t @ metric_c @ theta, theta_t @ form_c @ theta)
 
 
 def orbit_state(rep: LieAlgebraRep, fiducial, point: GroupPoint) -> np.ndarray:
-    """Fiducial state displaced along the orbit: ``U(g) |0>``."""
+    """Fiducial state displaced along the orbit: ``U(g) |0>``, ``(d,)`` at
+    one point or ``(P, d)`` on a stack."""
     psi = as_state(fiducial)
     if psi.size != rep.dim:
         raise ValueError(f"fiducial dimension {psi.size} does not match rep dimension {rep.dim}")

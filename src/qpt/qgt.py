@@ -25,7 +25,7 @@ from .errors import (
     DegenerateLevelError, NumericalRefusal, SpecError, require_array, require_integer,
     require_number, require_object,
 )
-from .hilbert import _fix_phase, as_operator, hermitian_split, hermitian_tensor
+from .hilbert import _fix_phase, as_operator, hermitian_split, hermitian_tensor, hermiticity_defect
 from .liegroup import (
     EULER_GENERATOR_SCALE,
     LEFT_INVARIANT,
@@ -34,7 +34,7 @@ from .liegroup import (
     euler_elements,
     grid_points,
 )
-from .pullback import _normalized_fiducial, contract, covariance_matrix
+from .pullback import _normalized_fiducial, covariance_matrix, evaluate_at, first_moments
 
 # Relative gap floor: levels closer than this times the spectral radius
 # count as degenerate.
@@ -123,7 +123,7 @@ class HamiltonianFamily:
         stack, single = self._stack(lam)
         h = self._call(self._evaluate, stack)
         scale = 1e-10 * h.shape[-1] * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
-        bad = np.flatnonzero(np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2)) > scale)
+        bad = np.flatnonzero(hermiticity_defect(h) > scale)
         if bad.size:
             raise ValueError(f"family is not Hermitian at {stack[bad[0]].tolist()}")
         return h[0] if single else h
@@ -336,40 +336,49 @@ def finite_difference_qgt(
     family: HamiltonianFamily, lam, a: int | None = None, step: float = 1e-5,
     degeneracy_tol: float | None = None,
 ) -> QGTResult:
-    """Independent finite-difference evaluation of the geometric tensor at
-    one point.
+    """Independent finite-difference evaluation of the geometric tensor, at
+    a point ``lam`` of shape ``(m,)`` or on a stack of shape ``(P, m)``.
 
+    Each direction costs two displaced stacks, one eigensystem each.
     Eigenvectors at displaced points are phase-aligned so their overlap with
     the center state is real positive; the alignment removes the eigensolver
     gauge, which is additionally cancelled by keeping both terms of the
-    tensor formula.  Refuses when the alignment overlap drops below 0.5.
+    tensor formula.  Refuses when an alignment overlap drops below 0.5,
+    naming the first such grid index and its point.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     a = family.level if a is None else a
-    lam, single = family._stack(lam)
-    if not single:
-        raise ValueError("finite_difference_qgt evaluates one point at a time")
+    stack, single = family._stack(lam)
 
-    def state(point):  # point: a (1, m) stack
-        vals, vecs = _eigensystem(family, point)
-        return vecs[0, :, a], _check_gap(vals, a, degeneracy_tol, point)[0]
+    def states(points):
+        vals, vecs = _eigensystem(family, points)
+        return vecs[..., a], _check_gap(vals, a, degeneracy_tol, points)
 
-    psi, gap = state(lam)
+    psi, gaps = states(stack)
 
-    def aligned_state(point):
-        phi, _ = state(point)
-        overlap = np.vdot(psi, phi)
-        if abs(overlap) < 0.5:
+    def aligned_states(points):
+        phi, _ = states(points)
+        overlap = np.einsum("pd,pd->p", psi.conj(), phi)
+        size = np.abs(overlap)
+        bad = np.flatnonzero(size < 0.5)
+        if bad.size:
+            i = bad[0]
             raise NumericalRefusal(
-                f"alignment overlap {abs(overlap):.3f} below 0.5; "
-                "step too large or level crossing"
+                f"alignment overlap {size[i]:.3f} below 0.5 at grid index {i}, point "
+                f"{stack[i].tolist()}; step too large or level crossing"
             )
-        return phi * (overlap.conjugate() / abs(overlap))
+        return phi * (overlap.conj() / size)[:, None]
 
-    steps = step * np.eye(family.param_dim)
-    derivs = [(aligned_state(lam + dx) - aligned_state(lam - dx)) / (2 * step) for dx in steps]
-    return QGTResult(lam[0], hermitian_tensor(psi, derivs, projective=True), float(gap))
+    derivs = np.stack(
+        [(aligned_states(stack + dx) - aligned_states(stack - dx)) / (2 * step)
+         for dx in step * np.eye(family.param_dim)],
+        axis=1,
+    )
+    h = hermitian_tensor(psi, derivs, projective=True)
+    if single:
+        return QGTResult(stack[0], h[0], float(gaps[0]))
+    return QGTResult(stack, h, gaps)
 
 
 def orbit_consistency_check(
@@ -392,7 +401,7 @@ def orbit_consistency_check(
     """
     psi = _normalized_fiducial(fiducial)
     if direction is None:
-        first = np.real(np.einsum("i,nij,j->n", psi.conj(), rep.generators, psi))
+        first = first_moments(rep, psi)
         scale = float(np.linalg.norm(first))
         if scale < 1e-12:
             raise NumericalRefusal("cannot infer a direction: generator first moments vanish")
@@ -410,5 +419,5 @@ def orbit_consistency_check(
     points = grid_points([alpha], betas, gammas)
     spectral = qgt_tensor(orbit_family(rep, n), points, a=0)
     t_proj = covariance_matrix(rep, psi, projective=True)
-    pulled, _ = contract(t_proj, euler_coframes(points, LEFT_INVARIANT) * EULER_GENERATOR_SCALE)
-    return float(np.abs(spectral.metric - pulled).max())
+    pulled = evaluate_at(t_proj, euler_coframes(points, LEFT_INVARIANT) * EULER_GENERATOR_SCALE)
+    return float(np.abs(spectral.metric - pulled.metric).max())

@@ -72,7 +72,7 @@ def test_group_records_round_trip_exactly(tmp_path, frame, normalization):
     tensor = covariance_matrix(rep, [1, 0], projective=True)
     scale = EULER_GENERATOR_SCALE if normalization == "generator" else 1.0
     for rec in records_of(str(out)):
-        coframe = su2_coframe(euler_point(*rec["point"]), frame=frame).rescaled(scale)
+        coframe = su2_coframe(euler_point(*rec["point"]), frame=frame) * scale
         expected = evaluate_at(tensor, coframe)
         assert rec["metric"] == [float(x) for x in expected.metric.reshape(-1)]
         assert rec["two_form"] == [float(x) for x in expected.two_form.reshape(-1)]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qpt.hilbert import (
     hermitian_split,
     hermitian_tensor,
+    hermiticity_defect,
     inner,
     is_hermitian,
     is_skew_hermitian,
@@ -24,6 +25,14 @@ def complex_numbers(max_abs=3.0):
 
 def vectors(dim=3):
     return st.lists(complex_numbers(), min_size=dim, max_size=dim).map(np.array)
+
+
+def test_hermiticity_defect_of_matrix_and_stack():
+    a = np.array([[1, 2j], [0, 3]])
+    assert hermiticity_defect(a) == 2.0
+    stack = np.array([a, np.eye(2), 1j * np.eye(2)])
+    np.testing.assert_array_equal(hermiticity_defect(stack), [2.0, 0.0, 2.0])
+    assert is_hermitian(np.eye(2)) and not is_hermitian(a)
 
 
 def test_inner_orthonormal_basis():

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from qpt.errors import SpecError
 from qpt.liegroup import (
+    GroupPoint,
     LieAlgebraRep,
     adjoint_matrix,
     euler_elements,
@@ -100,9 +101,9 @@ def test_closure_mask_matches_dense_projector(modes, cutoff):
 
 def test_coframe_pinned_point():
     cf = su2_coframe(euler_point(0, np.pi / 2, 0))
-    np.testing.assert_allclose(cf.theta[0], [0, 0, -1], atol=1e-15)
-    np.testing.assert_allclose(cf.theta[1], [0, 1, 0], atol=1e-15)
-    np.testing.assert_allclose(cf.theta[2], [1, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(cf[0], [0, 0, -1], atol=1e-15)
+    np.testing.assert_allclose(cf[1], [0, 1, 0], atol=1e-15)
+    np.testing.assert_allclose(cf[2], [1, 0, 0], atol=1e-15)
 
 
 def test_coframe_determinant_is_sin_beta():
@@ -111,7 +112,7 @@ def test_coframe_determinant_is_sin_beta():
         a, g = rng.uniform(0, 2 * np.pi, 2)
         b = rng.uniform(0, np.pi)
         for frame in ("right", "left"):
-            det = np.linalg.det(su2_coframe(euler_point(a, b, g), frame=frame).theta)
+            det = np.linalg.det(su2_coframe(euler_point(a, b, g), frame=frame))
             assert det == pytest.approx(np.sin(b), abs=1e-12)
 
 
@@ -246,6 +247,38 @@ def test_adjoint_composition():
             assert np.abs(lhs - rhs).max() <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "rep, point",
+    [
+        (su2_spin_rep(1), exponential_point(np.random.default_rng(4).uniform(-2, 2, (3, 3)))),
+        (su2_spin_rep(1.5), euler_point([0.3, 1.0, 5.0], [0.2, 1.5, 2.9], [4.0, 0.1, 2.2])),
+        (heisenberg_rep(1, 6), exponential_point([[0.3, -0.4], [0.1, 0.2]])),
+    ],
+    ids=["su2-exponential", "su2-euler", "heisenberg-exponential"],
+)
+def test_stacked_group_chart_equals_single_points(rep, point):
+    u = group_element(rep, point)
+    a, shift = adjoint_matrix(rep, point, return_shift=True)
+    assert u.shape == (len(point.coords), rep.dim, rep.dim)
+    assert a.shape == (len(point.coords),) + (rep.n_generators,) * 2
+    for i, coords in enumerate(point.coords):
+        single = GroupPoint(coords, point.chart)
+        np.testing.assert_array_equal(u[i], group_element(rep, single))
+        a_i, shift_i = adjoint_matrix(rep, single, return_shift=True)
+        np.testing.assert_array_equal(a[i], a_i)
+        np.testing.assert_array_equal(shift[i], shift_i)
+
+
+def test_maurer_cartan_stack_equals_single_points():
+    rep = su2_spin_rep(1)
+    point = euler_point([0.3, 1.1, 5.0], [0.2, 0.9, 2.9], [4.0, 2.2, 0.1])
+    stacked = maurer_cartan_residual(rep, point)
+    single = [maurer_cartan_residual(rep, euler_point(*coords)) for coords in point.coords]
+    assert stacked.shape == (3,)
+    assert np.abs(stacked - single).max() <= 1e-12 * max(single)
+    assert su2_coframe(point).shape == (3, 3, 3)
+
+
 def test_adjoint_rejects_dependent_generators():
     gens = np.array([SX, SX])
     rep = LieAlgebraRep(gens, np.zeros((2, 2, 2)))
@@ -265,10 +298,15 @@ def test_rep_validation_rejects_bad_closure():
 
 
 def test_rep_validation_rejects_non_hermitian():
-    gens = np.zeros((1, 2, 2), dtype=complex)
-    gens[0] = [[0, 1], [0, 0]]
-    with pytest.raises(ValueError):
-        LieAlgebraRep(gens, np.zeros((1, 1, 1)))
+    gens = np.array([SZ, [[0, 1], [0, 0]]], dtype=complex)
+    with pytest.raises(ValueError, match="generator 1 is not Hermitian"):
+        LieAlgebraRep(gens, np.zeros((2, 2, 2)))
+
+
+def test_rep_validation_rejects_non_finite():
+    gens = np.array([SZ, [[np.nan, 0], [0, 0]]], dtype=complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        LieAlgebraRep(gens, np.zeros((2, 2, 2)))
 
 
 def test_rep_from_spec_builtins():

@@ -330,6 +330,30 @@ def test_degenerate_point_of_a_stack_is_named():
     assert err.value.gap == 0.0
 
 
-def test_finite_difference_refuses_a_stack():
-    with pytest.raises(ValueError, match="one point"):
-        finite_difference_qgt(bloch_family(), [[1.0, 0.2], [1.1, 0.3]])
+@pytest.mark.parametrize(
+    "family, points",
+    [
+        (bloch_family(), [[0.4, 0.1], [1.2, 2.0], [2.5, 5.0]]),
+        (HamiltonianFamily.from_callable(lambda lam: np.cos(lam[0]) * SZ + np.sin(lam[0]) * SX, 1),
+         [[0.0], [0.5], [1.0]]),
+    ],
+    ids=["bloch", "callable"],
+)
+def test_finite_difference_stack_equals_single_points(family, points):
+    stacked = finite_difference_qgt(family, points, a=0)
+    assert stacked.h.shape == (len(points), family.param_dim, family.param_dim)
+    for i, point in enumerate(points):
+        single = finite_difference_qgt(family, point, a=0)
+        assert np.abs(stacked.h[i] - single.h).max() <= 1e-10
+        assert stacked.gap[i] == single.gap
+
+
+def test_alignment_refusal_names_grid_index():
+    # Forward of t the level turns by (t + step)^2 - t^2 radians: one at
+    # t = 0, three at t = 1, where the overlap is cos(3/2) < 0.5.
+    fam = HamiltonianFamily.from_callable(
+        lambda lam: np.cos(lam[0] ** 2) * SZ + np.sin(lam[0] ** 2) * SX, 1
+    )
+    finite_difference_qgt(fam, [0.0], a=0, step=1.0)
+    with pytest.raises(NumericalRefusal, match=r"grid index 1, point \[1\.0\]"):
+        finite_difference_qgt(fam, [[0.0], [1.0]], a=0, step=1.0)
