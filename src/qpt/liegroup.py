@@ -23,11 +23,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fock
 from .errors import SpecError, require_array, require_integer, require_number, require_object
-from .hilbert import hermiticity_defect
+from .hilbert import PROPERTY_ATOL, hermiticity_defect
 
 # Coframe components pair with generators/2 in the z-y-z Euler product.
 EULER_GENERATOR_SCALE = 0.5
@@ -91,7 +90,8 @@ class LieAlgebraRep:
         selects only (used by truncated realisations whose commutators are
         corrupted at the truncation boundary).
     validate_closure : bool
-        Allow deliberately inconsistent data (negative controls) through.
+        Allow deliberately inconsistent data (negative controls) through;
+        ``closure`` keeps the masked :meth:`closure_residual` either way.
     """
 
     generators: np.ndarray
@@ -99,7 +99,7 @@ class LieAlgebraRep:
     multiplier_form: np.ndarray | None = None
     closure_mask: np.ndarray | None = field(default=None, repr=False)
     validate_closure: bool = field(default=True, repr=False)
-    atol: float = 1e-10
+    closure: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = np.asarray(self.generators, dtype=complex)
@@ -108,7 +108,7 @@ class LieAlgebraRep:
         if not np.all(np.isfinite(gens)):
             raise ValueError("generators have non-finite entries")
         n, d = gens.shape[0], gens.shape[1]
-        tol = self.atol * d
+        tol = PROPERTY_ATOL * d
         bad = np.flatnonzero(hermiticity_defect(gens) > tol)
         if bad.size:
             raise ValueError(f"generator {bad[0]} is not Hermitian within {tol:g}")
@@ -124,22 +124,14 @@ class LieAlgebraRep:
                 raise ValueError(f"multiplier form must have shape {(n, n)}")
             if float(np.abs(omega + omega.T).max()) > tol:
                 raise ValueError("multiplier form must be antisymmetric")
-        gens = gens.copy()
-        gens.setflags(write=False)
-        c = c.copy()
-        c.setflags(write=False)
-        if omega is not None:
-            omega = omega.copy()
-            omega.setflags(write=False)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "structure_constants", c)
-        object.__setattr__(self, "multiplier_form", omega)
-        if self.validate_closure:
-            residual = self.closure_residual(self.closure_mask)
-            if residual > tol:
-                raise ValueError(
-                    f"commutator closure fails: residual {residual:.3e} > {tol:g}"
-                )
+        for name, value in (("generators", gens), ("structure_constants", c), ("multiplier_form", omega)):
+            if value is not None:
+                value = value.copy()
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "closure", self.closure_residual(self.closure_mask))
+        if self.validate_closure and self.closure > tol:
+            raise ValueError(f"commutator closure fails: residual {self.closure:.3e} > {tol:g}")
 
     @property
     def n_generators(self) -> int:
@@ -316,35 +308,37 @@ def su2_coframe(point: GroupPoint, frame: str = RIGHT_INVARIANT) -> np.ndarray:
     return euler_coframes(point.coords, frame)
 
 
+def unitary_exponential(h, t) -> np.ndarray:
+    """``exp(1j t h)`` for a Hermitian ``h`` of shape ``(..., d, d)`` and real
+    ``t`` broadcast over the stack axes, as ``V diag(exp(1j t l)) V^dag``
+    from one eigendecomposition ``h = V diag(l) V^dag``."""
+    eigvals, eigvecs = np.linalg.eigh(h)
+    phases = np.exp(1j * np.asarray(t, dtype=float)[..., None] * eigvals)
+    return (eigvecs * phases[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
+
+
 def euler_elements(rep: LieAlgebraRep, angles) -> np.ndarray:
     """Unitaries of the z-y-z Euler product at a stack of angles.
 
     ``angles`` has shape ``(..., 3)`` holding ``(alpha, beta, gamma)``; the
-    result has shape ``(..., d, d)``.  Each factor ``exp(1j t R/2)`` comes
-    from one eigendecomposition ``R = V diag(l) V^dag`` of ``R_2`` or
-    ``R_3`` as ``V diag(exp(1j t l/2)) V^dag``, so the whole stack costs two
-    ``eigh`` calls and no matrix exponential.
+    result has shape ``(..., d, d)``.  Each factor ``exp(1j t R/2)`` is one
+    :func:`unitary_exponential` of ``R_3`` or ``R_2`` over the whole stack.
     """
     if rep.n_generators != 3:
         raise SpecError("Euler chart requires a three-generator representation")
-    angles = np.asarray(angles, dtype=float)
-    (l2, v2), (l3, v3) = (np.linalg.eigh(rep.generators[k]) for k in (1, 2))
-
-    def factor(eigvals, eigvecs, t):
-        phases = np.exp(1j * EULER_GENERATOR_SCALE * t[..., None, None] * eigvals)
-        return (eigvecs * phases) @ eigvecs.conj().T
-
-    a, b, g = angles[..., 0], angles[..., 1], angles[..., 2]
-    return factor(l3, v3, a) @ factor(l2, v2, b) @ factor(l3, v3, g)
+    a, b, g = np.moveaxis(np.asarray(angles, dtype=float) * EULER_GENERATOR_SCALE, -1, 0)
+    r2, r3 = rep.generators[1:]
+    return unitary_exponential(r3, a) @ unitary_exponential(r2, b) @ unitary_exponential(r3, g)
 
 
 def group_element(rep: LieAlgebraRep, point: GroupPoint) -> np.ndarray:
     """Unitary representative of a chart point, ``(d, d)``, or of a stack,
     ``(P, d, d)``.
 
-    Exponential coordinates give ``expm(1j sum_j x_j R_j)``, one batched
-    ``expm`` call for a stack; Euler coordinates give the z-y-z product with
-    half generators from :func:`euler_elements`.
+    Exponential coordinates give ``exp(1j sum_j x_j R_j)``, one
+    :func:`unitary_exponential` of the ``(P, d, d)`` stack of ``x . R``;
+    Euler coordinates give the z-y-z product with half generators from
+    :func:`euler_elements`, built from the same exponential.
     """
     if point.chart == EULER:
         return euler_elements(rep, point.coords)
@@ -352,9 +346,9 @@ def group_element(rep: LieAlgebraRep, point: GroupPoint) -> np.ndarray:
         raise ValueError(
             f"need {rep.n_generators} exponential coordinates, got {point.coords.shape[-1]}"
         )
-    u = expm(1j * np.tensordot(point.coords, rep.generators, axes=1))
+    u = unitary_exponential(np.tensordot(point.coords, rep.generators, axes=1), 1.0)
     if not np.all(np.isfinite(u)):
-        raise RuntimeError("matrix exponential did not converge")
+        raise RuntimeError("matrix exponential is not finite")
     return u
 
 
@@ -371,26 +365,28 @@ def adjoint_matrix(
     generator of every point is one column of a single least-squares solve
     against the fixed generator basis.
     """
+    a, shift = _adjoint_action(rep, group_element(rep, point))
+    return (a, shift) if return_shift else a
+
+
+def _adjoint_action(rep: LieAlgebraRep, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`adjoint_matrix` and its identity shift at unitaries ``(..., d, d)``."""
     gens = rep.generators
     n, d = rep.n_generators, rep.dim
-    u = group_element(rep, point)
-    basis = [gens[k].reshape(-1) for k in range(n)]
     use_identity = rep.multiplier_form is not None
-    if use_identity:
-        basis.append(np.eye(d, dtype=complex).reshape(-1))
-    bmat = np.column_stack(basis)
-    rank = np.linalg.matrix_rank(bmat, tol=1e-12 * d)
-    if rank < len(basis):
+    basis = np.concatenate([gens, np.eye(d)[None]]) if use_identity else gens
+    bmat = basis.reshape(len(basis), d * d).T
+    if np.linalg.matrix_rank(bmat, tol=1e-12 * d) < len(basis):
         raise ValueError("generators are not linearly independent; cannot solve for the adjoint")
-    u = u[..., None, :, :]  # against the generator axis
-    targets = (u @ gens @ u.conj().swapaxes(-1, -2)).reshape(-1, d * d)  # (P * n, d * d)
+    v = u[..., None, :, :]  # against the generator axis
+    targets = (v @ gens @ v.conj().swapaxes(-1, -2)).reshape(-1, d * d)  # (P * n, d * d)
     coef, *_ = np.linalg.lstsq(bmat, targets.T, rcond=None)
     if float(np.abs(coef.imag).max()) > 1e-8:
         raise ValueError("adjoint coefficients are not real; inconsistent representation")
-    coef = coef.real.reshape(len(basis), *point.coords.shape[:-1], n)  # [k, ..., j]
+    coef = coef.real.reshape(len(basis), *u.shape[:-2], n)  # [k, ..., j]
     a = np.moveaxis(coef[:n], 0, -2)
     shift = coef[n] if use_identity else np.zeros(a.shape[:-2] + (n,))
-    return (a, shift) if return_shift else a
+    return a, shift
 
 
 def _coframe_for_rep(rep: LieAlgebraRep, point: GroupPoint) -> np.ndarray:

@@ -31,7 +31,8 @@ class PullbackTensor:
 
     ``coefficients`` is Hermitian; its real part is the metric coefficient
     matrix and its imaginary part the two-form one.  ``fiducial`` stores the
-    normalised state the expectations were taken at, and ``multiplier_form``
+    normalised state the expectations were taken at (a ``(P, d)`` stack of
+    them gives ``(P, n, n)`` coefficients), and ``multiplier_form``
     the central-extension two-form of the generators (``None`` when there is
     none), which :func:`qpt.weyl.lagrangian_restriction` reads.
     """
@@ -51,10 +52,14 @@ class CoordinateTensor(NamedTuple):
 
 
 def _normalized_fiducial(fiducial) -> np.ndarray:
-    """Unit fiducial with its global phase stripped: no rounding residue."""
-    psi = as_state(fiducial)
-    n = float(np.linalg.norm(psi))
-    if n <= 0.0:
+    """Unit fiducial ``(d,)``, or ``(P, d)`` stack of them, with each global
+    phase stripped: no rounding residue."""
+    psi = np.asarray(fiducial, dtype=complex)
+    stack = psi.ndim == 2
+    as_state(psi.reshape(-1) if stack else psi)  # finite and nonempty
+    # The one-vector norm rounds differently from its row-wise form.
+    n = np.linalg.norm(psi, axis=-1, keepdims=True) if stack else np.linalg.norm(psi)
+    if np.any(n <= 0.0):
         raise ZeroFiducialError("fiducial vector has zero norm")
     return _fix_phase(psi / n)
 
@@ -63,7 +68,8 @@ def covariance_matrix(
     rep: LieAlgebraRep, fiducial, projective: bool = False
 ) -> PullbackTensor:
     """Second-moment matrix ``<0|R_j R_k|0>`` of the generators: the
-    Hermitian tensor on the tangent vectors ``R_j |0>``.
+    Hermitian tensor on the tangent vectors ``R_j |0>``, ``(n, n)`` for one
+    fiducial ``(d,)`` or ``(P, n, n)`` for a ``(P, d)`` stack of them.
 
     The fiducial is normalised internally; with ``projective=True`` the
     product of first moments is subtracted, which makes the result invariant
@@ -71,10 +77,11 @@ def covariance_matrix(
     part.
     """
     psi = _normalized_fiducial(fiducial)
-    if psi.size != rep.dim:
-        raise ValueError(f"fiducial dimension {psi.size} does not match rep dimension {rep.dim}")
+    if psi.shape[-1] != rep.dim:
+        raise ValueError(f"fiducial dimension {psi.shape[-1]} does not match rep dimension {rep.dim}")
+    tangents = (rep.generators @ psi[..., None, :, None])[..., 0]  # (..., n, d)
     return PullbackTensor(
-        coefficients=hermitian_tensor(psi, rep.generators @ psi, projective),
+        coefficients=hermitian_tensor(psi, tangents, projective),
         projective=projective,
         fiducial=psi,
         multiplier_form=rep.multiplier_form,

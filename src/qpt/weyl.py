@@ -47,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.linalg import expm
 
 from . import fock
 from .errors import NotLagrangianError
@@ -125,7 +124,10 @@ def generator_states(system: WeylSystem, state, transpose: bool = False) -> np.n
 def displacement(system: WeylSystem, v) -> np.ndarray:
     """Per-mode factors of ``W(v) = expm(1j sum_j v_j R_j)`` for a real
     phase-space vector: a ``(modes, N, N)`` stack ``U_m`` with
-    ``W(v) = U_0 x U_1 x ... x U_{n-1}``."""
+    ``W(v) = U_0 x U_1 x ... x U_{n-1}``.  Padé ``expm``, not
+    :func:`qpt.liegroup.unitary_exponential`: at the rounding floor of the
+    one-mode defects the latter makes them rise with the cutoff."""
+    from scipy.linalg import expm  # here, so that only Weyl runs pay SciPy's import time
     v = np.asarray(v, dtype=float)
     modes = system.modes
     if v.shape != (2 * modes,):

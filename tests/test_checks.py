@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpt import liegroup
+from qpt import checks, liegroup
 from qpt.checks import equivariance_residual, group_checks, projective_scale_residual, qgt_checks
 from qpt.liegroup import grid_points, su2_spin_rep
 from qpt.qgt import bloch_family
@@ -41,19 +41,27 @@ def test_qgt_checks_eigensolves_do_not_grow_with_the_grid(monkeypatch):
 
 
 def test_group_chart_calls_do_not_grow_with_the_samples(monkeypatch):
-    # The equivariance samples are one expm stack; the coframe-determinant
-    # and Maurer-Cartan samples are one coframe stack plus two displaced
-    # stacks per coordinate.
-    expm = counting(monkeypatch, liegroup, "expm")
+    # The equivariance samples are one exponential stack; the
+    # coframe-determinant and Maurer-Cartan samples are one coframe stack
+    # plus two displaced stacks per coordinate.
+    exponentials = counting(monkeypatch, liegroup, "unitary_exponential")
     coframes = counting(monkeypatch, liegroup, "euler_coframes")
     rep, fiducial = su2_spin_rep(1.5), [1, 0, 0, 0]
     counts = []
     for n_samples in (5, 40):
-        expm.clear()
+        exponentials.clear()
         coframes.clear()
         results = group_checks(rep, fiducial, n_points=n_samples)
         assert all(r.passed for r in results)
         equivariance_residual(rep, fiducial, n_samples=n_samples)
-        counts.append((len(expm), len(coframes)))
+        counts.append((len(exponentials), len(coframes)))
     assert counts[0] == counts[1]
     assert counts[0][0] >= 1 and counts[0][1] >= 1
+
+
+def test_equivariance_exponentiates_its_samples_once(monkeypatch):
+    # One stack of unitaries serves the displaced states and the adjoint.
+    calls = counting(monkeypatch, checks, "group_element")
+    calls_in_liegroup = counting(monkeypatch, liegroup, "group_element")
+    assert equivariance_residual(su2_spin_rep(1.5), GENERIC) <= 1e-8
+    assert len(calls) + len(calls_in_liegroup) == 1

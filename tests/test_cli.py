@@ -2,12 +2,17 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpt
 from qpt import serialize
 from qpt.cli import main
 from qpt.errors import require_array
@@ -119,6 +124,39 @@ def test_compare_orbit_pullback_against_spectral(tmp_path, capsys):
     assert main(["compare", str(g_out), str(q_out), "--tol", "1e-8"]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["checks"][0]["residual"] <= 1e-8
+
+
+def test_non_weyl_commands_do_not_load_scipy(tmp_path):
+    # SciPy is imported only for Weyl displacements; a fresh interpreter
+    # runs group, qgt, compare and a group verify without it, then a Weyl run.
+    grid = {"alpha": 0.0, "beta": [0.3, 2.8, 3], "gamma": [0.3, 6.0, 3]}
+    g_spec = write_spec(tmp_path, "g.json", group_spec(frame="left", normalization="generator", grid=grid))
+    orbit = {"builtin": "orbit", "rep": {"builtin": "su2", "spin": 0.5}, "direction": [0, 0, 1]}
+    q_spec = write_spec(tmp_path, "q.json", {"mode": "qgt", "hamiltonian": orbit, "grid": grid})
+    v_spec = write_spec(tmp_path, "v.json", {
+        "mode": "verify", "target": "group", "rep": {"builtin": "su2", "spin": 0.5},
+        "fiducial": [[1, 0], [0, 0]], "grid": grid,
+    })
+    out = tmp_path / "out"
+    runs = [
+        ["group", "--spec", g_spec, "--out", f"{out}.g"],
+        ["qgt", "--spec", q_spec, "--out", f"{out}.q"],
+        ["compare", f"{out}.g", f"{out}.q", "--tol", "1e-8", "--out", f"{out}.c"],
+        ["verify", "--spec", v_spec, "--out", f"{out}.v"],
+    ]
+    weyl = ["weyl", "--modes", "1", "--cutoff", "4", "--out", f"{out}.w"]
+    script = (
+        "import sys\n"
+        "import qpt, qpt.cli\n"
+        f"assert [qpt.cli.main(argv) for argv in {runs!r}] == [0, 0, 0, 0]\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        f"assert qpt.cli.main({weyl!r}) == 0\n"
+    )
+    src = str(Path(qpt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_compare_grid_mismatch(tmp_path):

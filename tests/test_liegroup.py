@@ -201,6 +201,20 @@ def test_euler_elements_match_expm_product(rep):
         np.testing.assert_array_equal(group_element(rep, euler_point(a, b, g)), euler_elements(rep, point))
 
 
+@pytest.mark.parametrize(
+    "rep",
+    [su2_spin_rep(0.5), su2_spin_rep(1.0), su2_spin_rep(1.5), su2_spin_rep(2.0), heisenberg_rep(1, 8)],
+    ids=["spin-1/2", "spin-1", "spin-3/2", "spin-2", "heisenberg-1-8"],
+)
+def test_exponential_chart_stack_matches_expm(rep):
+    coords = np.random.default_rng(5).uniform(-1.5, 1.5, (12, rep.n_generators))
+    stacked = group_element(rep, exponential_point(coords))
+    assert stacked.shape == (12, rep.dim, rep.dim)
+    for x, u in zip(coords, stacked):
+        expected = expm(1j * np.tensordot(x, rep.generators, axes=1))
+        assert np.abs(u - expected).max() <= 1e-13
+
+
 def test_rotated_rep_has_non_diagonal_r3():
     r3 = rotated_spin_rep(1.0, 7).generators[2]
     assert np.abs(r3 - np.diag(np.diag(r3))).max() > 0.1
