@@ -170,8 +170,7 @@ def group_checks(
     tol_dim = PROPERTY_ATOL * rep.dim
     results = []
 
-    herm = float(hermiticity_defect(rep.generators).max())
-    results.append(CheckResult("generator-hermiticity", herm, tol_dim))
+    results.append(CheckResult("generator-hermiticity", rep.hermiticity, tol_dim))
     results.append(CheckResult("closure", rep.closure, tol_dim))
 
     linear = covariance_matrix(rep, fiducial)

@@ -5,8 +5,8 @@ Multi-mode states are flat vectors in Kronecker order, mode 0 most
 significant, so a state over ``modes`` modes reads as a ``(cutoff,) * modes``
 tensor.  The Weyl path (:mod:`qpt.weyl`) applies single-mode matrices to
 such states one axis at a time and never forms a multi-mode operator;
-:func:`position_momentum` builds the dense multi-mode operators, as
-Kronecker products in mode order, for :func:`qpt.liegroup.heisenberg_rep`
+:func:`position_momentum` builds the dense multi-mode operators
+``I (x) op (x) I``, in mode order, for :func:`qpt.liegroup.heisenberg_rep`
 and the dense oracles of the tests.  Position and momentum are normalised so that ``<0|Q^2|0> = 1/2``
 and ``[Q, P] = 1j`` on every matrix element except the truncation corner.
 """
@@ -53,7 +53,9 @@ def annihilation(cutoff: int) -> np.ndarray:
 
 
 def position_momentum(modes: int, cutoff: int) -> np.ndarray:
-    """Stack ``(Q^1..Q^n, P^1..P^n)`` of dense operators on the full space.
+    """Stack ``(Q^1..Q^n, P^1..P^n)`` of dense operators on the full space,
+    the single-mode ``Q``, ``P`` scattered onto the diagonal blocks of the
+    other modes (the Kronecker products, without forming them).
 
     Refuses a space of more than :data:`MAX_DENSE_STATES` states before any
     allocation.
@@ -62,13 +64,14 @@ def position_momentum(modes: int, cutoff: int) -> np.ndarray:
     a = annihilation(cutoff)
     q1 = (a + a.conj().T) / np.sqrt(2.0)
     p1 = 1j * (a.conj().T - a) / np.sqrt(2.0)
-    return np.array(
-        [
-            np.kron(np.kron(np.eye(cutoff**m, dtype=complex), op), np.eye(cutoff ** (modes - 1 - m), dtype=complex))
-            for op in (q1, p1)
-            for m in range(modes)
-        ]
-    )
+    ops = np.zeros((2 * modes, cutoff**modes, cutoff**modes), dtype=complex)
+    for m in range(modes):
+        lo, hi = cutoff**m, cutoff ** (modes - 1 - m)
+        before, after = np.arange(lo)[:, None], np.arange(hi)
+        for op, out in ((q1, ops[m]), (p1, ops[modes + m])):
+            # I_lo (x) op (x) I_hi: op on every diagonal block of the other modes.
+            out.reshape(lo, cutoff, hi, lo, cutoff, hi)[before, :, after, before, :, after] = op
+    return ops
 
 
 def vacuum(modes: int, cutoff: int) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fock
 from .errors import SpecError, require_array, require_integer, require_number, require_object
-from .hilbert import PROPERTY_ATOL, hermiticity_defect
+from .hilbert import PROPERTY_ATOL
 
 # Coframe components pair with generators/2 in the z-y-z Euler product.
 EULER_GENERATOR_SCALE = 0.5
@@ -91,7 +91,16 @@ class LieAlgebraRep:
         corrupted at the truncation boundary).
     validate_closure : bool
         Allow deliberately inconsistent data (negative controls) through;
-        ``closure`` keeps the masked :meth:`closure_residual` either way.
+        ``closure`` keeps the masked closure residual either way.
+
+    Construction reads the generators' nonzeros once.  ``hermiticity`` is
+    the largest ``|a_ij - conj(a_ji)|`` over them, equal to
+    :func:`qpt.hilbert.hermiticity_defect`.  ``closure`` forms every
+    commutator from the nonzeros when each pair ``(j, k)`` needs at most
+    ``d**2`` scalar products, counted as ``sum_m colnnz(R_j)[m] rownnz(R_k)[m]``
+    plus the mirrored term, which holds for banded generators such as the
+    Fock ladders and the spin ``J+-``.  Otherwise it is the dense
+    :meth:`closure_residual` on ``closure_mask``.
     """
 
     generators: np.ndarray
@@ -100,6 +109,7 @@ class LieAlgebraRep:
     closure_mask: np.ndarray | None = field(default=None, repr=False)
     validate_closure: bool = field(default=True, repr=False)
     closure: float = field(init=False, repr=False, compare=False)
+    hermiticity: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = np.asarray(self.generators, dtype=complex)
@@ -109,7 +119,16 @@ class LieAlgebraRep:
             raise ValueError("generators have non-finite entries")
         n, d = gens.shape[0], gens.shape[1]
         tol = PROPERTY_ATOL * d
-        bad = np.flatnonzero(hermiticity_defect(gens) > tol)
+        which, rows, cols = np.nonzero(gens)  # row-major within each generator
+        vals = gens[which, rows, cols]
+        # Every nonzero position, or its mirror, is visited, so this is the
+        # dense defect |a - a^dag| exactly.
+        defect = np.abs(vals - gens[which, cols, rows].conj())
+        bounds = np.searchsorted(which, np.arange(n + 1))
+        parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        herm = np.array([defect[part].max(initial=0.0) for part in parts])
+        object.__setattr__(self, "hermiticity", float(herm.max(initial=0.0)))
+        bad = np.flatnonzero(herm > tol)
         if bad.size:
             raise ValueError(f"generator {bad[0]} is not Hermitian within {tol:g}")
         c = np.asarray(self.structure_constants, dtype=float)
@@ -129,7 +148,15 @@ class LieAlgebraRep:
                 value = value.copy()
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "closure", self.closure_residual(self.closure_mask))
+        row_nnz, col_nnz = (np.bincount(which * d + at, minlength=n * d).reshape(n, d)
+                            for at in (rows, cols))
+        products = col_nnz @ row_nnz.T  # [j, k]: scalar products of R_j R_k
+        if np.triu(products + products.T, 1).max(initial=0) <= d * d:
+            entries = [(rows[part], cols[part], vals[part]) for part in parts]
+            closure = _closure_from_nonzeros(entries, row_nnz, c, self.omega(), self.closure_mask)
+        else:
+            closure = self.closure_residual(self.closure_mask)
+        object.__setattr__(self, "closure", closure)
         if self.validate_closure and self.closure > tol:
             raise ValueError(f"commutator closure fails: residual {self.closure:.3e} > {tol:g}")
 
@@ -147,7 +174,8 @@ class LieAlgebraRep:
         return np.zeros((n, n)) if self.multiplier_form is None else self.multiplier_form
 
     def closure_residual(self, mask: np.ndarray | None = None) -> float:
-        """Max-norm defect of the commutator identity, on the ``mask`` block if given."""
+        """Max-norm defect of the commutator identity, on the ``mask`` block if
+        given, from dense products: the form ``closure`` falls back to."""
         gens = self.generators
         n, d = self.n_generators, self.dim
         eye = np.eye(d)
@@ -161,6 +189,47 @@ class LieAlgebraRep:
                 rhs = rhs + 1j * omega[j, k] * eye
                 worst = max(worst, float(np.abs((lhs - rhs)[block]).max()))
         return worst
+
+
+def _product_entries(a, b, b_row_nnz):
+    """``(row, col, value)`` terms of the product ``A B`` from the nonzeros of
+    each, ``b`` sorted by row with ``b_row_nnz`` per row, one term per pair
+    ``a_im b_mj``; duplicates are left for the caller to sum."""
+    a_rows, a_cols, a_vals = a
+    _, b_cols, b_vals = b
+    first, count = (np.cumsum(b_row_nnz) - b_row_nnz)[a_cols], b_row_nnz[a_cols]
+    left = np.repeat(np.arange(a_cols.size), count)
+    right = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    return a_rows[left], b_cols[right], a_vals[left] * b_vals[right]
+
+
+def _closure_from_nonzeros(entries, row_nnz, c, omega, mask) -> float:
+    """:meth:`LieAlgebraRep.closure_residual` on ``mask`` from the generators'
+    row-major ``(rows, cols, values)`` nonzeros and their counts per row:
+    each defect ``R_j R_k - R_k R_j - 1j c_jk^r R_r - 1j omega_jk I`` is a
+    list of terms, and ``np.bincount`` sums those that share a position on
+    the mask block."""
+    d = row_nnz.shape[1]
+    inside = np.ones(d, dtype=bool) if mask is None else np.asarray(mask)
+    diagonal = np.arange(d)
+    worst = 0.0
+    for j in range(len(entries)):
+        for k in range(j + 1, len(entries)):
+            r_jk, c_jk, v_jk = _product_entries(entries[j], entries[k], row_nnz[k])
+            r_kj, c_kj, v_kj = _product_entries(entries[k], entries[j], row_nnz[j])
+            terms = [(r_jk, c_jk, v_jk), (r_kj, c_kj, -v_kj)]
+            for q in np.flatnonzero(c[j, k]):
+                r_q, c_q, v_q = entries[q]
+                terms.append((r_q, c_q, -1j * c[j, k, q] * v_q))
+            if omega[j, k]:
+                terms.append((diagonal, diagonal, np.full(d, -1j * omega[j, k])))
+            rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
+            keep = inside[rows] & inside[cols]
+            key = rows[keep] * d + cols[keep]
+            re, im = (np.bincount(key, part[keep])[key] for part in (vals.real, vals.imag))
+            total = np.hypot(re, im)
+            worst = max(worst, float(total.max(initial=0.0)))
+    return worst
 
 
 def angular_momentum(s: float) -> list[np.ndarray]:
@@ -200,7 +269,10 @@ def su2_spin_rep(s: float) -> LieAlgebraRep:
 def heisenberg_rep(n_modes: int, cutoff: int) -> LieAlgebraRep:
     """Position/momentum generators ``(Q^1..Q^n, P^1..P^n)`` on truncated
     Fock space, with zero structure constants and the standard symplectic
-    multiplier form.  Closure is verified away from the truncation boundary.
+    multiplier form.  Closure is verified away from the truncation boundary,
+    from the generators' nonzeros: the ladders are banded, so each
+    commutator needs far fewer than ``d**2`` scalar products and no dense
+    ``d**3`` product is formed (the rule of :class:`LieAlgebraRep`).
 
     The generators are dense ``cutoff**n_modes``-sized matrices, so a space
     of more than :data:`qpt.fock.MAX_DENSE_STATES` states (1024) is refused

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qpt import fock
 from qpt.errors import SpecError
+from qpt.hilbert import hermiticity_defect
 from qpt.liegroup import (
     GroupPoint,
     LieAlgebraRep,
@@ -72,6 +74,20 @@ def test_heisenberg_two_modes_cross_commutators():
     q1, q2, p1, p2 = rep.generators
     for a, b in [(q1, q2), (p1, p2), (q1, p2), (q2, p1)]:
         assert np.abs(a @ b - b @ a).max() == 0.0
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 8), (2, 4), (2, 32), (3, 8)])
+def test_position_momentum_matches_kron(modes, cutoff):
+    a = fock.annihilation(cutoff)
+    q1 = (a + a.conj().T) / np.sqrt(2.0)
+    p1 = 1j * (a.conj().T - a) / np.sqrt(2.0)
+    eye = [np.eye(cutoff**k, dtype=complex) for k in range(modes)]
+    expected = np.array([
+        np.kron(np.kron(eye[m], op), eye[modes - 1 - m]) for op in (q1, p1) for m in range(modes)
+    ])
+    ops = fock.position_momentum(modes, cutoff)
+    assert np.array_equal(ops, expected)
+    assert ops.tobytes() == expected.tobytes()  # the sign bits of zeros too
 
 
 def test_heisenberg_cutoff_rejected():
@@ -364,3 +380,101 @@ def test_heisenberg_size_budget():
     for modes, cutoff in [(2, 33), (3, 11), (10**6, 3), (1, 10**12)]:
         with pytest.raises(SpecError, match="budget"):
             heisenberg_rep(modes, cutoff)
+
+
+def _random_rep(d, seed, per_row=None, noise=0.0):
+    """Seeded explicit rep on three random Hermitian generators with nonzero
+    structure constants and multiplier form; ``per_row`` random entries per
+    row make it sparse, ``None`` dense.  ``noise`` is an anti-Hermitian part
+    left below the tolerance.  Unvalidated: the algebra does not close."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for _ in range(3):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        if per_row is not None:
+            keep = np.zeros((d, d), dtype=bool)
+            keep[np.repeat(np.arange(d), per_row), rng.integers(0, d, d * per_row)] = True
+            a = np.where(keep, a, 0)
+        gens.append((a + a.conj().T) / 2)
+    gens[0][0, 1] += noise
+    c = rng.normal(size=(3, 3, 3))
+    omega = rng.normal(size=(3, 3))
+    return LieAlgebraRep(np.array(gens), c - c.swapaxes(0, 1), multiplier_form=omega - omega.T,
+                         validate_closure=False)
+
+
+def _built_counting_dense(monkeypatch, build):
+    """The rep ``build()`` returns and the number of dense closure calls made."""
+    calls = []
+    dense = LieAlgebraRep.closure_residual
+
+    def counting(self, mask=None):
+        calls.append(self.dim)
+        return dense(self, mask)
+
+    monkeypatch.setattr(LieAlgebraRep, "closure_residual", counting)
+    rep = build()
+    monkeypatch.undo()
+    return rep, len(calls)
+
+
+@pytest.mark.parametrize(
+    "build, dense_calls",
+    [
+        (lambda: heisenberg_rep(1, 8), 0),
+        (lambda: heisenberg_rep(2, 4), 0),
+        (lambda: heisenberg_rep(2, 16), 0),
+        (lambda: heisenberg_rep(3, 8), 0),
+        (lambda: su2_spin_rep(0.5), 0),
+        (lambda: su2_spin_rep(1.5), 1),  # d = 4: a pair needs 20 > 16 products
+        (lambda: su2_spin_rep(20), 0),
+        (lambda: su2_spin_rep(200), 0),
+        (lambda: _random_rep(32, seed=3, per_row=1, noise=1e-12), 0),
+    ],
+    ids=["heisenberg-1-8", "heisenberg-2-4", "heisenberg-2-16", "heisenberg-3-8", "spin-1/2",
+         "spin-3/2", "spin-20", "spin-200", "random-sparse"],
+)
+def test_nonzero_closure_matches_dense(monkeypatch, build, dense_calls):
+    # Both forms round one product per entry, so they agree within a bound
+    # set by the dimension and the largest generator entry.
+    rep, calls = _built_counting_dense(monkeypatch, build)
+    assert calls == dense_calls
+    scale = float(np.abs(rep.generators).max())
+    assert abs(rep.closure - rep.closure_residual(rep.closure_mask)) <= 1e-15 * rep.dim * scale**2
+    assert rep.hermiticity == float(hermiticity_defect(rep.generators).max())
+
+
+def test_random_sparse_rep_has_a_hermiticity_defect():
+    # The noise term makes the Hermiticity comparison above non-trivial.
+    assert 0.0 < _random_rep(32, seed=3, per_row=1, noise=1e-12).hermiticity <= 1e-12
+
+
+def test_nonzero_closure_sees_perturbation_inside_mask_only():
+    rep = heisenberg_rep(2, 4)
+    mask, tol = rep.closure_mask, 1e-10 * rep.dim
+    inside = np.flatnonzero(mask)[:2]
+    corner = rep.dim - 1
+    assert not mask[corner]
+    for (i, j), excluded in (((inside[0], inside[1]), False), ((corner, corner), True)):
+        gens = rep.generators.copy()
+        gens[0, i, j] += 1e-3
+        gens[0, j, i] += 1e-3
+        perturbed = LieAlgebraRep(gens, rep.structure_constants, rep.multiplier_form,
+                                  closure_mask=mask, validate_closure=False)
+        dense = perturbed.closure_residual(mask)
+        assert abs(perturbed.closure - dense) <= 1e-15 * rep.dim * float(np.abs(gens).max()) ** 2
+        assert (perturbed.closure <= tol) == excluded
+
+
+def test_heisenberg_rep_forms_no_dense_commutator(monkeypatch):
+    def refuse(self, mask=None):
+        raise AssertionError("dense closure residual called")
+
+    monkeypatch.setattr(LieAlgebraRep, "closure_residual", refuse)
+    assert heisenberg_rep(2, 16).closure <= 1e-10 * 256
+
+
+def test_dense_rep_takes_the_dense_closure_once(monkeypatch):
+    rep, calls = _built_counting_dense(monkeypatch, lambda: _random_rep(64, seed=5))
+    assert calls == 1
+    assert rep.closure == rep.closure_residual()
