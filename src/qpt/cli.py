@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import math
 import os
@@ -275,7 +274,10 @@ def _output_target(args, spec: dict) -> tuple[str, str]:
     return path, args.format or fmt
 
 
-def _write_output(output, header: dict, records, report: dict | None = None):
+def _write_output(output, header: dict, columns: dict | None = None, report: dict | None = None):
+    """The header, the records of ``columns`` (field name -> ``(P, ...)``
+    stack, see :func:`serialize.write_records`) and the report, or only the
+    records as CSV."""
     path, fmt = output
     try:
         stream = sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
@@ -283,38 +285,29 @@ def _write_output(output, header: dict, records, report: dict | None = None):
         raise SpecError(f"cannot write output: {exc}") from exc
     with contextlib.nullcontext(stream) if path == "-" else stream:
         if fmt == "csv":
-            _write_csv(stream, records)
+            if columns:
+                _write_csv(stream, columns)
             return
-        objects = itertools.chain(
-            [dict(kind="header", **header)],
-            (dict(kind="record", **rec) for rec in records),
-            [] if report is None else [dict(kind="report", **report)],
-        )
-        serialize.write_jsonl(stream, objects)
+        serialize.write_jsonl(stream, [dict(kind="header", **header)])
+        if columns:
+            serialize.write_records(stream, columns)
+        if report is not None:
+            serialize.write_jsonl(stream, [dict(kind="report", **report)])
 
 
-def _write_csv(stream, records) -> None:
+def _write_csv(stream, columns: dict) -> None:
     # CSV is a lossy convenience export: records only, flattened row-major.
-    records = iter(records)
-    first = next(records, None)
-    if first is None:
-        return
-    records = itertools.chain([first], records)
-    head = [f"x{i}" for i in range(len(first["point"]))]
-    if "metric" in first:
-        side = int(round(len(first["metric"]) ** 0.5))
-        head += [f"g{i}{j}" for i in range(side) for j in range(side)]
-        head += [f"w{i}{j}" for i in range(side) for j in range(side)]
-        rows = (rec["point"] + rec["metric"] + rec["two_form"] for rec in records)
-    else:
-        side = int(round(len(first["h"]) ** 0.5))
+    head = [f"x{i}" for i in range(columns["point"].shape[1])]
+    if "h" in columns:
+        side = math.isqrt(columns["h"].shape[1])
         head += [f"h{i}{j}_{part}" for i in range(side) for j in range(side) for part in ("re", "im")]
         head += ["gap"]
-        rows = (rec["point"] + [x for pair in rec["h"] for x in pair] + [rec["gap"]]
-                for rec in records)
-    writer = csv.writer(stream)
-    writer.writerow(head)
-    writer.writerows(rows)
+    else:
+        side = math.isqrt(columns["metric"].shape[1])
+        head += [f"g{i}{j}" for i in range(side) for j in range(side)]
+        head += [f"w{i}{j}" for i in range(side) for j in range(side)]
+    csv.writer(stream).writerow(head)
+    serialize.write_records(stream, columns, "csv")
 
 
 def _report(results: list[checks.CheckResult]) -> dict:
@@ -348,13 +341,11 @@ def cmd_group(args) -> int:
     tensor = covariance_matrix(rep, fiducial, projective=projective)
     scale = EULER_GENERATOR_SCALE if normalization == "generator" else 1.0
     metric, two_form = evaluate_at(tensor, euler_coframes(points, frame) * scale)
-    # Each record is built as it is written, so no list of records is held.
-    records = (
-        {"point": p.tolist(), "metric": g.tolist(), "two_form": w.tolist()}
-        for p, g, w in zip(
-            points, metric.reshape(len(points), -1), two_form.reshape(len(points), -1)
-        )
-    )
+    columns = {
+        "point": points,
+        "metric": metric.reshape(len(points), -1),
+        "two_form": two_form.reshape(len(points), -1),
+    }
     header = {
         "mode": "group",
         "rep": spec["rep"],
@@ -366,7 +357,7 @@ def cmd_group(args) -> int:
         "grid": {name: values.tolist() for name, values in axes},
         "conventions": checks.conventions(),
     }
-    _write_output(output, header, records)
+    _write_output(output, header, columns)
     return EXIT_OK
 
 
@@ -408,10 +399,10 @@ def cmd_weyl(args) -> int:
         )
 
     side = emitted.coefficients.shape[0]
-    record = {
-        "point": [0.0] * side,
-        "metric": serialize.real_matrix_row_major(emitted.coefficients.real),
-        "two_form": serialize.real_matrix_row_major(emitted.coefficients.imag),
+    columns = {
+        "point": np.zeros((1, side)),
+        "metric": emitted.coefficients.real.reshape(1, -1),
+        "two_form": emitted.coefficients.imag.reshape(1, -1),
     }
     header = {
         "mode": "weyl",
@@ -422,7 +413,7 @@ def cmd_weyl(args) -> int:
         "conventions": checks.conventions(),
     }
     report = _report(results)
-    _write_output(output, header, [record], report)
+    _write_output(output, header, columns, report)
     return EXIT_OK if report["pass"] else EXIT_CHECK
 
 
@@ -434,11 +425,11 @@ def cmd_qgt(args) -> int:
         family, points, a=level, degeneracy_tol=_tolerance(spec, args, "degeneracy_tol", None)
     )
     h = res.h.reshape(len(points), -1)
-    pairs = np.stack([h.real, h.imag], axis=-1)  # row-major [re, im] entries
-    records = (
-        {"point": p.tolist(), "h": hp.tolist(), "gap": float(g)}
-        for p, hp, g in zip(points, pairs, res.gap)
-    )
+    columns = {
+        "point": points,
+        "h": np.stack([h.real, h.imag], axis=-1),  # row-major [re, im] entries
+        "gap": res.gap,
+    }
     header = {
         "mode": "qgt",
         "hamiltonian": spec["hamiltonian"],
@@ -446,7 +437,7 @@ def cmd_qgt(args) -> int:
         "grid": {name: values.tolist() for name, values in axes},
         "conventions": checks.conventions(),
     }
-    _write_output(output, header, records)
+    _write_output(output, header, columns)
     return EXIT_OK
 
 
@@ -484,7 +475,7 @@ def cmd_verify(args) -> int:
         ]
     header["conventions"] = checks.conventions()
     report = _report(results)
-    _write_output(output, header, [], report)
+    _write_output(output, header, report=report)
     return EXIT_OK if report["pass"] else EXIT_CHECK
 
 
@@ -540,9 +531,14 @@ def cmd_compare(args) -> int:
     worst = float(per_record.max())
     passed = worst <= args.tol
     check = {"name": "max-deviation", "residual": worst, "tolerance": args.tol, "pass": passed}
-    report = {"checks": [check], "per_record_max": per_record.tolist(), "pass": passed}
+    report = {
+        "checks": [check],
+        "per_record_max": per_record.tolist(),
+        "worst_record": int(per_record.argmax()),
+        "pass": passed,
+    }
     header = {"mode": "compare", "file_a": args.file_a, "file_b": args.file_b}
-    _write_output((args.out, "jsonl"), header, [], report)
+    _write_output((args.out, "jsonl"), header, report=report)
     return EXIT_OK if report["pass"] else EXIT_CHECK
 
 

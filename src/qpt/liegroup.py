@@ -145,8 +145,7 @@ class LieAlgebraRep:
                 raise ValueError("multiplier form must be antisymmetric")
         for name, value in (("generators", gens), ("structure_constants", c), ("multiplier_form", omega)):
             if value is not None:
-                value = value.copy()
-                value.setflags(write=False)
+                value = _frozen(value, getattr(self, name))
             object.__setattr__(self, name, value)
         row_nnz, col_nnz = (np.bincount(which * d + at, minlength=n * d).reshape(n, d)
                             for at in (rows, cols))
@@ -189,6 +188,17 @@ class LieAlgebraRep:
                 rhs = rhs + 1j * omega[j, k] * eye
                 worst = max(worst, float(np.abs((lhs - rhs)[block]).max()))
         return worst
+
+
+def _frozen(value: np.ndarray, given) -> np.ndarray:
+    """``value``, the array made of the argument ``given``, made read-only.
+    It is copied unless no caller can write to its memory: a fresh
+    conversion, or ``given`` itself when that is a read-only array owning
+    its data, such as the stack :func:`heisenberg_rep` builds and hands over."""
+    private = value.base is None and (value is not given or not value.flags.writeable)
+    value = value if private else value.copy()
+    value.setflags(write=False)
+    return value
 
 
 def _product_entries(a, b, b_row_nnz):
@@ -281,6 +291,7 @@ def heisenberg_rep(n_modes: int, cutoff: int) -> LieAlgebraRep:
     serves the ``heisenberg`` builtin of :func:`rep_from_spec` and the tests.
     """
     gens = fock.position_momentum(n_modes, cutoff)  # checks the size first
+    gens.setflags(write=False)  # handed over: the rep keeps it without a copy
     n = 2 * n_modes
     return LieAlgebraRep(
         gens,

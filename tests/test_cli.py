@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -213,6 +214,16 @@ def test_compare_h_deviation_is_max_of_parts(tmp_path, capsys):
     assert main(["compare", str(a), str(b), "--tol", "4.5e-9"]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["per_record_max"] == [pytest.approx(4e-9, abs=1e-18)]
+
+
+def test_compare_names_its_worst_record(tmp_path, capsys):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text(GOOD_RECORD * 3)
+    b.write_text(GOOD_RECORD + GOOD_RECORD.replace("[1.0]", "[1.5]") + GOOD_RECORD.replace("[1.0]", "[1.25]"))
+    assert main(["compare", str(a), str(b), "--tol", "1"]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["per_record_max"] == [0.0, 0.5, 0.25]
+    assert report["worst_record"] == 1
 
 
 def test_compare_detects_deviation(tmp_path):
@@ -482,6 +493,160 @@ def test_csv_export(tmp_path):
     assert len(lines) == 26  # header row + 25 records
     assert lines[0].split(",")[:3] == ["x0", "x1", "x2"]
     assert len(lines[1].split(",")) == 3 + 9 + 9
+
+
+AFFINE_SPEC = {
+    "mode": "qgt",
+    "hamiltonian": {"affine": {"h0": [[[1, 0]]], "terms": [[[[0.5, 0]]]]}},
+    "grid": {"x": [0, 1, 5]},
+}
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Records in chunks of ``n`` with a forked second encoder whenever there
+    is more than one chunk, whatever the CPU count of the machine."""
+    monkeypatch.setattr(serialize, "_second_worker", lambda n_chunks: n_chunks > 1)
+    return lambda n: monkeypatch.setattr(serialize, "CHUNK_RECORDS", n)
+
+
+def assert_no_child_left(pid):
+    assert os.getpid() == pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_lines_are_dump_line(text, records):
+    # Every float re-parses exactly, so dump_line of the parsed object is the
+    # line that per-record json encoding would have written.
+    lines = text.splitlines()
+    assert len([line for line in lines if '"kind": "record"' in line]) == records
+    for line in lines:
+        assert serialize.dump_line(json.loads(line)) == line
+
+
+def assert_rows_are_csv_writer(text, records):
+    rows = list(csv.reader(io.StringIO(text)))
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(rows[0])
+    writer.writerows([[float(x) for x in row] for row in rows[1:]])
+    assert len(rows) == records + 1
+    assert text == expected.getvalue()
+
+
+@pytest.mark.parametrize("chunk", [25, 13, 4], ids=["1-chunk", "2-chunks", "7-chunks"])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_group_records_equal_per_record_encoding(tmp_path, two_workers, chunk, fmt):
+    two_workers(chunk)
+    pid = os.getpid()
+    spec = write_spec(tmp_path, "g.json", group_spec())
+    out = tmp_path / f"g.{fmt}"
+    assert main(["group", "--spec", spec, "--out", str(out), "--format", fmt]) == 0
+    assert_no_child_left(pid)
+    check = assert_lines_are_dump_line if fmt == "jsonl" else assert_rows_are_csv_writer
+    check(out.read_bytes().decode(), 25)
+    two_workers(10**6)
+    one = tmp_path / f"one.{fmt}"
+    assert main(["group", "--spec", spec, "--out", str(one), "--format", fmt]) == 0
+    assert out.read_bytes() == one.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_qgt_non_finite_gap_to_stdout(tmp_path, capsys, two_workers, fmt):
+    # A one-level family has no gap: JSON spells it Infinity, CSV inf.
+    two_workers(2)
+    pid = os.getpid()
+    spec = write_spec(tmp_path, "q.json", AFFINE_SPEC)
+    assert main(["qgt", "--spec", spec, "--format", fmt]) == 0
+    assert_no_child_left(pid)
+    text = capsys.readouterr().out
+    if fmt == "jsonl":
+        assert_lines_are_dump_line(text, 5)
+        assert text.count('"gap": Infinity}') == 5
+    else:
+        assert_rows_are_csv_writer(text, 5)
+        assert text.splitlines()[1] == "0.0,0.0,0.0,inf"
+
+
+@pytest.mark.parametrize("chunk", [9, 5, 3], ids=["1-chunk", "2-chunks", "3-chunks"])
+def test_write_records_spells_floats_as_json(two_workers, chunk):
+    two_workers(chunk)
+    pid = os.getpid()
+    rng = np.random.default_rng(3)
+    columns = {"point": rng.normal(size=(9, 2)), "h": rng.normal(size=(9, 4, 2)), "gap": rng.normal(size=9)}
+    columns["h"][1, 2, 1] = -0.0
+    columns["gap"][[0, 4, 7]] = [np.nan, np.inf, -np.inf]
+    stream = io.StringIO()
+    serialize.write_records(stream, columns)
+    assert_no_child_left(pid)
+    expected = "".join(
+        serialize.dump_line({"kind": "record", **{k: v[i].tolist() for k, v in columns.items()}}) + "\n"
+        for i in range(9)
+    )
+    assert stream.getvalue() == expected
+
+
+def test_one_chunk_or_one_cpu_encodes_in_process(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert not serialize._second_worker(1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    stream = io.StringIO()
+    monkeypatch.setattr(serialize, "CHUNK_RECORDS", 2)
+    serialize.write_records(stream, {"point": np.arange(10.0).reshape(5, 2)})
+    assert stream.getvalue().count("\n") == 5
+
+
+def _failing_child(monkeypatch, fail):
+    """Make the forked encoder run ``fail(lo, hi, encode)`` for its chunks."""
+    fork_encoder = serialize._fork_encoder
+    monkeypatch.setattr(
+        serialize, "_fork_encoder",
+        lambda encode, chunks: fork_encoder(lambda lo, hi: fail(lo, hi, encode), chunks),
+    )
+
+
+def _raise(lo, hi, encode):
+    raise ValueError("encoder failure")
+
+
+def _exit_after_first(lo, hi, encode):
+    if lo > serialize.CHUNK_RECORDS:  # past the child's first chunk
+        os._exit(0)  # a clean exit that sends a short stream
+    return encode(lo, hi)
+
+
+@pytest.mark.parametrize("fail", [_raise, _exit_after_first], ids=["raises", "exits-short"])
+def test_child_failure_raises_and_is_reaped(tmp_path, two_workers, monkeypatch, fail):
+    two_workers(4)
+    _failing_child(monkeypatch, fail)
+    pid = os.getpid()
+    spec = write_spec(tmp_path, "g.json", group_spec())
+    with pytest.raises(RuntimeError, match="record encoder process"):
+        main(["group", "--spec", spec, "--out", str(tmp_path / "g.jsonl")])
+    assert_no_child_left(pid)
+
+
+class ClosedAfter:
+    """A text stream that fails like a closed pipe after ``n`` writes."""
+
+    def __init__(self, n):
+        self.left = n
+
+    def write(self, text):
+        self.left -= 1
+        if self.left < 0:
+            raise BrokenPipeError("stdout closed")
+
+
+def test_parent_write_error_reaps_the_child(tmp_path, two_workers, monkeypatch):
+    two_workers(2)
+    pid = os.getpid()
+    monkeypatch.setattr(sys, "stdout", ClosedAfter(3))  # the header line and one chunk
+    spec = write_spec(tmp_path, "g.json", group_spec())
+    with pytest.raises(BrokenPipeError):
+        main(["group", "--spec", spec])
+    assert_no_child_left(pid)
 
 
 def test_spec_tolerances_block(tmp_path):

@@ -322,6 +322,33 @@ def test_rep_arrays_are_read_only():
         rep.generators[0, 0, 0] = 5.0
 
 
+def test_rep_copies_an_array_its_caller_can_write():
+    gens = np.array(su2_spin_rep(0.5).generators)
+    consts = np.array(su2_spin_rep(0.5).structure_constants)
+    view = gens.view()
+    view.setflags(write=False)  # read-only, but gens still writes its memory
+    reps = [LieAlgebraRep(gens, consts), LieAlgebraRep(view, consts)]
+    gens[0, 0, 0] = 5.0
+    consts[0, 1, 2] = 7.0
+    for rep in reps:
+        np.testing.assert_array_equal(rep.generators[0], SX)
+        assert rep.structure_constants[0, 1, 2] == 2.0
+
+
+def test_rep_keeps_a_handed_over_stack_without_a_copy(monkeypatch):
+    built = []
+    position_momentum = fock.position_momentum
+
+    def recorded(modes, cutoff):
+        built.append(position_momentum(modes, cutoff))
+        return built[-1]
+
+    monkeypatch.setattr(fock, "position_momentum", recorded)
+    rep = heisenberg_rep(2, 8)
+    assert rep.generators is built[0]
+    assert not rep.generators.flags.writeable
+
+
 def test_rep_validation_rejects_bad_closure():
     with pytest.raises(ValueError):
         LieAlgebraRep(su2_spin_rep(0.5).generators, np.zeros((3, 3, 3)))
