@@ -28,6 +28,7 @@ from .liegroup import (
 )
 from .pullback import (
     PullbackTensor,
+    _as_tensor,
     covariance_matrix,
     degeneracy_directions,
     evaluate_at,
@@ -107,10 +108,11 @@ def equivariance_residual(
     For every sampled group element ``g`` the identity
     ``T(U(g)|0>) = A(g) T(|0>) A(g)^T`` is evaluated in max norm.  One
     stack of unitaries ``U(g)`` serves both sides, so the samples are
-    exponentiated once.
+    exponentiated once.  ``fiducial`` is a state or its linear
+    :class:`PullbackTensor`.
     """
     rng = np.random.default_rng(seed)
-    base = covariance_matrix(rep, fiducial)
+    base = _as_tensor(rep, fiducial)
     points = exponential_point(rng.uniform(-1.5, 1.5, (n_samples, rep.n_generators)))
     u = group_element(rep, points)
     a, _ = _adjoint_action(rep, u)
@@ -127,8 +129,9 @@ def projective_scale_residual(
     That is a move along the scale and phase direction ``psi``, which the
     projective tensor does not see; the linear tensor
     (``projective=False``) does, which makes it the negative control.
+    ``fiducial`` is a state or its :class:`PullbackTensor` of that kind.
     """
-    t = covariance_matrix(rep, fiducial, projective=projective)
+    t = _as_tensor(rep, fiducial, projective=projective)
     psi = t.fiducial
     c = np.random.default_rng(seed).normal(size=(rep.n_generators, 2)) @ [1.0, 1j]
     shifted = hermitian_tensor(psi, rep.generators @ psi + c[:, None] * psi, projective)
@@ -165,7 +168,11 @@ def group_checks(
     fd_step: float = 1e-5,
     seed: int = 0,
 ) -> list[CheckResult]:
-    """Invariant battery for a representation with a fiducial state."""
+    """Invariant battery for a representation with a fiducial state.
+
+    The linear and projective tensors are evaluated once and handed to
+    every check that reads them.
+    """
     rng = np.random.default_rng(seed)
     tol_dim = PROPERTY_ATOL * rep.dim
     results = []
@@ -182,25 +189,25 @@ def group_checks(
     min_eig = float(np.linalg.eigvalsh(metric).min())
     results.append(CheckResult("projective-psd", max(0.0, -min_eig), 1e-10))
     results.append(CheckResult(
-        "projective-scale-invariance", projective_scale_residual(rep, fiducial, seed=seed), 1e-10
+        "projective-scale-invariance", projective_scale_residual(rep, projective, seed=seed), 1e-10
     ))
 
     psi = projective.fiducial
     first = first_moments(rep, psi)
     worst_dir = 0.0
-    for u in degeneracy_directions(rep, fiducial):
+    for u in degeneracy_directions(rep, projective):
         op = np.tensordot(u, rep.generators, axes=1)
         worst_dir = max(worst_dir, float(np.linalg.norm(op @ psi - (u @ first) * psi)))
     results.append(CheckResult("degeneracy-direction-residual", worst_dir, 1e-6))
 
     results.append(
-        CheckResult("multiplier-consistency", multiplier_consistency(rep, fiducial), 1e-10)
+        CheckResult("multiplier-consistency", multiplier_consistency(rep, linear), 1e-10)
     )
 
     if rep.multiplier_form is None:
         results.append(
             CheckResult(
-                "equivariance", equivariance_residual(rep, fiducial, seed=seed), 1e-8
+                "equivariance", equivariance_residual(rep, linear, seed=seed), 1e-8
             )
         )
 
@@ -220,7 +227,7 @@ def group_checks(
         )
         try:
             results.append(
-                CheckResult("orbit-vs-spectral", orbit_consistency_check(rep, fiducial), 1e-8)
+                CheckResult("orbit-vs-spectral", orbit_consistency_check(rep, projective), 1e-8)
             )
         except NumericalRefusal:
             pass  # fiducial is not a coherent (extremal) state; check not applicable

@@ -88,6 +88,19 @@ def covariance_matrix(
     )
 
 
+def _as_tensor(rep: LieAlgebraRep, fiducial, projective: bool = False) -> PullbackTensor:
+    """The pulled-back tensor of ``fiducial``: the argument itself when it is
+    already a :class:`PullbackTensor` of that kind, so that a check battery
+    evaluates each tensor once and hands it on, else its
+    :func:`covariance_matrix`."""
+    if isinstance(fiducial, PullbackTensor):
+        if fiducial.projective != projective:
+            kind = "projective" if projective else "linear"
+            raise ValueError(f"expected the {kind} pulled-back tensor")
+        return fiducial
+    return covariance_matrix(rep, fiducial, projective=projective)
+
+
 def split(t: PullbackTensor) -> tuple[np.ndarray, np.ndarray]:
     """Split coefficients into (real symmetric metric, real antisymmetric form).
 
@@ -112,12 +125,12 @@ def multiplier_consistency(rep: LieAlgebraRep, fiducial) -> float:
 
     The antisymmetric part of the pulled-back tensor is the expectation of
     the commutator identity; the residual is the max-norm defect.
+    ``fiducial`` is a state or its linear :class:`PullbackTensor`.
     """
-    psi = _normalized_fiducial(fiducial)
-    t = covariance_matrix(rep, psi).coefficients
-    first = first_moments(rep, psi)
+    t = _as_tensor(rep, fiducial)
+    first = first_moments(rep, t.fiducial)
     expected = np.tensordot(rep.structure_constants, first, axes=([2], [0])) + rep.omega()
-    return float(np.abs(2.0 * t.imag - expected).max())
+    return float(np.abs(2.0 * t.coefficients.imag - expected).max())
 
 
 def degeneracy_directions(
@@ -129,9 +142,10 @@ def degeneracy_directions(
     ``(u . R) |0> = <u . R> |0>`` within tolerance: the corresponding
     subalgebra moves the fiducial ray by a phase only.  Directions are
     sign-fixed so their first significant component is positive.  The list
-    is empty when the projective metric has full rank.
+    is empty when the projective metric has full rank.  ``fiducial`` is a
+    state or its projective :class:`PullbackTensor`.
     """
-    metric, _ = split(covariance_matrix(rep, fiducial, projective=True))
+    metric, _ = split(_as_tensor(rep, fiducial, projective=True))
     eigvals, eigvecs = np.linalg.eigh(metric)
     out = []
     for val, vec in zip(eigvals, eigvecs.T):

@@ -34,7 +34,7 @@ from .liegroup import (
     euler_elements,
     grid_points,
 )
-from .pullback import _normalized_fiducial, covariance_matrix, evaluate_at, first_moments
+from .pullback import _as_tensor, evaluate_at, first_moments
 
 # Relative gap floor: levels closer than this times the spectral radius
 # count as degenerate.
@@ -397,9 +397,11 @@ def orbit_consistency_check(
     fixed ``alpha``; at every point the real part of the spectral tensor is
     compared entrywise with the projective pullback contracted against the
     left-invariant coframe in generator normalisation.  Returns the largest
-    deviation.
+    deviation.  ``fiducial`` is a state or its projective
+    :class:`~qpt.pullback.PullbackTensor`.
     """
-    psi = _normalized_fiducial(fiducial)
+    t_proj = _as_tensor(rep, fiducial, projective=True)
+    psi = t_proj.fiducial
     if direction is None:
         first = first_moments(rep, psi)
         scale = float(np.linalg.norm(first))
@@ -418,6 +420,5 @@ def orbit_consistency_check(
     gammas = np.linspace(0.3, 2 * np.pi - 0.3, grid_shape[1])
     points = grid_points([alpha], betas, gammas)
     spectral = qgt_tensor(orbit_family(rep, n), points, a=0)
-    t_proj = covariance_matrix(rep, psi, projective=True)
     pulled = evaluate_at(t_proj, euler_coframes(points, LEFT_INVARIANT) * EULER_GENERATOR_SCALE)
     return float(np.abs(spectral.metric - pulled.metric).max())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpt import checks, liegroup
+from qpt import checks, liegroup, pullback
 from qpt.checks import equivariance_residual, group_checks, projective_scale_residual, qgt_checks
 from qpt.liegroup import grid_points, su2_spin_rep
 from qpt.qgt import bloch_family
@@ -65,3 +65,22 @@ def test_equivariance_exponentiates_its_samples_once(monkeypatch):
     calls_in_liegroup = counting(monkeypatch, liegroup, "group_element")
     assert equivariance_residual(su2_spin_rep(1.5), GENERIC) <= 1e-8
     assert len(calls) + len(calls_in_liegroup) == 1
+
+
+def test_group_checks_evaluate_each_tensor_once(monkeypatch):
+    # The linear and the projective tensor of the fiducial, and one stack
+    # for the equivariance samples: every other check is handed the first two.
+    calls = counting(monkeypatch, checks, "covariance_matrix")
+    calls_in_pullback = counting(monkeypatch, pullback, "covariance_matrix")
+    results = group_checks(su2_spin_rep(1.5), [1, 0, 0, 0])
+    assert all(r.passed for r in results)
+    assert "orbit-vs-spectral" in {r.name for r in results}
+    assert len(calls) + len(calls_in_pullback) == 3
+
+
+def test_checks_refuse_a_tensor_of_the_wrong_kind():
+    rep = su2_spin_rep(1.5)
+    linear = pullback.covariance_matrix(rep, GENERIC)
+    with pytest.raises(ValueError, match="projective"):
+        projective_scale_residual(rep, linear)
+    assert projective_scale_residual(rep, linear, projective=False) >= 1e-2

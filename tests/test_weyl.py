@@ -10,6 +10,7 @@ from qpt.liegroup import heisenberg_rep
 from qpt.pullback import covariance_matrix
 from qpt.weyl import (
     MAX_STATES,
+    _expm,
     build_weyl,
     defect_convergence,
     displacement,
@@ -70,16 +71,48 @@ def test_displacement_identity():
     system = build_weyl(2, 6)
     factors = displacement(system, [0, 0, 0, 0])
     assert factors.shape == (2, 6, 6)
-    np.testing.assert_allclose(factors, np.broadcast_to(np.eye(6), (2, 6, 6)), atol=1e-15)
+    assert np.array_equal(factors, np.broadcast_to(np.eye(6), (2, 6, 6)))
 
 
 def test_displacement_unitary():
+    # |v| from 0.01 to 6 takes the exponential through up to four squarings.
     rng = np.random.default_rng(0)
-    system = build_weyl(2, 12)
-    for _ in range(5):
-        v = rng.uniform(-0.4, 0.4, 4)
-        for w in displacement(system, v):
-            np.testing.assert_allclose(w.conj().T @ w, np.eye(12), atol=1e-12)
+    for cutoff in (8, 16, 32):
+        system = build_weyl(2, cutoff)
+        for size in np.geomspace(0.01, 6.0, 6):
+            v = rng.normal(size=4)
+            for w in displacement(system, size * v / np.linalg.norm(v)):
+                np.testing.assert_allclose(w.conj().T @ w, np.eye(cutoff), atol=1e-13)
+
+
+def relative_error(a, b):
+    return float(np.linalg.norm(a - b, 1) / np.linalg.norm(b, 1))
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_expm_matches_scipy_on_random_matrices(n):
+    # 1-norms from 1e-3 to 100: theta_13 is 5.37, so the three largest take
+    # the scaling-and-squaring branch, with one to five squarings.
+    rng = np.random.default_rng(n)
+    for norm in np.logspace(-3, 2, 11):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        assert relative_error(_expm(a), expm(a)) <= 5e-14
+
+
+@pytest.mark.parametrize("cutoff", [8, 16, 32])
+def test_expm_matches_scipy_on_weyl_generators(cutoff):
+    rng = np.random.default_rng(cutoff)
+    gens = build_weyl(1, cutoff).mode_rep.generators
+    for size, angle in zip(np.geomspace(0.01, 6.0, 12), rng.uniform(0, 2 * np.pi, 12)):
+        a = 1j * size * (np.cos(angle) * gens[0] + np.sin(angle) * gens[1])
+        assert relative_error(_expm(a), expm(a)) <= 1e-14
+
+
+def test_expm_of_zero_is_exactly_the_identity():
+    for n in (1, 4, 5, 16, 64):
+        for dtype in (float, complex):
+            assert np.array_equal(_expm(np.zeros((n, n), dtype)), np.eye(n))
 
 
 def test_weyl_defect_convergence():
@@ -188,9 +221,10 @@ def test_moment_oracle_requires_enough_points():
 
 
 def dense_defect(rep, v1, v2):
-    """The exchange defect from dense exponentials of a dense Heisenberg rep."""
-    w1 = expm(1j * np.tensordot(np.asarray(v1, dtype=float), rep.generators, axes=1))
-    w2 = expm(1j * np.tensordot(np.asarray(v2, dtype=float), rep.generators, axes=1))
+    """The exchange defect from dense exponentials of a dense Heisenberg rep,
+    taken with the same exponential as :func:`displacement`."""
+    w1 = _expm(1j * np.tensordot(np.asarray(v1, dtype=float), rep.generators, axes=1))
+    w2 = _expm(1j * np.tensordot(np.asarray(v2, dtype=float), rep.generators, axes=1))
     phase = np.exp(-1j * float(np.asarray(v1) @ rep.multiplier_form @ np.asarray(v2)))
     vac = np.zeros(rep.dim, dtype=complex)
     vac[0] = 1.0
