@@ -11,7 +11,9 @@ Subcommands
 Outputs are JSON lines (one header object, one record per grid point, and
 for checking modes a final report object) or a lossy CSV export.  Exit
 codes: 0 success, 2 malformed specification, 3 numerical refusal, 4 check
-failure.
+failure.  A standard output closed by its reader (``qpt group ... | head``)
+ends the run with exit 1 and no traceback, after the record worker, if
+any, is killed and reaped.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .qgt import ham_from_spec, qgt_tensor
 from .weyl import build_weyl, gaussian_covariance, lagrangian_restriction
 
 EXIT_OK = 0
+EXIT_FAILURE = 1
 EXIT_SPEC = 2
 EXIT_REFUSAL = 3
 EXIT_CHECK = 4
@@ -61,6 +64,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # Nothing is left to read the output: point standard output at the
+        # null device, so the flush at exit does not fail on it again.
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
@@ -249,13 +258,19 @@ def _family_on_grid(spec, args):
 
 def _tolerance(spec: dict, args, key: str, default):
     """One tolerance: its command-line flag overrides ``$.tolerances.<key>``.
-    Steps and floors, every key but the ``tol`` cap, must be positive."""
+    Steps and floors, every key but the ``tol`` cap, must be positive; the
+    cap must be at least 0."""
     value = _flag(require_object(spec.get("tolerances", {}), "$.tolerances"), args, key, default)
     if value is None and default is None:
         return None
-    value = require_number(value, f"$.tolerances.{key}")
-    if key != "tol" and value <= 0:
-        raise SpecError(f"at $.tolerances.{key}: expected a number > 0, got {value!r}")
+    return _bounded(value, f"$.tolerances.{key}", strict=key != "tol")
+
+
+def _bounded(value, path: str, strict: bool) -> float:
+    """``value`` if it is a finite number ``> 0`` (``strict``) or ``>= 0``."""
+    value = require_number(value, path)
+    if value < 0 or (strict and value == 0):
+        raise SpecError(f"at {path}: expected a number {'>' if strict else '>='} 0, got {value!r}")
     return value
 
 
@@ -274,40 +289,44 @@ def _output_target(args, spec: dict) -> tuple[str, str]:
     return path, args.format or fmt
 
 
-def _write_output(output, header: dict, columns: dict | None = None, report: dict | None = None):
-    """The header, the records of ``columns`` (field name -> ``(P, ...)``
-    stack, see :func:`serialize.write_records`) and the report, or only the
-    records as CSV."""
+def _write_output(output, header: dict, records=None, report: dict | None = None):
+    """The header, the records and the report, or only the records as CSV.
+    ``records`` is ``(points, columns)``: the ``(P, m)`` point stack and the
+    function that evaluates a slice of it into fields, each record's tensor
+    ``m x m`` (see :func:`serialize.write_records`).  The output is opened
+    only after every record is evaluated."""
     path, fmt = output
-    try:
-        stream = sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot write output: {exc}") from exc
-    with contextlib.nullcontext(stream) if path == "-" else stream:
-        if fmt == "csv":
-            if columns:
-                _write_csv(stream, columns)
-            return
-        serialize.write_jsonl(stream, [dict(kind="header", **header)])
-        if columns:
-            serialize.write_records(stream, columns)
-        if report is not None:
-            serialize.write_jsonl(stream, [dict(kind="report", **report)])
 
+    @contextlib.contextmanager
+    def opened():
+        try:
+            stream = sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise SpecError(f"cannot write output: {exc}") from exc
+        with contextlib.nullcontext(stream) if path == "-" else stream:
+            if fmt == "jsonl":
+                serialize.write_jsonl(stream, [dict(kind="header", **header)])
+            elif records is not None:
+                csv.writer(stream).writerow(_csv_head(records[0].shape[1], header["mode"] == "qgt"))
+            yield stream
+            if fmt == "jsonl" and report is not None:
+                serialize.write_jsonl(stream, [dict(kind="report", **report)])
+            stream.flush()  # a reader that has gone shows here, not at exit
 
-def _write_csv(stream, columns: dict) -> None:
-    # CSV is a lossy convenience export: records only, flattened row-major.
-    head = [f"x{i}" for i in range(columns["point"].shape[1])]
-    if "h" in columns:
-        side = math.isqrt(columns["h"].shape[1])
-        head += [f"h{i}{j}_{part}" for i in range(side) for j in range(side) for part in ("re", "im")]
-        head += ["gap"]
+    if records is None:
+        with opened():
+            pass
     else:
-        side = math.isqrt(columns["metric"].shape[1])
-        head += [f"g{i}{j}" for i in range(side) for j in range(side)]
-        head += [f"w{i}{j}" for i in range(side) for j in range(side)]
-    csv.writer(stream).writerow(head)
-    serialize.write_records(stream, columns, "csv")
+        serialize.write_records(opened, *records, fmt)
+
+
+def _csv_head(m: int, spectral: bool) -> list[str]:
+    # CSV is a lossy convenience export: records only, flattened row-major.
+    pairs = [f"{i}{j}" for i in range(m) for j in range(m)]
+    head = [f"x{i}" for i in range(m)]
+    if spectral:
+        return head + [f"h{ij}_{part}" for ij in pairs for part in ("re", "im")] + ["gap"]
+    return head + [f"g{ij}" for ij in pairs] + [f"w{ij}" for ij in pairs]
 
 
 def _report(results: list[checks.CheckResult]) -> dict:
@@ -340,12 +359,15 @@ def cmd_group(args) -> int:
 
     tensor = covariance_matrix(rep, fiducial, projective=projective)
     scale = EULER_GENERATOR_SCALE if normalization == "generator" else 1.0
-    metric, two_form = evaluate_at(tensor, euler_coframes(points, frame) * scale)
-    columns = {
-        "point": points,
-        "metric": metric.reshape(len(points), -1),
-        "two_form": two_form.reshape(len(points), -1),
-    }
+
+    def columns(chunk):
+        metric, two_form = evaluate_at(tensor, euler_coframes(chunk, frame) * scale)
+        return {
+            "point": chunk,
+            "metric": metric.reshape(len(chunk), -1),
+            "two_form": two_form.reshape(len(chunk), -1),
+        }
+
     header = {
         "mode": "group",
         "rep": spec["rep"],
@@ -357,7 +379,7 @@ def cmd_group(args) -> int:
         "grid": {name: values.tolist() for name, values in axes},
         "conventions": checks.conventions(),
     }
-    _write_output(output, header, columns)
+    _write_output(output, header, (points, columns))
     return EXIT_OK
 
 
@@ -398,9 +420,8 @@ def cmd_weyl(args) -> int:
             )
         )
 
-    side = emitted.coefficients.shape[0]
-    columns = {
-        "point": np.zeros((1, side)),
+    record = {
+        "point": np.zeros((1, emitted.coefficients.shape[0])),
         "metric": emitted.coefficients.real.reshape(1, -1),
         "two_form": emitted.coefficients.imag.reshape(1, -1),
     }
@@ -413,7 +434,7 @@ def cmd_weyl(args) -> int:
         "conventions": checks.conventions(),
     }
     report = _report(results)
-    _write_output(output, header, columns, report)
+    _write_output(output, header, (record["point"], lambda point: record), report)
     return EXIT_OK if report["pass"] else EXIT_CHECK
 
 
@@ -421,15 +442,17 @@ def cmd_qgt(args) -> int:
     spec = _load_spec(args, "qgt")
     output = _output_target(args, spec)
     family, axes, points, level = _family_on_grid(spec, args)
-    res = qgt_tensor(
-        family, points, a=level, degeneracy_tol=_tolerance(spec, args, "degeneracy_tol", None)
-    )
-    h = res.h.reshape(len(points), -1)
-    columns = {
-        "point": points,
-        "h": np.stack([h.real, h.imag], axis=-1),  # row-major [re, im] entries
-        "gap": res.gap,
-    }
+    degeneracy_tol = _tolerance(spec, args, "degeneracy_tol", None)
+
+    def columns(chunk):
+        res = qgt_tensor(family, chunk, a=level, degeneracy_tol=degeneracy_tol)
+        h = res.h.reshape(len(chunk), -1)
+        return {
+            "point": chunk,
+            "h": np.stack([h.real, h.imag], axis=-1),  # row-major [re, im] entries
+            "gap": res.gap,
+        }
+
     header = {
         "mode": "qgt",
         "hamiltonian": spec["hamiltonian"],
@@ -437,7 +460,7 @@ def cmd_qgt(args) -> int:
         "grid": {name: values.tolist() for name, values in axes},
         "conventions": checks.conventions(),
     }
-    _write_output(output, header, columns)
+    _write_output(output, header, (points, columns))
     return EXIT_OK
 
 
@@ -512,8 +535,10 @@ def _record_stacks(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_compare(args) -> int:
-    points_a, tensors_a = _record_stacks(args.file_a)
-    points_b, tensors_b = _record_stacks(args.file_b)
+    tol = _bounded(args.tol, "--tol", strict=False)
+    (points_a, tensors_a), (points_b, tensors_b) = serialize.read_pair(
+        _record_stacks, args.file_a, args.file_b
+    )
     if len(points_a) != len(points_b):
         raise SpecError(f"grid mismatch: {len(points_a)} records vs {len(points_b)} records")
     if points_a.shape == points_b.shape:
@@ -529,8 +554,8 @@ def cmd_compare(args) -> int:
     diff = tensors_a - tensors_b
     per_record = np.maximum(np.abs(diff.real), np.abs(diff.imag)).max(axis=(1, 2))
     worst = float(per_record.max())
-    passed = worst <= args.tol
-    check = {"name": "max-deviation", "residual": worst, "tolerance": args.tol, "pass": passed}
+    passed = worst <= tol
+    check = {"name": "max-deviation", "residual": worst, "tolerance": tol, "pass": passed}
     report = {
         "checks": [check],
         "per_record_max": per_record.tolist(),

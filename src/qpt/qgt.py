@@ -68,11 +68,14 @@ class HamiltonianFamily:
     """Parametrized family of Hermitian matrices, evaluated on point stacks.
 
     ``evaluate`` maps a stack of points ``(P, m)`` to its matrices
-    ``(P, d, d)``; ``derivative``, when given, maps it to the derivatives
-    along all ``m`` directions at once, ``(P, m, d, d)``.  Without it the
-    derivatives are central differences with step ``fd_step``.  The methods
-    below accept one point ``(m,)`` or a stack ``(P, m)`` and drop the stack
-    axis for one point.  :meth:`from_callable` adapts per-point callables.
+    ``(P, d, d)``; ``derivative``, when given, maps the stack and its
+    matrices to the derivatives along all ``m`` directions at once,
+    ``(P, m, d, d)``.  The matrices are None when the caller does not hold
+    them, and a derivative that reads them evaluates them itself.  Without
+    it the derivatives are central differences with step ``fd_step``.  The
+    methods below accept one point ``(m,)`` or a stack ``(P, m)`` and drop
+    the stack axis for one point.  :meth:`from_callable` adapts per-point
+    callables.
     """
 
     def __init__(self, evaluate, param_dim, derivative=None, fd_step=1e-5, level=0):
@@ -94,7 +97,7 @@ class HamiltonianFamily:
         def evaluate(lam):
             return h0 + np.tensordot(lam, terms, axes=1)
 
-        def derivative(lam):
+        def derivative(lam, h):
             return np.broadcast_to(terms, (len(lam),) + terms.shape)
 
         family = cls(evaluate, param_dim=len(terms), derivative=derivative, level=level)
@@ -108,7 +111,7 @@ class HamiltonianFamily:
         ``derivative(lam, mu) -> (d, d)``: the single per-point adapter,
         which calls them point by point and stacks the results."""
 
-        def stacked(lam):
+        def stacked(lam, h):
             dh = [[derivative(p, mu) for mu in range(param_dim)] for p in lam]
             return np.array(dh, dtype=complex)
 
@@ -128,18 +131,21 @@ class HamiltonianFamily:
             raise ValueError(f"family is not Hermitian at {stack[bad[0]].tolist()}")
         return h[0] if single else h
 
-    def derivative(self, lam, mu=None) -> np.ndarray:
+    def derivative(self, lam, mu=None, h=None) -> np.ndarray:
         """``dH`` along direction ``mu``, or along all directions when
-        ``mu`` is None: ``(..., d, d)`` or ``(..., m, d, d)``."""
+        ``mu`` is None: ``(..., d, d)`` or ``(..., m, d, d)``.  ``h``, the
+        stack ``(P, d, d)`` of ``H`` on a stack ``lam`` when the caller holds
+        it, spares a family whose derivative reads ``H`` a second
+        evaluation."""
         stack, single = self._stack(lam)
         if mu is not None and not 0 <= mu < self.param_dim:
             raise ValueError(f"direction {mu} out of range for {self.param_dim} parameters")
-        dh = self._call(self._derivative, stack, (self.param_dim,))
+        dh = self._call(lambda points: self._derivative(points, h), stack, (self.param_dim,))
         if mu is not None:
             dh = dh[:, mu]
         return dh[0] if single else dh
 
-    def _central_differences(self, stack) -> np.ndarray:
+    def _central_differences(self, stack, h=None) -> np.ndarray:
         """All directional derivatives by central differences with ``fd_step``."""
         step = self.fd_step
         diffs = [self._call(self._evaluate, stack + dx) - self._call(self._evaluate, stack - dx)
@@ -176,7 +182,7 @@ def bloch_family(level: int = 0) -> HamiltonianFamily:
         th, ph = lam.T[..., None, None]  # each (P, 1, 1)
         return np.sin(th) * np.cos(ph) * sx + np.sin(th) * np.sin(ph) * sy + np.cos(th) * sz
 
-    def derivative(lam):
+    def derivative(lam, h):
         th, ph = lam.T[..., None, None]
         d_th = np.cos(th) * np.cos(ph) * sx + np.cos(th) * np.sin(ph) * sy - np.sin(th) * sz
         d_ph = -np.sin(th) * np.sin(ph) * sx + np.sin(th) * np.cos(ph) * sy
@@ -210,8 +216,8 @@ def orbit_family(
         u = euler_elements(rep, lam)
         return u @ h0 @ u.conj().swapaxes(-1, -2)
 
-    def derivative(lam):
-        h = evaluate(lam)[:, None]
+    def derivative(lam, h):
+        h = (evaluate(lam) if h is None else h)[:, None]
         commutators = 1j * (gens @ h - h @ gens)  # (P, n, d, d): 1j [R_j, H]
         theta = euler_coframes(lam) * EULER_GENERATOR_SCALE  # (P, n, m)
         return np.einsum("pjm,pjab->pmab", theta, commutators)
@@ -257,10 +263,10 @@ def ham_from_spec(spec: dict) -> HamiltonianFamily:
     raise SpecError("at $.hamiltonian: expected an 'affine' or a 'builtin' family")
 
 
-def _eigensystem(family: HamiltonianFamily, stack: np.ndarray):
+def _eigensystem(h: np.ndarray):
     """Eigenvalues ``(P, d)`` and phase-fixed eigenvectors ``(P, d, d)``,
-    one column per level, of the family on a point stack."""
-    eigvals, eigvecs = np.linalg.eigh(family.hamiltonian(stack))
+    one column per level, of a stack of Hermitian matrices."""
+    eigvals, eigvecs = np.linalg.eigh(h)
     for idx in range(eigvecs.shape[-1]):
         eigvecs[..., idx] = _fix_phase(eigvecs[..., idx])
     return eigvals, eigvecs
@@ -294,10 +300,11 @@ def _spectral(family: HamiltonianFamily, lam, a: int | None, degeneracy_tol: flo
     ``sum_{b != a} |b> <b| dH |a> / (E_a - E_b)``."""
     a = family.level if a is None else a
     stack, single = family._stack(lam)
-    eigvals, eigvecs = _eigensystem(family, stack)
+    h = family.hamiltonian(stack)
+    eigvals, eigvecs = _eigensystem(h)
     gaps = _check_gap(eigvals, a, degeneracy_tol, stack)
     psi = eigvecs[..., a]
-    amps = (family.derivative(stack) @ psi[:, None, :, None])[..., 0] @ eigvecs.conj()  # <b| dH |a>
+    amps = (family.derivative(stack, h=h) @ psi[:, None, :, None])[..., 0] @ eigvecs.conj()  # <b| dH |a>
     others = np.arange(eigvals.shape[-1]) != a
     coef = np.zeros_like(amps)
     coef[..., others] = amps[..., others] / (eigvals[:, None, a, None] - eigvals[:, None, others])
@@ -352,7 +359,7 @@ def finite_difference_qgt(
     stack, single = family._stack(lam)
 
     def states(points):
-        vals, vecs = _eigensystem(family, points)
+        vals, vecs = _eigensystem(family.hamiltonian(points))
         return vecs[..., a], _check_gap(vals, a, degeneracy_tol, points)
 
     psi, gaps = states(stack)

@@ -5,19 +5,31 @@ matrices are flattened row-major.  Floats go through Python's shortest
 round-trip ``repr`` (at most 17 significant digits), so every emitted value
 re-parses to the exact in-memory double.
 
-Records are written from column stacks by :func:`write_records`: each field
-is a ``(P, ...)`` float array, and every line is filled from one ``%r``
-template built once from the column shapes.  The records go out in chunks of
-:data:`CHUNK_RECORDS`.  When there is more than one chunk and more than one
-CPU, one forked process encodes the odd chunks while this one encodes the
-even chunks, and this process writes all of them in order.  The bytes are
-those of :func:`dump_line` on each record's dict (JSON spells the
+Records are evaluated and written by :func:`write_records`.  A command hands
+it its ``(P, m)`` point stack and its column function, which maps a slice of
+the points to field name -> ``(n, ...)`` float stack.  The grid is cut into
+chunks of :data:`CHUNK_RECORDS` (1024) records, and every line of a chunk is
+filled from one ``%r`` template built from the column shapes.  When there is
+more than one chunk and more than one CPU, one forked worker evaluates and
+encodes the odd chunks while this process evaluates and encodes the even
+chunks.  Each process evaluates all of its chunks first.  The worker then
+reports ready, and only then is the output opened, its header written and
+the chunks written in order.  If either process fails before the worker is
+ready, the worker is killed and reaped and this process evaluates the whole
+grid at once, as it does without a worker: a refusal keeps its message and
+its index in the whole grid, and no output file is left.  A worker that
+fails or stops short after it is ready raises :class:`RuntimeError`.  The
+bytes are those of :func:`dump_line` on each record's dict (JSON spells the
 non-finite floats ``NaN``, ``Infinity`` and ``-Infinity``) or of
-``csv.writer`` on each record's row, whichever path writes them.
+``csv.writer`` on each record's row, whichever process encodes them.
+
+:func:`read_pair` runs the same kind of worker for ``compare``: it reads
+the second file while this process reads the first.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
@@ -25,11 +37,13 @@ import traceback
 
 import numpy as np
 
-# Records per chunk.  A chunk is one ``tolist`` and one ``%`` format, and
-# each process holds about one encoded chunk (some 1.3 MB of group records).
-CHUNK_RECORDS = 4096
+# Records per chunk.  A chunk is one evaluation, one ``tolist`` and one ``%``
+# format, and each process holds about one encoded chunk (some 330 kB of
+# group records) next to the columns of its half of the grid.
+CHUNK_RECORDS = 1024
 
-_LENGTH_BYTES = 8  # the length prefix of each chunk the child sends
+_LENGTH_BYTES = 8  # the length prefix of each message a worker sends
+_READY = b"ready"  # the record worker's first message: its chunks are evaluated
 
 
 def complex_pair(z) -> list[float]:
@@ -80,92 +94,187 @@ def _line_template(columns: dict, fmt: str) -> str:
     return "{" + ", ".join(fields) + "}\n"
 
 
-def write_records(stream, columns: dict, fmt: str = "jsonl") -> None:
-    """Write one line per record from ``columns``, field name -> ``(P, ...)``
-    float stack, in key order.  A ``jsonl`` line is ``dump_line`` of
-    ``{"kind": "record", name: value.tolist(), ...}``; a ``csv`` line is the
-    record's values, flattened row-major, as ``csv.writer`` writes them.
+def write_records(open_output, points, columns, fmt: str = "jsonl") -> None:
+    """Evaluate ``columns`` on ``points`` and write one line per record, in
+    order, to the stream that ``open_output()`` opens: a context manager,
+    entered only once every record is evaluated, so a run that fails in
+    evaluation leaves no output.
 
-    The child process, if any, leaves only through ``os._exit`` and is
-    reaped before this returns or raises.  A child that fails or sends a
-    short chunk raises :class:`RuntimeError`, so no truncated output passes
-    for a finished one.
+    ``columns`` maps a ``(n, m)`` slice of the ``(P, m)`` stack ``points``
+    to its fields, name -> ``(n, ...)`` float stack, in key order.  A
+    ``jsonl`` line is ``dump_line`` of ``{"kind": "record", name:
+    value.tolist(), ...}``; a ``csv`` line is the record's values, flattened
+    row-major, as ``csv.writer`` writes them.
+
+    The worker process, if any, leaves only through ``os._exit`` and is
+    reaped before this returns or raises.  A failure of either process
+    before the worker is ready is not an error of its own: the whole grid is
+    evaluated again here, so it raises what one process would.  A worker
+    that fails or stops short after that raises :class:`RuntimeError`, so
+    no truncated output passes for a finished one.
     """
-    columns = {name: np.asarray(col, dtype=float) for name, col in columns.items()}
-    stacks = list(columns.values())
-    count = len(stacks[0])
-    line = _line_template(columns, fmt)
-
-    def encode(lo: int, hi: int) -> str:
-        block = np.concatenate([s[lo:hi].reshape(hi - lo, -1) for s in stacks], axis=1)
-        values = block.ravel().tolist()
-        if fmt == "jsonl" and not np.isfinite(block).all():
-            values = [_JsonFloat(x) for x in values]
-        return (line * (hi - lo)) % tuple(values)
-
-    chunks = [(lo, min(lo + CHUNK_RECORDS, count)) for lo in range(0, count, CHUNK_RECORDS)]
-    pid, pipe = _fork_encoder(encode, chunks[1::2]) if _second_worker(len(chunks)) else (0, None)
-    workers = 2 if pid else 1
-    status = 0
+    bounds = [(lo, min(lo + CHUNK_RECORDS, len(points))) for lo in range(0, len(points), CHUNK_RECORDS)]
+    worker = None
+    if _second_worker(len(bounds)):
+        worker = _fork(lambda send: _evaluate_and_send(send, points, columns, bounds[1::2], fmt))
     try:
-        for i, (lo, hi) in enumerate(chunks):
-            stream.write(encode(lo, hi) if i % workers == 0 else _receive(pipe))
+        parts = None
+        if worker:
+            try:
+                parts = [columns(points[lo:hi]) for lo, hi in bounds[::2]]
+                if worker.receive() != _READY:
+                    parts = None
+            except Exception:  # evaluated again below, where it raises for the whole grid
+                parts = None
+            if parts is None:
+                worker.close(kill=True)
+                worker = None
+        if worker is None:
+            whole = columns(points)
+            parts = [{name: col[lo:hi] for name, col in whole.items()} for lo, hi in bounds]
+        step = 2 if worker else 1
+        with open_output() as stream:
+            for i in range(len(bounds)):
+                stream.write(_encode(parts[i // step], fmt) if i % step == 0 else _chunk_from(worker))
     except BaseException:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
+        if worker:
+            worker.close(kill=True)
         raise
-    finally:
-        if pid:
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
+    status = worker.close() if worker else 0
     if status:
-        raise RuntimeError(f"record encoder process failed (wait status {status})")
+        raise RuntimeError(f"record worker process failed (wait status {status})")
+
+
+def _encode(columns: dict, fmt: str) -> str:
+    """The lines of one chunk of records, field name -> ``(n, ...)`` stack."""
+    columns = {name: np.asarray(col, dtype=float) for name, col in columns.items()}
+    count = len(next(iter(columns.values())))
+    block = np.concatenate([col.reshape(count, -1) for col in columns.values()], axis=1)
+    values = block.ravel().tolist()
+    if fmt == "jsonl" and not np.isfinite(block).all():
+        values = [_JsonFloat(x) for x in values]
+    return (_line_template(columns, fmt) * count) % tuple(values)
+
+
+def _evaluate_and_send(send, points, columns, bounds, fmt: str) -> None:
+    """The worker's half: evaluate every chunk of ``bounds``, report ready,
+    then send each chunk's lines in order."""
+    parts = [columns(points[lo:hi]) for lo, hi in bounds]
+    send(_READY)
+    for part in parts:
+        send(_encode(part, fmt).encode())
+
+
+def _chunk_from(worker) -> str:
+    data = worker.receive()
+    if data is None:
+        raise RuntimeError("record worker process ended before sending every chunk")
+    return data.decode()
+
+
+def read_pair(read, first, second) -> tuple:
+    """``(read(first), read(second))``, where ``read`` returns a tuple of
+    arrays.  With more than one CPU a forked worker runs ``read(second)``
+    while this process runs ``read(first)``, and the worker's arrays come
+    back through the pipe in ``.npy`` format.  If the worker fails, this
+    process runs ``read(second)`` itself, so it raises what one process
+    would."""
+    worker = _fork(lambda send: [send(_npy(array)) for array in read(second)]) if _second_worker(2) else None
+    if worker is None:
+        return read(first), read(second)
+    try:
+        result = read(first)
+        try:
+            other = tuple(np.load(io.BytesIO(data), allow_pickle=False)
+                          for data in iter(worker.receive, None))
+        except RuntimeError:  # a message cut short: the worker failed
+            other = None
+    except BaseException:
+        worker.close(kill=True)
+        raise
+    if worker.close() or other is None:
+        other = read(second)
+    return result, other
+
+
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=False)
+    return buffer.getvalue()
 
 
 def _second_worker(n_chunks: int) -> bool:
-    """Whether a second process should encode: more than one chunk, and
+    """Whether a second process should work: more than one chunk, and
     ``os.fork`` and more than one CPU available to this process."""
     if n_chunks < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return False
     return len(os.sched_getaffinity(0)) > 1
 
 
-def _fork_encoder(encode, chunks):
-    """Fork one process that encodes ``chunks`` in order and writes each to a
-    pipe, length first; returns its pid and the pipe's read end."""
+class _Worker:
+    """A forked process and the read end of the pipe it sends messages to."""
+
+    def __init__(self, pid: int, pipe):
+        self.pid = pid
+        self.pipe = pipe
+
+    def receive(self) -> bytes | None:
+        """The next message, or None at the end of the stream; a message
+        cut short raises :class:`RuntimeError`."""
+        prefix = self.pipe.read(_LENGTH_BYTES)
+        if not prefix:
+            return None
+        size = int.from_bytes(prefix, "little")
+        data = self.pipe.read(size)
+        if len(prefix) < _LENGTH_BYTES or len(data) < size:
+            raise RuntimeError("worker process ended in the middle of a message")
+        return data
+
+    def close(self, kill: bool = False) -> int:
+        """Kill the process if asked, close the pipe and reap the process:
+        its wait status."""
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
+        self.pipe.close()
+        return os.waitpid(self.pid, 0)[1]
+
+
+def _fork(produce):
+    """Fork one worker that runs ``produce(send)``, where ``send(data)``
+    writes one message, length first, to the pipe the returned
+    :class:`_Worker` reads; None if no process can be forked.  The worker
+    leaves only through ``os._exit``.  A failure before its first message is
+    silent, because its caller then does the work itself; a later one
+    prints its traceback."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: this one encodes every chunk
+    except OSError:  # no process to spare: the caller does all the work
         os.close(read_fd)
         os.close(write_fd)
-        return 0, None
+        return None
     if pid == 0:
-        status = 1
+        status, sent = 1, False
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as pipe:
-                for lo, hi in chunks:
-                    data = encode(lo, hi).encode()
+
+                def send(data: bytes) -> None:
+                    nonlocal sent
                     pipe.write(len(data).to_bytes(_LENGTH_BYTES, "little"))
                     pipe.write(data)
+                    pipe.flush()
+                    sent = True
+
+                produce(send)
             status = 0
         except BaseException:
-            os.write(2, traceback.format_exc().encode())
+            if sent:
+                os.write(2, traceback.format_exc().encode())
         finally:
             os._exit(status)  # never return into the caller, nor flush its buffers
     os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _receive(pipe) -> str:
-    """The next chunk the child sent; a short read raises RuntimeError."""
-    prefix = pipe.read(_LENGTH_BYTES)
-    size = int.from_bytes(prefix, "little")
-    data = pipe.read(size)
-    if len(prefix) < _LENGTH_BYTES or len(data) < size:
-        raise RuntimeError("record encoder process ended before sending every chunk")
-    return data.decode()
+    return _Worker(pid, os.fdopen(read_fd, "rb"))
 
 
 def read_jsonl(path: str):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpt
-from qpt import serialize
+from qpt import cli, serialize
 from qpt.cli import main
 from qpt.errors import require_array
 from qpt.liegroup import EULER_GENERATOR_SCALE, euler_point, su2_coframe, su2_spin_rep
@@ -570,6 +570,16 @@ def test_qgt_non_finite_gap_to_stdout(tmp_path, capsys, two_workers, fmt):
         assert text.splitlines()[1] == "0.0,0.0,0.0,inf"
 
 
+def write_rows(stream, columns):
+    """``serialize.write_records`` of the rows of finished ``columns``: the
+    points are row indices, and the column function hands out their rows."""
+    rows = np.arange(len(next(iter(columns.values()))), dtype=float)[:, None]
+    serialize.write_records(
+        lambda: contextlib.nullcontext(stream), rows,
+        lambda chunk: {name: col[chunk[:, 0].astype(int)] for name, col in columns.items()},
+    )
+
+
 @pytest.mark.parametrize("chunk", [9, 5, 3], ids=["1-chunk", "2-chunks", "3-chunks"])
 def test_write_records_spells_floats_as_json(two_workers, chunk):
     two_workers(chunk)
@@ -579,7 +589,7 @@ def test_write_records_spells_floats_as_json(two_workers, chunk):
     columns["h"][1, 2, 1] = -0.0
     columns["gap"][[0, 4, 7]] = [np.nan, np.inf, -np.inf]
     stream = io.StringIO()
-    serialize.write_records(stream, columns)
+    write_rows(stream, columns)
     assert_no_child_left(pid)
     expected = "".join(
         serialize.dump_line({"kind": "record", **{k: v[i].tolist() for k, v in columns.items()}}) + "\n"
@@ -594,36 +604,55 @@ def test_one_chunk_or_one_cpu_encodes_in_process(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     stream = io.StringIO()
     monkeypatch.setattr(serialize, "CHUNK_RECORDS", 2)
-    serialize.write_records(stream, {"point": np.arange(10.0).reshape(5, 2)})
+    write_rows(stream, {"point": np.arange(10.0).reshape(5, 2)})
     assert stream.getvalue().count("\n") == 5
+    assert serialize.read_pair(lambda x: (x + 1,), 1, 2) == ((2,), (3,))
 
 
-def _failing_child(monkeypatch, fail):
-    """Make the forked encoder run ``fail(lo, hi, encode)`` for its chunks."""
-    fork_encoder = serialize._fork_encoder
+def _in_worker(monkeypatch, name, fail):
+    """Make ``serialize.<name>`` call ``fail(original, *args)`` in a forked
+    worker; this process keeps the original."""
+    parent, original = os.getpid(), getattr(serialize, name)
     monkeypatch.setattr(
-        serialize, "_fork_encoder",
-        lambda encode, chunks: fork_encoder(lambda lo, hi: fail(lo, hi, encode), chunks),
+        serialize, name,
+        lambda *args: original(*args) if os.getpid() == parent else fail(original, *args),
     )
 
 
-def _raise(lo, hi, encode):
+def _raise(encode, part, fmt):
     raise ValueError("encoder failure")
 
 
-def _exit_after_first(lo, hi, encode):
-    if lo > serialize.CHUNK_RECORDS:  # past the child's first chunk
-        os._exit(0)  # a clean exit that sends a short stream
-    return encode(lo, hi)
+def _exit_after_first():
+    encoded = []
+
+    def fail(encode, part, fmt):
+        if encoded:  # past the worker's first chunk
+            os._exit(0)  # a clean exit that sends a short stream
+        encoded.append(part)
+        return encode(part, fmt)
+
+    return fail
 
 
-@pytest.mark.parametrize("fail", [_raise, _exit_after_first], ids=["raises", "exits-short"])
-def test_child_failure_raises_and_is_reaped(tmp_path, two_workers, monkeypatch, fail):
+def _fail_after_sending(send_all, *args):
+    send_all(*args)
+    os._exit(3)  # every chunk is sent, but the worker fails
+
+
+@pytest.mark.parametrize(
+    "name, fail",
+    [("_encode", lambda: _raise), ("_encode", _exit_after_first),
+     ("_evaluate_and_send", lambda: _fail_after_sending)],
+    ids=["raises", "exits-short", "fails-at-end"],
+)
+def test_child_failure_raises_and_is_reaped(tmp_path, two_workers, monkeypatch, name, fail):
+    # A failure after the worker is ready, once the output is open.
     two_workers(4)
-    _failing_child(monkeypatch, fail)
+    _in_worker(monkeypatch, name, fail())
     pid = os.getpid()
     spec = write_spec(tmp_path, "g.json", group_spec())
-    with pytest.raises(RuntimeError, match="record encoder process"):
+    with pytest.raises(RuntimeError, match="record worker process"):
         main(["group", "--spec", spec, "--out", str(tmp_path / "g.jsonl")])
     assert_no_child_left(pid)
 
@@ -645,9 +674,177 @@ def test_parent_write_error_reaps_the_child(tmp_path, two_workers, monkeypatch):
     pid = os.getpid()
     monkeypatch.setattr(sys, "stdout", ClosedAfter(3))  # the header line and one chunk
     spec = write_spec(tmp_path, "g.json", group_spec())
-    with pytest.raises(BrokenPipeError):
-        main(["group", "--spec", spec])
+    assert main(["group", "--spec", spec]) == 1
     assert_no_child_left(pid)
+
+
+@pytest.mark.parametrize("read", [100, 0], ids=["head-c-100", "no-reader"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, read):
+    # ``qpt group ... | head -c 100``: some 4000 records, far more than a
+    # pipe holds, so the command is still writing when its reader leaves.
+    # With no reader at all, a short output fails only when it is flushed,
+    # and must not fail again in the flush at exit.
+    grid = {"alpha": 0.0, "beta": [0.3, 2.8, 40], "gamma": [0.3, 6.0, 100]}
+    if read:
+        argv = ["group", "--spec", write_spec(tmp_path, "g.json", group_spec(grid=grid))]
+    else:
+        argv = ["qgt", "--spec", write_spec(tmp_path, "q.json", AFFINE_SPEC), "--format", "csv"]
+    src = str(Path(qpt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as in a shell pipeline
+    reader, writer = os.pipe()
+    if not read:
+        os.close(reader)
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "qpt.cli", *argv], env=env,
+                                stdout=writer, stderr=subprocess.PIPE)
+    finally:
+        os.close(writer)
+    try:
+        if read:
+            with os.fdopen(reader, "rb") as stdout:
+                assert len(stdout.read(read)) == read
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
+
+
+QGT_ORBIT_SPEC = {
+    "mode": "qgt",
+    "hamiltonian": {"builtin": "orbit", "rep": {"builtin": "su2", "spin": 1}, "direction": [0, 0, 1]},
+    "grid": {"alpha": [0.0, 1.0, 2], "beta": [0.3, 2.8, 4], "gamma": [0.3, 6.0, 4]},
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_qgt_records_are_the_same_from_one_and_two_workers(tmp_path, two_workers, fmt):
+    spec = write_spec(tmp_path, "q.json", QGT_ORBIT_SPEC)
+    pid = os.getpid()
+    outputs = []
+    for chunk in (5, 10**6):  # seven chunks on two processes, then one chunk on one
+        two_workers(chunk)
+        out = tmp_path / f"q{chunk}.{fmt}"
+        assert main(["qgt", "--spec", spec, "--out", str(out), "--format", fmt]) == 0
+        assert_no_child_left(pid)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    check = assert_lines_are_dump_line if fmt == "jsonl" else assert_rows_are_csv_writer
+    check(outputs[0].decode(), 32)
+
+
+DEGENERATE_AT_ZERO = {
+    "mode": "qgt",
+    "hamiltonian": {"affine": {"h0": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+                               "terms": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]]}},
+    "grid": {"x": [-1, 1, 9]},
+}
+
+
+@pytest.mark.parametrize("chunk", [3, 2], ids=["worker-chunk", "parent-chunk"])
+def test_degenerate_level_in_either_half_refuses_as_one_process(tmp_path, capfd, two_workers, chunk):
+    # x = 0 is grid index 4: record 1 of the worker's first chunk of three,
+    # or record 0 of the parent's second chunk of two.
+    two_workers(chunk)
+    pid = os.getpid()
+    out = tmp_path / "q.jsonl"
+    assert main(["qgt", "--spec", write_spec(tmp_path, "q.json", DEGENERATE_AT_ZERO), "--out", str(out)]) == 3
+    assert_no_child_left(pid)
+    err = capfd.readouterr().err
+    assert err.startswith("refused: level 0 is degenerate") and "at grid index 4, point [0.0]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _fail_once():
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise ValueError("first evaluation fails")
+        return evaluate_at(*args)
+
+    return fail
+
+
+@pytest.mark.parametrize("side", ["worker", "parent"])
+def test_failure_before_ready_falls_back_to_one_process(tmp_path, capfd, two_workers, monkeypatch, side):
+    spec = write_spec(tmp_path, "g.json", group_spec())
+    two_workers(10**6)
+    one = tmp_path / "one.jsonl"
+    assert main(["group", "--spec", spec, "--out", str(one)]) == 0
+    two_workers(4)
+    pid = os.getpid()
+    if side == "worker":  # the worker fails on every chunk, silently
+        monkeypatch.setattr(cli, "evaluate_at", lambda *args: (
+            evaluate_at(*args) if os.getpid() == pid else os._exit(7)
+        ))
+    else:  # this process fails on its first chunk, then runs the whole grid
+        monkeypatch.setattr(cli, "evaluate_at", _fail_once())
+    out = tmp_path / "g.jsonl"
+    assert main(["group", "--spec", spec, "--out", str(out)]) == 0
+    assert_no_child_left(pid)
+    assert out.read_bytes() == one.read_bytes()
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [("{not json\n", "cannot read"), (GOOD_RECORD + '{"kind": "record", "metric": [1.0], "two_form": [0.0]}\n',
+                                      "point of record[1]")],
+    ids=["not-json", "no-point"],
+)
+def test_compare_malformed_second_file_is_spec_error(tmp_path, capfd, two_workers, content, where):
+    # The worker fails to read file_b silently; this process reads it again
+    # and reports what one process would.
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text(GOOD_RECORD * 2)
+    bad.write_text(content)
+    pid = os.getpid()
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert_no_child_left(pid)
+    err = capfd.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and where in err
+    assert err.count("\n") == 1
+
+
+def test_compare_reads_its_second_file_in_a_worker(tmp_path, capsys, two_workers, monkeypatch):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text(QGT_RECORD * 3)
+    b.write_text(QGT_RECORD + QGT_RECORD.replace("[1, 0]]", "[1.5, -0.25]]") + QGT_RECORD)
+    forks = []
+    fork = serialize._fork
+    monkeypatch.setattr(serialize, "_fork", lambda produce: forks.append(1) or fork(produce))
+    pid = os.getpid()
+    reports = []
+    for worker in (True, False):
+        monkeypatch.setattr(serialize, "_second_worker", lambda n_chunks: worker)
+        assert main(["compare", str(a), str(b), "--tol", "1"]) == 0
+        assert_no_child_left(pid)
+        reports.append(capsys.readouterr().out)
+    assert forks == [1]
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0].splitlines()[-1])["per_record_max"] == [0.0, 0.5, 0.0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "A", "A", "--tol", "nan"], ["compare", "A", "A", "--tol", "inf"],
+     ["compare", "A", "A", "--tol", "-1"], ["verify", "--spec", "V", "--tol", "-1"]],
+    ids=["compare-nan", "compare-inf", "compare-negative", "verify-negative"],
+)
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, argv):
+    records = tmp_path / "a.jsonl"
+    records.write_text(GOOD_RECORD)
+    spec = write_spec(tmp_path, "v.json", {"mode": "verify", "target": "weyl", "modes": 1, "cutoff": 4})
+    argv = [str(records) if x == "A" else spec if x == "V" else x for x in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: at ") and "tol" in err
 
 
 def test_spec_tolerances_block(tmp_path):

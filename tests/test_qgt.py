@@ -301,6 +301,25 @@ def test_stacked_orbit_family_matches_per_point_reference(s):
     np.testing.assert_allclose(res.gap, ref.gap, rtol=1e-13)
 
 
+def test_orbit_tensor_evaluates_its_euler_elements_once(monkeypatch):
+    # The spectral sum hands its H to the derivative, so one stack of
+    # U(g) serves both; given no H, the derivative evaluates it itself.
+    rep = su2_spin_rep(1.0)
+    points = np.random.default_rng(5).uniform([0, 0.2, 0], [4 * np.pi, np.pi - 0.2, 2 * np.pi], (12, 3))
+    family = orbit_family(rep, [0, 0, 1])
+    # The same family with a derivative that evaluates H again.
+    twice = HamiltonianFamily(family._evaluate, 3, derivative=lambda lam, h: family._derivative(lam, None))
+    expected_h = qgt_tensor(twice, points).h
+    expected_dh = family.derivative(points)
+    calls = []
+    euler_elements = qgt.euler_elements
+    monkeypatch.setattr(qgt, "euler_elements", lambda *args: calls.append(1) or euler_elements(*args))
+    assert np.array_equal(qgt_tensor(family, points).h, expected_h)
+    assert len(calls) == 1
+    assert np.array_equal(family.derivative(points, h=family.hamiltonian(points)), expected_dh)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "family, points",
     [
