@@ -56,12 +56,14 @@ class CheckResult:
     def passed(self) -> bool:
         return bool(self.residual <= self.tolerance)
 
-    def to_json(self) -> dict:
+    def to_json(self, cap: float | None = None) -> dict:
+        """The report row, with the tolerance capped at ``cap`` if given."""
+        tolerance = self.tolerance if cap is None else min(self.tolerance, cap)
         return {
             "name": self.name,
             "residual": float(self.residual),
-            "tolerance": float(self.tolerance),
-            "pass": self.passed,
+            "tolerance": float(tolerance),
+            "pass": bool(self.residual <= tolerance),
         }
 
 

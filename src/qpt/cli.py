@@ -8,12 +8,18 @@ Subcommands
 ``verify``   run the invariant battery of a referenced configuration
 ``compare``  entrywise comparison of two output files on the same grid
 
+:func:`main` runs every command the same way: it parses the arguments,
+loads the spec for the invoked mode, resolves the output path and format
+(before any computation), calls the command's handler for its header,
+records and report, writes them, and exits 4 if the report failed.
+
 Outputs are JSON lines (one header object, one record per grid point, and
-for checking modes a final report object) or a lossy CSV export.  Exit
-codes: 0 success, 2 malformed specification, 3 numerical refusal, 4 check
-failure.  A standard output closed by its reader (``qpt group ... | head``)
-ends the run with exit 1 and no traceback, after the record worker, if
-any, is killed and reaped.
+for checking modes a final report object) or, for ``group``, ``weyl`` and
+``qgt``, a lossy CSV export of the records.  Exit codes: 0 success, 2
+malformed specification, 3 numerical refusal, 4 check failure.  A standard
+output closed by its reader (``qpt group ... | head``) ends the run with
+exit 1 and no traceback, after the record worker, if any, is killed and
+reaped.
 """
 
 from __future__ import annotations
@@ -60,10 +66,12 @@ MAX_GRID_POINTS = 2**20
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        spec = _load_spec(args)
+        output = _output_target(args, spec)
+        header, records, report = args.handler(args, spec)
+        _write_output(output, {"mode": args.command, **header}, records, report)
     except BrokenPipeError:
         # Nothing is left to read the output: point standard output at the
         # null device, so the flush at exit does not fail on it again.
@@ -76,6 +84,7 @@ def main(argv=None) -> int:
     except NumericalRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
+    return EXIT_CHECK if report is not None and not report["pass"] else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,11 +94,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Each subcommand registers only the flags its handler reads.
-    def add_common(p, grid=True):
+    # Each subcommand registers only the flags its handler reads; only the
+    # commands that write records take --format.
+    def add_common(p, grid=True, records=True):
         p.add_argument("--spec", help="JSON run description")
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-        p.add_argument("--format", choices=("jsonl", "csv"), default=None)
+        if records:
+            p.add_argument("--format", choices=("jsonl", "csv"), default=None)
         if grid:
             p.add_argument("--grid", help="inline grid, e.g. beta=0.3:2.8:5,gamma=0:6:5")
 
@@ -119,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qgt.set_defaults(handler=cmd_qgt)
 
     p_verify = sub.add_parser("verify", help="run the invariant battery for a spec")
-    add_common(p_verify)
+    add_common(p_verify, records=False)
     p_verify.add_argument("--tol", type=float, help="check tolerance cap")
     p_verify.add_argument("--fd-step", type=float, help="finite-difference step")
     p_verify.set_defaults(handler=cmd_verify)
@@ -138,23 +149,36 @@ def _build_parser() -> argparse.ArgumentParser:
 # Spec plumbing
 
 
-def _load_spec(args, expected_mode: str) -> dict:
+def _load_spec(args) -> dict:
+    """The spec file of ``--spec``, or ``{}``, for the mode ``args.command``,
+    with ``--grid`` in place of its grid."""
     spec = {}
-    if args.spec:
+    if getattr(args, "spec", None):
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
+                spec = json.load(fh, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise SpecError(f"cannot read spec file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec file is not valid JSON: {exc}") from exc
         require_object(spec, "$")
-    mode = spec.get("mode", expected_mode)
-    if mode != expected_mode:
-        raise SpecError(f"at $.mode: spec is for mode {mode!r}, invoked as {expected_mode!r}")
+    mode = spec.get("mode", args.command)
+    if mode != args.command:
+        raise SpecError(f"at $.mode: spec is for mode {mode!r}, invoked as {args.command!r}")
     if getattr(args, "grid", None):
         spec["grid"] = _parse_grid_arg(args.grid)
     return spec
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are all distinct: a repeated key is an error,
+    not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SpecError(f"spec file repeats the key {key!r} in one object")
+        obj[key] = value
+    return obj
 
 
 def _parse_grid_arg(text: str) -> dict:
@@ -163,6 +187,7 @@ def _parse_grid_arg(text: str) -> dict:
     grid = {}
     for chunk in filter(None, map(str.strip, text.split(","))):
         name, sep, rest = chunk.partition("=")
+        name = name.strip()
         parts = rest.split(":")
         try:
             if not sep or len(parts) not in (1, 3):
@@ -170,7 +195,9 @@ def _parse_grid_arg(text: str) -> dict:
             values = [float(p) for p in parts[:2]] + [int(p) for p in parts[2:]]
         except ValueError as exc:
             raise SpecError(f"bad grid chunk {chunk!r}: {exc}") from exc
-        grid[name.strip()] = values[0] if len(values) == 1 else values
+        if name in grid:
+            raise SpecError(f"bad grid chunk {chunk!r}: axis {name!r} is given twice")
+        grid[name] = values[0] if len(values) == 1 else values
     if not grid:
         raise SpecError("inline grid is empty")
     return grid
@@ -279,14 +306,16 @@ def _bounded(value, path: str, strict: bool) -> float:
 
 
 def _output_target(args, spec: dict) -> tuple[str, str]:
-    """Output path and format: command-line flags override ``$.output``."""
+    """Output path and format: command-line flags override ``$.output``.
+    CSV is only for the commands that write records, those with ``--format``."""
     output = require_object(spec.get("output", {}), "$.output")
-    fmt = require_choice(output.get("format", "jsonl"), ("jsonl", "csv"), "$.output.format")
+    formats = ("jsonl", "csv") if "format" in vars(args) else ("jsonl",)
+    fmt = require_choice(output.get("format", "jsonl"), formats, "$.output.format")
     path = require_string(output.get("path", "-"), "$.output.path")
     path = path if args.out == "-" else args.out
     if path != "-" and not os.path.isdir(os.path.dirname(path) or "."):
         raise SpecError(f"cannot write output {path!r}: no such directory")
-    return path, args.format or fmt
+    return path, getattr(args, "format", None) or fmt
 
 
 def _write_output(output, header: dict, records=None, report: dict | None = None):
@@ -305,12 +334,12 @@ def _write_output(output, header: dict, records=None, report: dict | None = None
             raise SpecError(f"cannot write output: {exc}") from exc
         with contextlib.nullcontext(stream) if path == "-" else stream:
             if fmt == "jsonl":
-                serialize.write_jsonl(stream, [dict(kind="header", **header)])
-            elif records is not None:
+                stream.write(serialize.dump_line(dict(kind="header", **header)) + "\n")
+            else:
                 csv.writer(stream).writerow(_csv_head(records[0].shape[1], header["mode"] == "qgt"))
             yield stream
             if fmt == "jsonl" and report is not None:
-                serialize.write_jsonl(stream, [dict(kind="report", **report)])
+                stream.write(serialize.dump_line(dict(kind="report", **report)) + "\n")
             stream.flush()  # a reader that has gone shows here, not at exit
 
     if records is None:
@@ -329,20 +358,20 @@ def _csv_head(m: int, spectral: bool) -> list[str]:
     return head + [f"g{ij}" for ij in pairs] + [f"w{ij}" for ij in pairs]
 
 
-def _report(results: list[checks.CheckResult]) -> dict:
-    return {
-        "checks": [r.to_json() for r in results],
-        "pass": all(r.passed for r in results),
-    }
+def _report(results: list[checks.CheckResult], cap: float | None = None, **extra) -> dict:
+    """The checks, each tolerance capped at ``cap`` if given, then ``extra``
+    fields and the overall verdict."""
+    rows = [r.to_json(cap) for r in results]
+    return {"checks": rows, **extra, "pass": all(row["pass"] for row in rows)}
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed arguments and the loaded spec and
+# returns its header, its records as ``(points, columns)`` or None, and its
+# report or None.
 
 
-def cmd_group(args) -> int:
-    spec = _load_spec(args, "group")
-    output = _output_target(args, spec)
+def cmd_group(args, spec: dict):
     rep, fiducial = _rep_and_fiducial(spec)
     projective = require_bool(_flag(spec, args, "projective", False), "$.projective")
     frame = require_choice(
@@ -369,9 +398,8 @@ def cmd_group(args) -> int:
         }
 
     header = {
-        "mode": "group",
         "rep": spec["rep"],
-        "fiducial": serialize.vector_pairs(tensor.fiducial),
+        "fiducial": np.stack([tensor.fiducial.real, tensor.fiducial.imag], -1).tolist(),
         "projective": projective,
         "frame": frame,
         "normalization": normalization,
@@ -379,8 +407,7 @@ def cmd_group(args) -> int:
         "grid": {name: values.tolist() for name, values in axes},
         "conventions": checks.conventions(),
     }
-    _write_output(output, header, (points, columns))
-    return EXIT_OK
+    return header, (points, columns), None
 
 
 def _parse_directions(raw, n2: int):
@@ -400,9 +427,7 @@ def _parse_directions(raw, n2: int):
     return vectors
 
 
-def cmd_weyl(args) -> int:
-    spec = _load_spec(args, "weyl")
-    output = _output_target(args, spec)
+def cmd_weyl(args, spec: dict):
     system = _weyl_system(spec, args)
     projective = require_bool(_flag(spec, args, "projective", False), "$.projective")
     tensor = gaussian_covariance(system, projective=projective)
@@ -426,21 +451,16 @@ def cmd_weyl(args) -> int:
         "two_form": emitted.coefficients.imag.reshape(1, -1),
     }
     header = {
-        "mode": "weyl",
         "rep": {"builtin": "heisenberg", "modes": system.modes, "cutoff": system.cutoff},
         "fiducial": "vacuum",
         "projective": projective,
         "lagrangian": None if directions is None else directions.tolist(),
         "conventions": checks.conventions(),
     }
-    report = _report(results)
-    _write_output(output, header, (record["point"], lambda point: record), report)
-    return EXIT_OK if report["pass"] else EXIT_CHECK
+    return header, (record["point"], lambda point: record), _report(results)
 
 
-def cmd_qgt(args) -> int:
-    spec = _load_spec(args, "qgt")
-    output = _output_target(args, spec)
+def cmd_qgt(args, spec: dict):
     family, axes, points, level = _family_on_grid(spec, args)
     degeneracy_tol = _tolerance(spec, args, "degeneracy_tol", None)
 
@@ -454,19 +474,15 @@ def cmd_qgt(args) -> int:
         }
 
     header = {
-        "mode": "qgt",
         "hamiltonian": spec["hamiltonian"],
         "level": level,
         "grid": {name: values.tolist() for name, values in axes},
         "conventions": checks.conventions(),
     }
-    _write_output(output, header, (points, columns))
-    return EXIT_OK
+    return header, (points, columns), None
 
 
-def cmd_verify(args) -> int:
-    spec = _load_spec(args, "verify")
-    output = _output_target(args, spec)
+def cmd_verify(args, spec: dict):
     target = require_choice(spec.get("target"), ("group", "weyl", "qgt"), "$.target")
     fd_step = _tolerance(spec, args, "fd_step", 1e-5)
     cap = _tolerance(spec, args, "tol", None)
@@ -476,11 +492,11 @@ def cmd_verify(args) -> int:
         axes = _grid_axes(spec)
         n_points = max(5, min(50, math.prod(len(values) for _, values in axes)))
         results = checks.group_checks(rep, fiducial, n_points=n_points, fd_step=fd_step)
-        header = {"mode": "verify", "target": target, "rep": spec["rep"]}
+        header = {"target": target, "rep": spec["rep"]}
     elif target == "weyl":
         system = _weyl_system(spec, args)
         results = checks.weyl_checks(system)
-        header = {"mode": "verify", "target": target, "modes": system.modes, "cutoff": system.cutoff}
+        header = {"target": target, "modes": system.modes, "cutoff": system.cutoff}
     else:
         family, _, points, level = _family_on_grid(spec, args)
         results = checks.qgt_checks(family, points, level=level, fd_step=fd_step)
@@ -490,16 +506,9 @@ def cmd_verify(args) -> int:
         elif builtin == "landau_zener":
             delta = require_number(spec["hamiltonian"].get("delta", 1.0), "$.hamiltonian.delta")
             results += checks.landau_zener_checks(delta)
-        header = {"mode": "verify", "target": target, "hamiltonian": spec["hamiltonian"]}
-
-    if cap is not None:
-        results = [
-            checks.CheckResult(r.name, r.residual, min(r.tolerance, cap)) for r in results
-        ]
+        header = {"target": target, "hamiltonian": spec["hamiltonian"]}
     header["conventions"] = checks.conventions()
-    report = _report(results)
-    _write_output(output, header, report=report)
-    return EXIT_OK if report["pass"] else EXIT_CHECK
+    return header, None, _report(results, cap)
 
 
 def _record_stacks(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -534,7 +543,7 @@ def _record_stacks(path: str) -> tuple[np.ndarray, np.ndarray]:
     return points, flat.reshape(len(flat), side, side)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, spec: dict):
     tol = _bounded(args.tol, "--tol", strict=False)
     (points_a, tensors_a), (points_b, tensors_b) = serialize.read_pair(
         _record_stacks, args.file_a, args.file_b
@@ -553,18 +562,12 @@ def cmd_compare(args) -> int:
     # two_form against Im h in a mixed pairing, the same rule for every pair.
     diff = tensors_a - tensors_b
     per_record = np.maximum(np.abs(diff.real), np.abs(diff.imag)).max(axis=(1, 2))
-    worst = float(per_record.max())
-    passed = worst <= tol
-    check = {"name": "max-deviation", "residual": worst, "tolerance": tol, "pass": passed}
-    report = {
-        "checks": [check],
-        "per_record_max": per_record.tolist(),
-        "worst_record": int(per_record.argmax()),
-        "pass": passed,
-    }
-    header = {"mode": "compare", "file_a": args.file_a, "file_b": args.file_b}
-    _write_output((args.out, "jsonl"), header, report=report)
-    return EXIT_OK if report["pass"] else EXIT_CHECK
+    report = _report(
+        [checks.CheckResult("max-deviation", per_record.max(), tol)],
+        per_record_max=per_record.tolist(),
+        worst_record=int(per_record.argmax()),
+    )
+    return {"file_a": args.file_a, "file_b": args.file_b}, None, report
 
 
 if __name__ == "__main__":

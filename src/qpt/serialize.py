@@ -46,27 +46,8 @@ _LENGTH_BYTES = 8  # the length prefix of each message a worker sends
 _READY = b"ready"  # the record worker's first message: its chunks are evaluated
 
 
-def complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def vector_pairs(v) -> list[list[float]]:
-    return [complex_pair(z) for z in np.asarray(v, dtype=complex)]
-
-
-def real_matrix_row_major(m) -> list[float]:
-    return [float(x) for x in np.asarray(m, dtype=float).reshape(-1)]
-
-
 def dump_line(obj: dict) -> str:
     return json.dumps(obj, separators=(", ", ": "), sort_keys=False)
-
-
-def write_jsonl(stream, objects) -> None:
-    for obj in objects:
-        stream.write(dump_line(obj))
-        stream.write("\n")
 
 
 class _JsonFloat(float):

@@ -422,18 +422,30 @@ def test_non_integer_weyl_size_is_spec_error(tmp_path, capsys, command, field, v
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["group", "weyl", "compare"])
-def test_output_in_missing_directory_is_spec_error(tmp_path, capsys, command):
-    if command == "group":
-        argv = ["group", "--spec", write_spec(tmp_path, "g.json", group_spec())]
-    elif command == "weyl":
-        argv = ["weyl", "--modes", "1", "--cutoff", "4"]
-    else:
+@pytest.mark.parametrize("command", ["group", "weyl", "qgt", "verify", "compare"])
+def test_output_in_missing_directory_is_spec_error(tmp_path, capsys, monkeypatch, command):
+    # The output is resolved before the handler runs: no command does any
+    # work, or reads its inputs, towards an output it cannot write.
+    if command == "compare":
         record = tmp_path / "r.jsonl"
-        record.write_text('{"kind": "record", "point": [0.0], "metric": [1.0], "two_form": [0.0]}\n')
+        record.write_text(GOOD_RECORD)
         argv = ["compare", str(record), str(record)]
+    else:
+        argv = runnable_argv(tmp_path, command)
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args, spec: pytest.fail("handler ran"))
+    before = sorted(tmp_path.iterdir())
     assert main(argv + ["--out", str(tmp_path / "missing" / "x.jsonl")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert "no such directory" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_csv_output_is_refused_for_verify(tmp_path, capsys):
+    # verify writes a report and no records, so it has no CSV form.
+    payload = {"mode": "verify", "target": "weyl", "modes": 1, "cutoff": 8, "output": {"format": "csv"}}
+    assert main(["verify", "--spec", write_spec(tmp_path, "v.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: at $.output.format:")
+    assert captured.out == ""
 
 
 def test_weyl_run_builds_heisenberg_rep_once(tmp_path, monkeypatch):
@@ -484,6 +496,31 @@ def test_inline_grid_flag(tmp_path):
     )
     assert code == 0
     assert len(records_of(str(out))) == 4
+
+
+@pytest.mark.parametrize("grid", ["alpha=0:1:2,beta=1:2:2,gamma=0:1:2,beta=5", "alpha=0,alpha =1"])
+def test_repeated_inline_grid_axis_is_spec_error(tmp_path, capsys, grid):
+    spec = write_spec(tmp_path, "g.json", group_spec())
+    out = tmp_path / "g.jsonl"
+    assert main(["group", "--spec", spec, "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad grid chunk") and "is given twice" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"mode": "group", "mode": "group"}', "mode"),
+        ('{"mode": "group", "grid": {"alpha": 0, "beta": 1, "gamma": 0, "beta": 2}}', "beta"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_repeated_spec_key_is_spec_error(tmp_path, capsys, text, key):
+    spec = tmp_path / "g.json"
+    spec.write_text(text)
+    assert main(["group", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == f"error: spec file repeats the key {key!r} in one object\n"
 
 
 def test_csv_export(tmp_path):
@@ -865,6 +902,15 @@ def test_spec_tolerances_block(tmp_path):
     assert report_of(str(out))["pass"] is False
 
 
+def test_loose_tol_cap_leaves_tighter_tolerances(tmp_path):
+    # --tol caps each check's tolerance; it never loosens one.
+    spec = write_spec(tmp_path, "v.json", {"mode": "verify", "target": "weyl", "modes": 1, "cutoff": 8})
+    plain, capped = tmp_path / "plain.jsonl", tmp_path / "capped.jsonl"
+    assert main(["verify", "--spec", spec, "--out", str(plain)]) == 0
+    assert main(["verify", "--spec", spec, "--tol", "1", "--out", str(capped)]) == 0
+    assert report_of(str(capped)) == report_of(str(plain))
+
+
 def test_output_block_in_spec_used(tmp_path):
     target = tmp_path / "fromspec.jsonl"
     payload = group_spec()
@@ -1164,7 +1210,7 @@ REMOVED_FLAGS = [
     ("weyl", "--grid", "x=0:1:2"), ("weyl", "--tol", "1e-3"), ("weyl", "--fd-step", "1e-5"),
     ("weyl", "--degeneracy-tol", "1e-9"),
     ("qgt", "--tol", "1e-3"), ("qgt", "--fd-step", "1e-5"),
-    ("verify", "--degeneracy-tol", "1e-9"),
+    ("verify", "--degeneracy-tol", "1e-9"), ("verify", "--format", "csv"),
 ]
 
 
