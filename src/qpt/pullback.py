@@ -164,8 +164,9 @@ def evaluate_at(t: PullbackTensor, theta) -> CoordinateTensor:
     stack, as :func:`qpt.liegroup.su2_coframe` returns it; the result holds
     the coordinate matrices of shape ``(..., m, m)``,
     ``G[a, b] = sum_jk Re(T)[j,k] theta[j,a] theta[k,b]`` and likewise with
-    the imaginary part for the two-form.  Symmetry and antisymmetry hold by
-    construction.
+    the imaginary part for the two-form.  Symmetry and antisymmetry hold to
+    rounding, not bitwise: ``G[a, b]`` and ``G[b, a]`` are summed in
+    different orders, so their last bits can differ.
     """
     metric_c, form_c = split(t)
     theta = np.asarray(theta)

@@ -9,19 +9,23 @@ Records are evaluated and written by :func:`write_records`.  A command hands
 it its ``(P, m)`` point stack and its column function, which maps a slice of
 the points to field name -> ``(n, ...)`` float stack.  The grid is cut into
 chunks of :data:`CHUNK_RECORDS` (1024) records, and every line of a chunk is
-filled from one ``%r`` template built from the column shapes.  When there is
-more than one chunk and more than one CPU, one forked worker evaluates and
-encodes the odd chunks while this process evaluates and encodes the even
-chunks.  Each process evaluates all of its chunks first.  The worker then
-reports ready, and only then is the output opened, its header written and
-the chunks written in order.  If either process fails before the worker is
-ready, the worker is killed and reaped and this process evaluates the whole
-grid at once, as it does without a worker: a refusal keeps its message and
-its index in the whole grid, and no output file is left.  A worker that
-fails or stops short after it is ready raises :class:`RuntimeError`.  The
-bytes are those of :func:`dump_line` on each record's dict (JSON spells the
-non-finite floats ``NaN``, ``Infinity`` and ``-Infinity``) or of
-``csv.writer`` on each record's row, whichever process encodes them.
+filled from one ``%s`` template built from the column shapes.  Each process
+spells each distinct float bit pattern once, into a memo that holds at most
+one chunk's values and is cleared when a chunk's fresh values would overflow
+it, so a grid whose records repeat their values pays ``repr`` for the
+distinct values only.  When there is more than one chunk and more than one
+CPU, one forked worker evaluates and encodes the odd chunks while this
+process evaluates and encodes the even chunks.  Each process evaluates all of
+its chunks first.  The worker then reports ready, and only then is the output
+opened, its header written and the chunks written in order.  If either
+process fails before the worker is ready, the worker is killed and reaped
+and this process evaluates the whole grid at once, as it does without a
+worker: a refusal keeps its message and its index in the whole grid, and no
+output file is left.  A worker that fails or stops short after it is ready
+raises :class:`RuntimeError`.  The bytes are those of :func:`dump_line` on
+each record's dict (JSON spells the non-finite floats ``NaN``, ``Infinity``
+and ``-Infinity``) or of ``csv.writer`` on each record's row, whichever
+process encodes them.
 
 :func:`read_pair` runs the same kind of worker for ``compare``: it reads
 the second file while this process reads the first.
@@ -37,9 +41,10 @@ import traceback
 
 import numpy as np
 
-# Records per chunk.  A chunk is one evaluation, one ``tolist`` and one ``%``
-# format, and each process holds about one encoded chunk (some 330 kB of
-# group records) next to the columns of its half of the grid.
+# Records per chunk.  A chunk is one evaluation, one ``repr`` of each of its
+# values not yet spelled, and one ``%`` format.  Each process holds about one
+# encoded chunk (some 330 kB of group records) and a memo of at most one
+# chunk's spelled values next to the columns of its half of the grid.
 CHUNK_RECORDS = 1024
 
 _LENGTH_BYTES = 8  # the length prefix of each message a worker sends
@@ -50,24 +55,17 @@ def dump_line(obj: dict) -> str:
     return json.dumps(obj, separators=(", ", ": "), sort_keys=False)
 
 
-class _JsonFloat(float):
-    """A float whose ``repr`` is its JSON spelling, ``Infinity`` for ``inf``."""
-
-    def __repr__(self):
-        return json.dumps(float(self))
-
-
 def _nested(shape) -> str:
-    """The ``%r`` template of one value of ``shape``, as nested JSON lists."""
+    """The ``%s`` template of one value of ``shape``, as nested JSON lists."""
     if not shape:
-        return "%r"
+        return "%s"
     return "[" + ", ".join([_nested(shape[1:])] * shape[0]) + "]"
 
 
 def _line_template(columns: dict, fmt: str) -> str:
     if fmt == "csv":
         width = sum(col[0].size for col in columns.values())
-        return ",".join(["%r"] * width) + "\r\n"
+        return ",".join(["%s"] * width) + "\r\n"
     fields = ['"kind": "record"'] + [
         f"{json.dumps(name).replace('%', '%%')}: {_nested(col.shape[1:])}"
         for name, col in columns.items()
@@ -95,9 +93,9 @@ def write_records(open_output, points, columns, fmt: str = "jsonl") -> None:
     no truncated output passes for a finished one.
     """
     bounds = [(lo, min(lo + CHUNK_RECORDS, len(points))) for lo in range(0, len(points), CHUNK_RECORDS)]
-    worker = None
+    worker, spelled = None, {}  # the worker spells into its own copy
     if _second_worker(len(bounds)):
-        worker = _fork(lambda send: _evaluate_and_send(send, points, columns, bounds[1::2], fmt))
+        worker = _fork(lambda send: _evaluate_and_send(send, points, columns, bounds[1::2], fmt, spelled))
     try:
         parts = None
         if worker:
@@ -116,7 +114,7 @@ def write_records(open_output, points, columns, fmt: str = "jsonl") -> None:
         step = 2 if worker else 1
         with open_output() as stream:
             for i in range(len(bounds)):
-                stream.write(_encode(parts[i // step], fmt) if i % step == 0 else _chunk_from(worker))
+                stream.write(_encode(parts[i // step], fmt, spelled) if i % step == 0 else _chunk_from(worker))
     except BaseException:
         if worker:
             worker.close(kill=True)
@@ -126,24 +124,36 @@ def write_records(open_output, points, columns, fmt: str = "jsonl") -> None:
         raise RuntimeError(f"record worker process failed (wait status {status})")
 
 
-def _encode(columns: dict, fmt: str) -> str:
-    """The lines of one chunk of records, field name -> ``(n, ...)`` stack."""
+def _encode(columns: dict, fmt: str, spelled: dict) -> str:
+    """The lines of one chunk of records, field name -> ``(n, ...)`` stack.
+
+    ``spelled`` maps the bit pattern of each float spelled so far to its
+    text, so each distinct value is spelled once; the bits keep ``-0.0``
+    apart from ``0.0``.  It is emptied first when this chunk's fresh values
+    would take it past the chunk's value count."""
     columns = {name: np.asarray(col, dtype=float) for name, col in columns.items()}
     count = len(next(iter(columns.values())))
     block = np.concatenate([col.reshape(count, -1) for col in columns.values()], axis=1)
-    values = block.ravel().tolist()
-    if fmt == "jsonl" and not np.isfinite(block).all():
-        values = [_JsonFloat(x) for x in values]
-    return (_line_template(columns, fmt) * count) % tuple(values)
+    keys, inverse = np.unique(block.ravel().view(np.uint64), return_inverse=True)
+    keys = keys.tolist()
+    fresh = [key for key in keys if key not in spelled]
+    if len(spelled) + len(fresh) > block.size:
+        spelled.clear()
+        fresh = keys
+    values = np.array(fresh, dtype=np.uint64).view(float)
+    spell = json.dumps if fmt == "jsonl" and not np.isfinite(values).all() else repr
+    spelled.update(zip(fresh, map(spell, values.tolist())))
+    words = np.array([spelled[key] for key in keys], dtype=object)
+    return (_line_template(columns, fmt) * count) % tuple(words[inverse].tolist())
 
 
-def _evaluate_and_send(send, points, columns, bounds, fmt: str) -> None:
+def _evaluate_and_send(send, points, columns, bounds, fmt: str, spelled: dict) -> None:
     """The worker's half: evaluate every chunk of ``bounds``, report ready,
     then send each chunk's lines in order."""
     parts = [columns(points[lo:hi]) for lo, hi in bounds]
     send(_READY)
     for part in parts:
-        send(_encode(part, fmt).encode())
+        send(_encode(part, fmt, spelled).encode())
 
 
 def _chunk_from(worker) -> str:
@@ -238,18 +248,21 @@ def _fork(produce):
         status, sent = 1, False
         try:
             os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
+            pipe = os.fdopen(write_fd, "wb")
 
-                def send(data: bytes) -> None:
-                    nonlocal sent
-                    pipe.write(len(data).to_bytes(_LENGTH_BYTES, "little"))
-                    pipe.write(data)
-                    pipe.flush()
-                    sent = True
+            def send(data: bytes) -> None:
+                nonlocal sent
+                pipe.write(len(data).to_bytes(_LENGTH_BYTES, "little"))
+                pipe.write(data)
+                pipe.flush()
+                sent = True
 
-                produce(send)
+            produce(send)
+            pipe.close()
             status = 0
         except BaseException:
+            # Reported while the pipe is still open: once it closes, the
+            # parent may kill this process before a traceback is written.
             if sent:
                 os.write(2, traceback.format_exc().encode())
         finally:

@@ -607,14 +607,29 @@ def test_qgt_non_finite_gap_to_stdout(tmp_path, capsys, two_workers, fmt):
         assert text.splitlines()[1] == "0.0,0.0,0.0,inf"
 
 
-def write_rows(stream, columns):
+def write_rows(stream, columns, fmt="jsonl"):
     """``serialize.write_records`` of the rows of finished ``columns``: the
     points are row indices, and the column function hands out their rows."""
     rows = np.arange(len(next(iter(columns.values()))), dtype=float)[:, None]
     serialize.write_records(
         lambda: contextlib.nullcontext(stream), rows,
         lambda chunk: {name: col[chunk[:, 0].astype(int)] for name, col in columns.items()},
+        fmt,
     )
+
+
+def encoded_alone(columns, fmt):
+    """Each record of ``columns`` encoded on its own: ``dump_line`` of its
+    dict, or ``csv.writer`` of its flattened row."""
+    n = len(next(iter(columns.values())))
+    if fmt == "jsonl":
+        return "".join(
+            serialize.dump_line({"kind": "record", **{k: v[i].tolist() for k, v in columns.items()}}) + "\n"
+            for i in range(n)
+        )
+    out = io.StringIO()
+    csv.writer(out).writerows(np.concatenate([v[i].ravel() for v in columns.values()]).tolist() for i in range(n))
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("chunk", [9, 5, 3], ids=["1-chunk", "2-chunks", "3-chunks"])
@@ -628,11 +643,61 @@ def test_write_records_spells_floats_as_json(two_workers, chunk):
     stream = io.StringIO()
     write_rows(stream, columns)
     assert_no_child_left(pid)
-    expected = "".join(
-        serialize.dump_line({"kind": "record", **{k: v[i].tolist() for k, v in columns.items()}}) + "\n"
-        for i in range(9)
-    )
-    assert stream.getvalue() == expected
+    assert stream.getvalue() == encoded_alone(columns, "jsonl")
+
+
+def signed_zeros():
+    # Chunks of 4: -0.0 alone in chunk 0 (this process), 0.0 alone in
+    # chunks 1 (the worker) and 2 (this process), both in chunk 3.  A memo
+    # keyed on values would merge them: -0.0 == 0.0, with equal hashes.
+    h = np.ones((16, 2))
+    h[0:4, 0], h[4:12, 1], h[12, :] = -0.0, 0.0, [0.0, -0.0]
+    return {"h": h}
+
+
+def repeated():
+    # Six values, non-finite ones among them, repeated within and across chunks.
+    pool = np.array([0.1, -2.5, 5e-324, np.nan, np.inf, -np.inf])
+    return {"point": pool[np.arange(32).reshape(16, 2) % 6], "gap": pool[np.arange(16) % 5]}
+
+
+def all_distinct():
+    # 36 distinct values where a chunk of 4 holds 12: the memo is cleared
+    # mid-run.  The last chunk repeats the first, spelled again after a clear.
+    values = np.random.default_rng(5).normal(size=(16, 3))
+    values[12:] = values[:4]
+    return {"point": values[:, :2], "gap": values[:, 2]}
+
+
+@pytest.mark.parametrize("data", [signed_zeros, repeated, all_distinct])
+@pytest.mark.parametrize("chunk, processes", [(16, 1), (4, 1), (4, 2)],
+                         ids=["one-chunk", "one-process", "two-processes"])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_each_value_is_spelled_as_alone(monkeypatch, two_workers, data, chunk, processes, fmt):
+    two_workers(chunk)
+    if processes == 1:
+        monkeypatch.setattr(serialize, "_second_worker", lambda n_chunks: False)
+    pid = os.getpid()
+    columns = data()
+    stream = io.StringIO()
+    write_rows(stream, columns, fmt)
+    assert_no_child_left(pid)
+    assert stream.getvalue() == encoded_alone(columns, fmt)
+
+
+def test_memo_holds_at_most_one_chunk():
+    # Values per chunk: 32, 48, 48, 48, 48, 1, 48, 32.  The memo keeps what
+    # it spelled while a chunk's fresh values fit beside it, and is cleared
+    # when they would not.
+    chunks = [signed_zeros(), repeated(), all_distinct(), all_distinct(), repeated(),
+              {"x": np.array([0.5])}, all_distinct(), signed_zeros()]
+    spelled, sizes = {}, []
+    for columns in chunks:
+        assert serialize._encode(columns, "jsonl", spelled) == encoded_alone(columns, "jsonl")
+        assert len(spelled) <= sum(col.size for col in columns.values())
+        sizes.append(len(spelled))
+    assert sizes == [3, 9, 45, 45, 45, 1, 37, 3]
+    assert sorted(spelled.values()) == ["-0.0", "0.0", "1.0"]
 
 
 def test_one_chunk_or_one_cpu_encodes_in_process(monkeypatch):
@@ -656,18 +721,19 @@ def _in_worker(monkeypatch, name, fail):
     )
 
 
-def _raise(encode, part, fmt):
+def _raise(encode, *args):
     raise ValueError("encoder failure")
 
 
 def _exit_after_first():
     encoded = []
 
-    def fail(encode, part, fmt):
+    def fail(encode, *args):
         if encoded:  # past the worker's first chunk
+            os.write(2, b"worker exits after one chunk\n")
             os._exit(0)  # a clean exit that sends a short stream
-        encoded.append(part)
-        return encode(part, fmt)
+        encoded.append(args)
+        return encode(*args)
 
     return fail
 
@@ -678,20 +744,24 @@ def _fail_after_sending(send_all, *args):
 
 
 @pytest.mark.parametrize(
-    "name, fail",
-    [("_encode", lambda: _raise), ("_encode", _exit_after_first),
-     ("_evaluate_and_send", lambda: _fail_after_sending)],
+    "name, fail, message, err",
+    [("_encode", lambda: _raise, "ended before sending every chunk", "ValueError: encoder failure\n"),
+     ("_encode", _exit_after_first, "ended before sending every chunk", "worker exits after one chunk\n"),
+     ("_evaluate_and_send", lambda: _fail_after_sending, r"failed \(wait status 768\)", None)],
     ids=["raises", "exits-short", "fails-at-end"],
 )
-def test_child_failure_raises_and_is_reaped(tmp_path, two_workers, monkeypatch, name, fail):
-    # A failure after the worker is ready, once the output is open.
+def test_child_failure_raises_and_is_reaped(tmp_path, capfd, two_workers, monkeypatch, name, fail, message, err):
+    # A failure after the worker is ready, once the output is open; the
+    # worker's standard error shows that it failed where its double says.
     two_workers(4)
     _in_worker(monkeypatch, name, fail())
     pid = os.getpid()
     spec = write_spec(tmp_path, "g.json", group_spec())
-    with pytest.raises(RuntimeError, match="record worker process"):
+    with pytest.raises(RuntimeError, match="record worker process " + message):
         main(["group", "--spec", spec, "--out", str(tmp_path / "g.jsonl")])
     assert_no_child_left(pid)
+    stderr = capfd.readouterr().err
+    assert stderr.endswith(err) if err else stderr == ""
 
 
 class ClosedAfter:
