@@ -394,7 +394,7 @@ def bloch_closed_form_checks(grid_shape: tuple[int, int] = (10, 10)) -> list[Che
 def landau_zener_checks(delta: float = 1.0) -> list[CheckResult]:
     """Avoided-crossing curvature value and its gap scaling."""
     h_full = complex(qgt_tensor(landau_zener_family(delta), [0.0], a=0).h[0, 0])
-    closed_form = delta**2 / (4.0 * (0.0**2 + delta**2) ** 2)
+    closed_form = 1.0 / (4.0 * delta**2)  # delta^2 / (4 (lam^2 + delta^2)^2) at lam = 0
     value_dev = abs(h_full - closed_form)
     h_half = complex(qgt_tensor(landau_zener_family(delta / 2), [0.0], a=0).h[0, 0])
     scaling_dev = abs(h_half / h_full - 4.0)

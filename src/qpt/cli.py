@@ -60,8 +60,9 @@ EXIT_CHECK = 4
 EULER_AXES = ("alpha", "beta", "gamma")
 
 # Largest grid, in points, that a run accepts: about ten times the largest
-# benchmark grid.  ``qgt`` holds the whole grid as one stack of matrices, so
-# the bound is checked before any grid array is allocated.
+# benchmark grid.  Records are evaluated a chunk at a time, but a failed
+# evaluation is run again on the whole grid at once (for ``qgt``, one stack
+# of matrices), so the bound is checked before any grid array is allocated.
 MAX_GRID_POINTS = 2**20
 
 
@@ -241,7 +242,8 @@ def _rep_and_fiducial(spec: dict):
     """The representation at ``$.rep`` and a fiducial of its dimension at
     ``$.fiducial``, a list of ``[re, im]`` pairs."""
     rep = rep_from_spec(spec.get("rep"))
-    fiducial = require_array(spec.get("fiducial"), "$.fiducial", 1, pairs=True)
+    # Any finite fiducial: it is scaled before its norm is taken.
+    fiducial = require_array(spec.get("fiducial"), "$.fiducial", 1, pairs=True, bound=sys.float_info.max)
     if len(fiducial) != rep.dim:
         raise SpecError(f"at $.fiducial: expected {rep.dim} entries for the rep, got {len(fiducial)}")
     return rep, fiducial
@@ -531,8 +533,10 @@ def _record_stacks(path: str) -> tuple[np.ndarray, np.ndarray]:
     if not points:
         raise SpecError(f"{path}: no records found (jsonl input required)")
     # Each stack is read at once; an error names the record as ``record[i]``.
-    points = require_array(points, f"{path}: point of record", 2)
-    parts = {key: require_array(stack, f"{path}: {key} of record", 2, pairs=key == "h")
+    # Records are outputs, not specs: any finite value is read.
+    points = require_array(points, f"{path}: point of record", 2, bound=sys.float_info.max)
+    parts = {key: require_array(stack, f"{path}: {key} of record", 2, pairs=key == "h",
+                                bound=sys.float_info.max)
              for key, stack in fields.items()}
     if len({part.shape for part in parts.values()}) > 1:
         raise SpecError(f"{path}: metric and two_form lengths differ")

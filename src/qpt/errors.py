@@ -14,6 +14,14 @@ class SpecError(ValueError):
     """A run description or model specification is invalid."""
 
 
+# Largest magnitude of a spec number (the fiducial's entries aside, which
+# are scaled before use).  A product of three such numbers and the largest
+# dimensions stays finite: an orbit Hamiltonian, a direction times
+# generators, and its commutators with the generators; so do the squares of
+# gaps and of the Lagrangian directions.
+MAX_SPEC_MAGNITUDE = 1e100
+
+
 def require_integer(value, path: str) -> int:
     """``value`` if it is a JSON integer (not a float or a boolean), else a
     :class:`SpecError` naming the spec ``path``."""
@@ -22,18 +30,21 @@ def require_integer(value, path: str) -> int:
     return value
 
 
-def _is_finite_number(value) -> bool:
+def _is_finite_number(value, bound: float = sys.float_info.max) -> bool:
     # The comparison is exact for integers too, so an integer beyond the
     # float range is refused here instead of overflowing in float().
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max
+    return number and abs(value) <= bound
 
 
-def require_number(value, path: str) -> float:
-    """``value`` as a float if it is a finite JSON number (not a boolean),
-    else a :class:`SpecError` naming the spec ``path``."""
+def require_number(value, path: str, bound: float = MAX_SPEC_MAGNITUDE) -> float:
+    """``value`` as a float if it is a finite JSON number (not a boolean) of
+    magnitude at most ``bound``, else a :class:`SpecError` naming the spec
+    ``path``."""
     if not _is_finite_number(value):
         raise SpecError(f"at {path}: expected a finite number, got {value!r}")
+    if abs(value) > bound:
+        raise SpecError(f"at {path}: expected a number of magnitude at most {bound:g}, got {value!r}")
     return float(value)
 
 
@@ -66,11 +77,12 @@ def require_object(value, path: str) -> dict:
     return value
 
 
-def require_array(value, path: str, ndim: int, pairs: bool = False):
+def require_array(value, path: str, ndim: int, pairs: bool = False, bound: float = MAX_SPEC_MAGNITUDE):
     """``value`` as a float array of ``ndim`` axes if it is a regular nesting
-    of lists whose leaves are finite JSON numbers; with ``pairs`` every leaf
-    is an ``[re, im]`` pair and the array is complex.  Otherwise a
-    :class:`SpecError` naming the first offending entry, as ``path[i][j]``."""
+    of lists whose leaves are finite JSON numbers of magnitude at most
+    ``bound``; with ``pairs`` every leaf is an ``[re, im]`` pair and the
+    array is complex.  Otherwise a :class:`SpecError` naming the first
+    offending entry, as ``path[i][j]``."""
     import numpy as np  # the one reader that builds an array
 
     def entry(flat, shape):  # path and the row-major index of entry ``flat``
@@ -95,10 +107,10 @@ def require_array(value, path: str, ndim: int, pairs: bool = False):
         array = np.array(level, dtype=float) if set(map(type, level)) <= {int, float} else None
     except OverflowError:  # an integer beyond the float range
         array = None
-    if array is None or not np.isfinite(array).all():
-        bad = next((i for i, x in enumerate(level) if not _is_finite_number(x)), None)
+    if array is None or not (np.abs(array) <= bound).all():  # NaN too is not <=
+        bad = next((i for i, x in enumerate(level) if not _is_finite_number(x, bound)), None)
         if bad is not None:
-            require_number(level[bad], entry(bad, shape))
+            require_number(level[bad], entry(bad, shape), bound)
         array = np.array(level, dtype=float)
     array = array.reshape(shape)
     return array[..., 0] + 1j * array[..., 1] if pairs else array

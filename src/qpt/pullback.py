@@ -57,6 +57,12 @@ def _normalized_fiducial(fiducial) -> np.ndarray:
     psi = np.asarray(fiducial, dtype=complex)
     stack = psi.ndim == 2
     as_state(psi.reshape(-1) if stack else psi)  # finite and nonempty
+    # Each vector is first scaled by a power of two that brings its largest
+    # modulus into [1, 2), so its norm neither overflows nor underflows.  The
+    # scaling is exact: an ordinary fiducial keeps its bits.
+    exponent = np.frexp(np.abs(psi).max(axis=-1, keepdims=True))[1] - 1
+    psi = psi.copy()
+    psi.real, psi.imag = np.ldexp(psi.real, -exponent), np.ldexp(psi.imag, -exponent)
     # The one-vector norm rounds differently from its row-wise form.
     n = np.linalg.norm(psi, axis=-1, keepdims=True) if stack else np.linalg.norm(psi)
     if np.any(n <= 0.0):

@@ -267,9 +267,7 @@ def _eigensystem(h: np.ndarray):
     """Eigenvalues ``(P, d)`` and phase-fixed eigenvectors ``(P, d, d)``,
     one column per level, of a stack of Hermitian matrices."""
     eigvals, eigvecs = np.linalg.eigh(h)
-    for idx in range(eigvecs.shape[-1]):
-        eigvecs[..., idx] = _fix_phase(eigvecs[..., idx])
-    return eigvals, eigvecs
+    return eigvals, _fix_phase(eigvecs.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _check_gap(eigvals: np.ndarray, a: int, degeneracy_tol: float | None, points) -> np.ndarray:

@@ -13,19 +13,19 @@ filled from one ``%s`` template built from the column shapes.  Each process
 spells each distinct float bit pattern once, into a memo that holds at most
 one chunk's values and is cleared when a chunk's fresh values would overflow
 it, so a grid whose records repeat their values pays ``repr`` for the
-distinct values only.  When there is more than one chunk and more than one
-CPU, one forked worker evaluates and encodes the odd chunks while this
-process evaluates and encodes the even chunks.  Each process evaluates all of
-its chunks first.  The worker then reports ready, and only then is the output
-opened, its header written and the chunks written in order.  If either
-process fails before the worker is ready, the worker is killed and reaped
-and this process evaluates the whole grid at once, as it does without a
-worker: a refusal keeps its message and its index in the whole grid, and no
-output file is left.  A worker that fails or stops short after it is ready
-raises :class:`RuntimeError`.  The bytes are those of :func:`dump_line` on
-each record's dict (JSON spells the non-finite floats ``NaN``, ``Infinity``
-and ``-Infinity``) or of ``csv.writer`` on each record's row, whichever
-process encodes them.
+distinct values only.  Chunks are evaluated one at a time whatever the
+CPU count.  With more than one chunk and more than one CPU, one forked
+worker evaluates and encodes the odd chunks and this process the even ones;
+otherwise this process takes every chunk.  Each process evaluates all of
+its chunks first; only then is the output opened, its header written and
+the chunks written in order.  If either process fails before the worker
+reports ready, the worker is killed and reaped and this process evaluates
+the whole grid in one call, so a refusal keeps its message and its index in
+the whole grid, and no output file is left.  A worker that fails or stops
+short after it is ready raises :class:`RuntimeError`.  The bytes are those
+of :func:`dump_line` on each record's dict (JSON spells the non-finite
+floats ``NaN``, ``Infinity`` and ``-Infinity``) or of ``csv.writer`` on
+each record's row, whichever process encodes them.
 
 :func:`read_pair` runs the same kind of worker for ``compare``: it reads
 the second file while this process reads the first.
@@ -44,7 +44,7 @@ import numpy as np
 # Records per chunk.  A chunk is one evaluation, one ``repr`` of each of its
 # values not yet spelled, and one ``%`` format.  Each process holds about one
 # encoded chunk (some 330 kB of group records) and a memo of at most one
-# chunk's spelled values next to the columns of its half of the grid.
+# chunk's spelled values next to the columns of its share of the grid.
 CHUNK_RECORDS = 1024
 
 _LENGTH_BYTES = 8  # the length prefix of each message a worker sends
@@ -85,10 +85,11 @@ def write_records(open_output, points, columns, fmt: str = "jsonl") -> None:
     value.tolist(), ...}``; a ``csv`` line is the record's values, flattened
     row-major, as ``csv.writer`` writes them.
 
-    The worker process, if any, leaves only through ``os._exit`` and is
-    reaped before this returns or raises.  A failure of either process
-    before the worker is ready is not an error of its own: the whole grid is
-    evaluated again here, so it raises what one process would.  A worker
+    ``columns`` sees at most :data:`CHUNK_RECORDS` points per call.  The
+    worker process, if any, leaves only through ``os._exit`` and is reaped
+    before this returns or raises.  A failure of either process before the
+    worker is ready is not an error of its own: only then is the whole grid
+    evaluated in one call, so it raises what one process would.  A worker
     that fails or stops short after that raises :class:`RuntimeError`, so
     no truncated output passes for a finished one.
     """
@@ -96,22 +97,20 @@ def write_records(open_output, points, columns, fmt: str = "jsonl") -> None:
     worker, spelled = None, {}  # the worker spells into its own copy
     if _second_worker(len(bounds)):
         worker = _fork(lambda send: _evaluate_and_send(send, points, columns, bounds[1::2], fmt, spelled))
+    step = 2 if worker else 1
     try:
-        parts = None
-        if worker:
-            try:
-                parts = [columns(points[lo:hi]) for lo, hi in bounds[::2]]
-                if worker.receive() != _READY:
-                    parts = None
-            except Exception:  # evaluated again below, where it raises for the whole grid
+        try:
+            parts = [columns(points[lo:hi]) for lo, hi in bounds[::step]]
+            if worker and worker.receive() != _READY:
                 parts = None
-            if parts is None:
+        except Exception:  # evaluated again below, where it raises for the whole grid
+            parts = None
+        if parts is None:
+            if worker:
                 worker.close(kill=True)
-                worker = None
-        if worker is None:
+                worker, step = None, 1
             whole = columns(points)
             parts = [{name: col[lo:hi] for name, col in whole.items()} for lo, hi in bounds]
-        step = 2 if worker else 1
         with open_output() as stream:
             for i in range(len(bounds)):
                 stream.write(_encode(parts[i // step], fmt, spelled) if i % step == 0 else _chunk_from(worker))

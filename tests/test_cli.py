@@ -386,6 +386,25 @@ def test_zero_fiducial_is_refusal(tmp_path):
     assert main(["group", "--spec", spec, "--out", str(tmp_path / "g.jsonl")]) == 3
 
 
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 1e200, 1e-200],
+                         ids=["2**600", "2**-600", "1e200", "1e-200"])
+def test_fiducial_scale_leaves_the_records(tmp_path, capsys, scale):
+    # Far from 1, the squares of the entries overflow or underflow, but the
+    # norm must not: a power-of-two scale leaves every byte as it was, the
+    # header included, and a decimal one every value to rounding.
+    outputs = []
+    for factor in (1.0, scale):
+        fiducial = [[factor, 0.0], [0.5 * factor, -0.25 * factor]]
+        spec = write_spec(tmp_path, "g.json", dict(group_spec(projective=False), fiducial=fiducial))
+        outputs.append(tmp_path / f"g{len(outputs)}.jsonl")
+        assert main(["group", "--spec", spec, "--out", str(outputs[-1])]) == 0
+    if np.frexp(scale)[0] == 0.5:
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    else:
+        assert main(["compare", *map(str, outputs), "--tol", "1e-15"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["pass"]
+
+
 def test_malformed_spec_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -704,10 +723,14 @@ def test_one_chunk_or_one_cpu_encodes_in_process(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     assert not serialize._second_worker(1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    stream = io.StringIO()
     monkeypatch.setattr(serialize, "CHUNK_RECORDS", 2)
-    write_rows(stream, {"point": np.arange(10.0).reshape(5, 2)})
-    assert stream.getvalue().count("\n") == 5
+    points = np.arange(10.0).reshape(5, 2)
+    sizes = []
+    stream = io.StringIO()
+    serialize.write_records(lambda: contextlib.nullcontext(stream), points,
+                            lambda chunk: sizes.append(len(chunk)) or {"point": chunk})
+    assert sizes == [2, 2, 1]  # chunk by chunk on one CPU too, never the whole grid
+    assert stream.getvalue() == encoded_alone({"point": points}, "jsonl")
     assert serialize.read_pair(lambda x: (x + 1,), 1, 2) == ((2,), (3,))
 
 
@@ -851,11 +874,15 @@ DEGENERATE_AT_ZERO = {
 }
 
 
-@pytest.mark.parametrize("chunk", [3, 2], ids=["worker-chunk", "parent-chunk"])
-def test_degenerate_level_in_either_half_refuses_as_one_process(tmp_path, capfd, two_workers, chunk):
+@pytest.mark.parametrize("chunk, processes", [(3, 2), (2, 2), (2, 1)],
+                         ids=["worker-chunk", "parent-chunk", "one-process"])
+def test_degenerate_level_in_either_half_refuses_as_one_process(tmp_path, capfd, monkeypatch, two_workers,
+                                                                 chunk, processes):
     # x = 0 is grid index 4: record 1 of the worker's first chunk of three,
-    # or record 0 of the parent's second chunk of two.
+    # or record 0 of the parent's second or third chunk of two.
     two_workers(chunk)
+    if processes == 1:
+        monkeypatch.setattr(serialize, "_second_worker", lambda n_chunks: False)
     pid = os.getpid()
     out = tmp_path / "q.jsonl"
     assert main(["qgt", "--spec", write_spec(tmp_path, "q.json", DEGENERATE_AT_ZERO), "--out", str(out)]) == 3
@@ -1081,11 +1108,23 @@ def affine_spec(h0, terms):
         (affine_spec(SX_PAIRS, []), "$.hamiltonian.affine"),
         (affine_spec(SX_PAIRS, 5), "$.hamiltonian.affine.terms"),
         (affine_spec(SX_PAIRS, [[[[1e400, 0], [0, 0]], [[0, 0], [-1, 0]]]]), "$.hamiltonian.affine.terms[0][0][0][0]"),
+        # Finite but beyond the spec bound: each once overflowed into a
+        # traceback, or into an infinite gap written with exit 0.
+        ({"hamiltonian": dict(ORBIT_FAMILY, rep={"builtin": "su2", "spin": -1e308}), "grid": ORBIT_GRID},
+         "$.hamiltonian.rep.spin"),
+        ({"hamiltonian": dict(ORBIT_FAMILY, direction=[0, 0, 1e308]), "grid": ORBIT_GRID},
+         "$.hamiltonian.direction[2]"),
+        ({"hamiltonian": dict(ORBIT_FAMILY, direction=[0, -1e308, 0]), "grid": ORBIT_GRID},
+         "$.hamiltonian.direction[1]"),
+        ({"hamiltonian": {"builtin": "landau_zener", "delta": 1e308}, "grid": {"x": [-1, 1, 3]}},
+         "$.hamiltonian.delta"),
+        ({"hamiltonian": {"builtin": "landau_zener"}, "grid": {"x": [-1, 1e308, 3]}}, "$.grid.x[1]"),
     ],
     ids=["level-string", "hamiltonian-level-string", "level-7", "hamiltonian-level-7",
          "level-float", "spin-string", "spin-1e9", "spin-negative", "spin-zero", "spin-1.7",
          "affine-h0-string", "affine-terms-shape", "affine-not-hermitian", "affine-terms-empty",
-         "affine-terms-5", "affine-infinite"],
+         "affine-terms-5", "affine-infinite", "spin--1e308", "direction-1e308", "direction--1e308",
+         "delta-1e308", "grid-1e308"],
 )
 @pytest.mark.parametrize("command", ["qgt", "verify"])
 def test_qgt_spec_errors_exit_2(tmp_path, capsys, command, payload, path):
@@ -1094,7 +1133,8 @@ def test_qgt_spec_errors_exit_2(tmp_path, capsys, command, payload, path):
         spec["target"] = "qgt"
     out = tmp_path / "q.jsonl"
     assert main([command, "--spec", write_spec(tmp_path, "q.json", spec), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: at {path}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: at {path}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -1137,6 +1177,18 @@ PAULI_STRUCTURE = [
 EXPLICIT_REP = {"generators": PAULI_PAIRS, "structure_constants": PAULI_STRUCTURE}
 
 
+@pytest.mark.parametrize("command", ["qgt", "verify"])
+def test_landau_zener_delta_at_the_bound_stays_finite(tmp_path, command):
+    # The gap 2 * delta and the closed form 1 / (4 delta^2) of verify stay
+    # finite at the largest delta a spec may give.
+    spec = {"mode": command, "hamiltonian": {"builtin": "landau_zener", "delta": 1e100}, "grid": {"x": [-1, 1, 3]}}
+    if command == "verify":
+        spec["target"] = "qgt"
+    out = tmp_path / "q.jsonl"
+    assert main([command, "--spec", write_spec(tmp_path, "q.json", spec), "--out", str(out)]) == 0
+    assert "Infinity" not in out.read_text() and "NaN" not in out.read_text()
+
+
 @pytest.mark.parametrize(
     "change, path",
     [
@@ -1154,11 +1206,14 @@ EXPLICIT_REP = {"generators": PAULI_PAIRS, "structure_constants": PAULI_STRUCTUR
          "$.rep.multiplier_form[0][0]"),
         ({"rep": {"builtin": "su2", "spin": 1e9}}, "$.rep.spin"),
         ({"rep": {"builtin": "su2", "spin": 1.7}}, "$.rep.spin"),
+        ({"rep": {"builtin": "su2", "spin": -1e308}}, "$.rep.spin"),
+        ({"rep": dict(EXPLICIT_REP, generators=[SX_PAIRS, PAULI_PAIRS[1], [[[1e308, 0], [0, 0]], [[0, 0], [-1, 0]]]])},
+         "$.rep.generators[2][0][0][0]"),
         ({"output": {"path": 5}}, "$.output.path"),
     ],
     ids=["fiducial-dimension", "fiducial-nan-string", "fiducial-bool", "fiducial-string", "fiducial-triple",
          "generator-string", "generator-bool", "structure-constants-string", "multiplier-form-string",
-         "spin-1e9", "spin-1.7", "output-path"],
+         "spin-1e9", "spin-1.7", "spin--1e308", "generator-1e308", "output-path"],
 )
 @pytest.mark.parametrize("command", ["group", "verify"])
 def test_group_spec_errors_exit_2(tmp_path, capsys, command, change, path):
@@ -1167,7 +1222,8 @@ def test_group_spec_errors_exit_2(tmp_path, capsys, command, change, path):
         spec["target"] = "group"
     out = tmp_path / "g.jsonl"
     assert main([command, "--spec", write_spec(tmp_path, "g.json", spec), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: at {path}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: at {path}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -1227,13 +1283,14 @@ def exit_code(argv):
         ("weyl", {"modes": 1, "cutoff": 8, "lagrangian": [["a", 0]]}, "$.lagrangian[0][0]"),
         ("weyl", {"modes": 1, "cutoff": 8, "lagrangian": [[True, 0]]}, "$.lagrangian[0][0]"),
         ("weyl", {"modes": 1, "cutoff": 8, "lagrangian": "nan,0"}, "$.lagrangian[0][0]"),
+        ("weyl", {"modes": 1, "cutoff": 8, "lagrangian": [[1e308, 0]]}, "$.lagrangian[0][0]"),
         ("weyl", {"modes": 0, "cutoff": 8}, "$.modes"),
         ("weyl", {"modes": 3, "cutoff": 128}, "$.modes and $.cutoff"),
         ("verify", {"target": "weyl", "modes": 1, "cutoff": 2}, "$.cutoff"),
     ],
     ids=["grid-endpoint", "grid-bool", "qgt-delta", "verify-delta", "direction", "fd-step", "tol",
          "degeneracy-tol", "fd-step-zero", "fd-step-negative", "fd-step-null", "degeneracy-tol-negative",
-         "lagrangian-string", "lagrangian-bool", "lagrangian-text-nan", "weyl-modes-zero",
+         "lagrangian-string", "lagrangian-bool", "lagrangian-text-nan", "lagrangian-1e308", "weyl-modes-zero",
          "weyl-over-budget", "verify-weyl-cutoff-2"],
 )
 def test_non_numeric_spec_values_exit_2(tmp_path, capsys, command, payload, path):
@@ -1339,10 +1396,12 @@ VALID_SPECS = {
     "verify-weyl": {"mode": "verify", "target": "weyl", "modes": 1, "cutoff": 4},
     "verify-qgt": {"mode": "verify", "target": "qgt", "hamiltonian": ORBIT_FAMILY, "grid": ORBIT_GRID},
 }
-# Small values only: none of them reaches what the size budgets guard.
-# ``1e400`` parses to infinity, like ``Infinity``.
+# No integer reaches what the size budgets guard.  ``1e400`` parses to
+# infinity, like ``Infinity``; ``1e308``, ``-1e308`` and ``5e-324`` are the
+# ends of the finite range, beyond the bound on spec numbers or far below it.
 REPLACEMENTS = [json.loads(text) for text in
-                ('"x"', "true", "null", "[]", "{}", "-1", "0", "2", "1.5", "NaN", "Infinity", "1e400")]
+                ('"x"', "true", "null", "[]", "{}", "-1", "0", "2", "1.5", "NaN", "Infinity", "1e400",
+                 "1e308", "-1e308", "5e-324")]
 
 
 def spec_paths(value, path=()):
