@@ -60,9 +60,9 @@ EXIT_CHECK = 4
 EULER_AXES = ("alpha", "beta", "gamma")
 
 # Largest grid, in points, that a run accepts: about ten times the largest
-# benchmark grid.  Records are evaluated a chunk at a time, but a failed
-# evaluation is run again on the whole grid at once (for ``qgt``, one stack
-# of matrices), so the bound is checked before any grid array is allocated.
+# benchmark grid.  Records are evaluated a chunk at a time on every path, but
+# the point stack and each process's columns are held until the output is
+# written, so the bound is checked before any grid array is allocated.
 MAX_GRID_POINTS = 2**20
 
 
@@ -391,7 +391,7 @@ def cmd_group(args, spec: dict):
     tensor = covariance_matrix(rep, fiducial, projective=projective)
     scale = EULER_GENERATOR_SCALE if normalization == "generator" else 1.0
 
-    def columns(chunk):
+    def columns(chunk, start):
         metric, two_form = evaluate_at(tensor, euler_coframes(chunk, frame) * scale)
         return {
             "point": chunk,
@@ -459,15 +459,15 @@ def cmd_weyl(args, spec: dict):
         "lagrangian": None if directions is None else directions.tolist(),
         "conventions": checks.conventions(),
     }
-    return header, (record["point"], lambda point: record), _report(results)
+    return header, (record["point"], lambda point, start: record), _report(results)
 
 
 def cmd_qgt(args, spec: dict):
     family, axes, points, level = _family_on_grid(spec, args)
     degeneracy_tol = _tolerance(spec, args, "degeneracy_tol", None)
 
-    def columns(chunk):
-        res = qgt_tensor(family, chunk, a=level, degeneracy_tol=degeneracy_tol)
+    def columns(chunk, start):
+        res = qgt_tensor(family, chunk, a=level, degeneracy_tol=degeneracy_tol, start=start)
         h = res.h.reshape(len(chunk), -1)
         return {
             "point": chunk,

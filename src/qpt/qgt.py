@@ -270,9 +270,9 @@ def _eigensystem(h: np.ndarray):
     return eigvals, _fix_phase(eigvecs.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _check_gap(eigvals: np.ndarray, a: int, degeneracy_tol: float | None, points) -> np.ndarray:
+def _check_gap(eigvals: np.ndarray, a: int, degeneracy_tol: float | None, points, start=0) -> np.ndarray:
     """Gap of level ``a`` at every point of a stack ``(P, d)``; refuses the
-    first point whose gap is below the floor, naming its index and point."""
+    first point whose gap is below the floor, naming it and its index + ``start``."""
     if not 0 <= a < eigvals.shape[-1]:
         raise ValueError(f"level {a} out of range for dimension {eigvals.shape[-1]}")
     others = np.delete(eigvals, a, axis=-1)
@@ -284,14 +284,14 @@ def _check_gap(eigvals: np.ndarray, a: int, degeneracy_tol: float | None, points
     if bad.size:
         i = bad[0]
         raise DegenerateLevelError(
-            f"level {a} is degenerate within tolerance at grid index {i}, point "
+            f"level {a} is degenerate within tolerance at grid index {start + i}, point "
             f"{np.asarray(points[i]).tolist()} (gap {gaps[i]:.3e} < {floors[i]:.3e})",
             gap=float(gaps[i]),
         )
     return gaps
 
 
-def _spectral(family: HamiltonianFamily, lam, a: int | None, degeneracy_tol: float | None):
+def _spectral(family: HamiltonianFamily, lam, a: int | None, degeneracy_tol: float | None, start=0):
     """Shared core on a point or a stack: the ``(P, m)`` stack, whether one
     point was given, the level's eigenstates ``(P, d)``, its gaps ``(P,)``
     and the eigenstate derivatives ``(P, m, d)`` from the spectral sum
@@ -300,7 +300,7 @@ def _spectral(family: HamiltonianFamily, lam, a: int | None, degeneracy_tol: flo
     stack, single = family._stack(lam)
     h = family.hamiltonian(stack)
     eigvals, eigvecs = _eigensystem(h)
-    gaps = _check_gap(eigvals, a, degeneracy_tol, stack)
+    gaps = _check_gap(eigvals, a, degeneracy_tol, stack, start)
     psi = eigvecs[..., a]
     amps = (family.derivative(stack, h=h) @ psi[:, None, :, None])[..., 0] @ eigvecs.conj()  # <b| dH |a>
     others = np.arange(eigvals.shape[-1]) != a
@@ -327,14 +327,25 @@ def spectral_state_derivative(
 
 def qgt_tensor(
     family: HamiltonianFamily, lam, a: int | None = None,
-    degeneracy_tol: float | None = None,
+    degeneracy_tol: float | None = None, start: int = 0,
 ) -> QGTResult:
     """Geometric tensor for eigenlevel ``a`` via the spectral sum, at a point
-    ``lam`` of shape ``(m,)`` or on a stack of shape ``(P, m)``."""
-    stack, single, psi, gaps, derivs = _spectral(family, lam, a, degeneracy_tol)
+    ``lam`` of shape ``(m,)`` or on a stack of shape ``(P, m)``.  Refuses, at
+    the first such point, a degenerate level or a tensor that is not finite
+    (``1 / gap**2`` overflows), naming it and its index plus ``start``."""
+    stack, single, psi, gaps, derivs = _spectral(family, lam, a, degeneracy_tol, start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = hermitian_tensor(psi, derivs, projective=True)
+    bad = np.flatnonzero(~np.isfinite(h).all(axis=(-2, -1)))
+    if bad.size:
+        i = bad[0]
+        raise NumericalRefusal(
+            f"tensor of level {family.level if a is None else a} is not finite at grid index {start + i}, "
+            f"point {stack[i].tolist()} (gap {gaps[i]:.3e})"
+        )
     if single:
-        stack, psi, gaps, derivs = stack[0], psi[0], float(gaps[0]), derivs[0]
-    return QGTResult(stack, hermitian_tensor(psi, derivs, projective=True), gaps)
+        stack, h, gaps = stack[0], h[0], float(gaps[0])
+    return QGTResult(stack, h, gaps)
 
 
 def finite_difference_qgt(

@@ -7,25 +7,25 @@ re-parses to the exact in-memory double.
 
 Records are evaluated and written by :func:`write_records`.  A command hands
 it its ``(P, m)`` point stack and its column function, which maps a slice of
-the points to field name -> ``(n, ...)`` float stack.  The grid is cut into
-chunks of :data:`CHUNK_RECORDS` (1024) records, and every line of a chunk is
-filled from one ``%s`` template built from the column shapes.  Each process
-spells each distinct float bit pattern once, into a memo that holds at most
-one chunk's values and is cleared when a chunk's fresh values would overflow
-it, so a grid whose records repeat their values pays ``repr`` for the
-distinct values only.  Chunks are evaluated one at a time whatever the
-CPU count.  With more than one chunk and more than one CPU, one forked
-worker evaluates and encodes the odd chunks and this process the even ones;
-otherwise this process takes every chunk.  Each process evaluates all of
-its chunks first; only then is the output opened, its header written and
-the chunks written in order.  If either process fails before the worker
-reports ready, the worker is killed and reaped and this process evaluates
-the whole grid in one call, so a refusal keeps its message and its index in
-the whole grid, and no output file is left.  A worker that fails or stops
-short after it is ready raises :class:`RuntimeError`.  The bytes are those
-of :func:`dump_line` on each record's dict (JSON spells the non-finite
-floats ``NaN``, ``Infinity`` and ``-Infinity``) or of ``csv.writer`` on
-each record's row, whichever process encodes them.
+the points and the slice's start in the grid to field name -> ``(n, ...)``
+float stack.  The grid is cut into chunks of :data:`CHUNK_RECORDS` (1024)
+records, and every line of a chunk is filled from one ``%s`` template built
+from the column shapes.  Each process spells each distinct float bit pattern
+once, into a memo that holds at most one chunk's values and is cleared when
+a chunk's fresh values would overflow it, so a grid whose records repeat
+their values pays ``repr`` for the distinct values only.  With more than one
+chunk and more than one CPU, one forked worker evaluates and encodes the odd
+chunks and this process the even ones; otherwise this process takes every
+chunk.  Each process evaluates all of its chunks first; only then is the
+output opened, its header written and the chunks written in order.  If
+either process fails before the worker reports ready, the worker is killed
+and reaped and this process evaluates every chunk, in grid order, in one
+process, so the first failure raises, a refusal names its index in the whole
+grid, and no output file is left.  A worker that fails or stops short after
+it is ready raises :class:`RuntimeError`.  The bytes are those of
+:func:`dump_line` on each record's dict (JSON spells the non-finite floats
+``NaN``, ``Infinity`` and ``-Infinity``) or of ``csv.writer`` on each
+record's row, whichever process encodes them.
 
 :func:`read_pair` runs the same kind of worker for ``compare``: it reads
 the second file while this process reads the first.
@@ -79,19 +79,19 @@ def write_records(open_output, points, columns, fmt: str = "jsonl") -> None:
     entered only once every record is evaluated, so a run that fails in
     evaluation leaves no output.
 
-    ``columns`` maps a ``(n, m)`` slice of the ``(P, m)`` stack ``points``
-    to its fields, name -> ``(n, ...)`` float stack, in key order.  A
-    ``jsonl`` line is ``dump_line`` of ``{"kind": "record", name:
-    value.tolist(), ...}``; a ``csv`` line is the record's values, flattened
-    row-major, as ``csv.writer`` writes them.
+    ``columns(points[lo:hi], lo)`` gives the fields of the ``(n, m)`` slice
+    of the ``(P, m)`` stack that starts at row ``lo``, name -> ``(n, ...)``
+    float stack, in key order.  A ``jsonl`` line is ``dump_line`` of
+    ``{"kind": "record", name: value.tolist(), ...}``; a ``csv`` line is the
+    record's values, flattened row-major, as ``csv.writer`` writes them.
 
-    ``columns`` sees at most :data:`CHUNK_RECORDS` points per call.  The
-    worker process, if any, leaves only through ``os._exit`` and is reaped
-    before this returns or raises.  A failure of either process before the
-    worker is ready is not an error of its own: only then is the whole grid
-    evaluated in one call, so it raises what one process would.  A worker
-    that fails or stops short after that raises :class:`RuntimeError`, so
-    no truncated output passes for a finished one.
+    ``columns`` sees at most :data:`CHUNK_RECORDS` points per call, on every
+    path.  The worker, if any, is reaped before this returns or raises.  A
+    failure of either process before the worker is ready is not an error of
+    its own: then every chunk is evaluated, in grid order, in one process,
+    which raises the first failure as one process would.  A worker that
+    fails or stops short after that raises :class:`RuntimeError`, so no
+    truncated output passes for a finished one.
     """
     bounds = [(lo, min(lo + CHUNK_RECORDS, len(points))) for lo in range(0, len(points), CHUNK_RECORDS)]
     worker, spelled = None, {}  # the worker spells into its own copy
@@ -100,17 +100,17 @@ def write_records(open_output, points, columns, fmt: str = "jsonl") -> None:
     step = 2 if worker else 1
     try:
         try:
-            parts = [columns(points[lo:hi]) for lo, hi in bounds[::step]]
+            parts = [columns(points[lo:hi], lo) for lo, hi in bounds[::step]]
             if worker and worker.receive() != _READY:
                 parts = None
-        except Exception:  # evaluated again below, where it raises for the whole grid
-            parts = None
+        except Exception:
+            if not worker:
+                raise
+            parts = None  # evaluated again below, where the first failure in grid order raises
         if parts is None:
-            if worker:
-                worker.close(kill=True)
-                worker, step = None, 1
-            whole = columns(points)
-            parts = [{name: col[lo:hi] for name, col in whole.items()} for lo, hi in bounds]
+            worker.close(kill=True)
+            worker, step = None, 1
+            parts = [columns(points[lo:hi], lo) for lo, hi in bounds]
         with open_output() as stream:
             for i in range(len(bounds)):
                 stream.write(_encode(parts[i // step], fmt, spelled) if i % step == 0 else _chunk_from(worker))
@@ -149,7 +149,7 @@ def _encode(columns: dict, fmt: str, spelled: dict) -> str:
 def _evaluate_and_send(send, points, columns, bounds, fmt: str, spelled: dict) -> None:
     """The worker's half: evaluate every chunk of ``bounds``, report ready,
     then send each chunk's lines in order."""
-    parts = [columns(points[lo:hi]) for lo, hi in bounds]
+    parts = [columns(points[lo:hi], lo) for lo, hi in bounds]
     send(_READY)
     for part in parts:
         send(_encode(part, fmt, spelled).encode())

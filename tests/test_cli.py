@@ -628,11 +628,11 @@ def test_qgt_non_finite_gap_to_stdout(tmp_path, capsys, two_workers, fmt):
 
 def write_rows(stream, columns, fmt="jsonl"):
     """``serialize.write_records`` of the rows of finished ``columns``: the
-    points are row indices, and the column function hands out their rows."""
+    column function hands out the rows of each chunk from its start."""
     rows = np.arange(len(next(iter(columns.values()))), dtype=float)[:, None]
     serialize.write_records(
         lambda: contextlib.nullcontext(stream), rows,
-        lambda chunk: {name: col[chunk[:, 0].astype(int)] for name, col in columns.items()},
+        lambda chunk, start: {name: col[start:start + len(chunk)] for name, col in columns.items()},
         fmt,
     )
 
@@ -728,8 +728,8 @@ def test_one_chunk_or_one_cpu_encodes_in_process(monkeypatch):
     sizes = []
     stream = io.StringIO()
     serialize.write_records(lambda: contextlib.nullcontext(stream), points,
-                            lambda chunk: sizes.append(len(chunk)) or {"point": chunk})
-    assert sizes == [2, 2, 1]  # chunk by chunk on one CPU too, never the whole grid
+                            lambda chunk, start: sizes.append((start, len(chunk))) or {"point": chunk})
+    assert sizes == [(0, 2), (2, 2), (4, 1)]  # chunk by chunk on one CPU too, never the whole grid
     assert stream.getvalue() == encoded_alone({"point": points}, "jsonl")
     assert serialize.read_pair(lambda x: (x + 1,), 1, 2) == ((2,), (3,))
 
@@ -873,24 +873,95 @@ DEGENERATE_AT_ZERO = {
     "grid": {"x": [-1, 1, 9]},
 }
 
+# The middle level of diag(x, -x, 1 - x): degenerate at x = 0 (grid index 4)
+# and at x = 0.5 (grid index 6).
+DEGENERATE_TWICE = {
+    "mode": "qgt",
+    "hamiltonian": {"affine": {"h0": [[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
+                                      [[0, 0], [0, 0], [1, 0]]],
+                               "terms": [[[[1, 0], [0, 0], [0, 0]], [[0, 0], [-1, 0], [0, 0]],
+                                          [[0, 0], [0, 0], [-1, 0]]]]},
+                    "level": 1},
+    "grid": {"x": [-1, 1, 9]},
+}
 
-@pytest.mark.parametrize("chunk, processes", [(3, 2), (2, 2), (2, 1)],
-                         ids=["worker-chunk", "parent-chunk", "one-process"])
+# 1 / gap**2 overflows at x = 0, grid index 4, though the gap 2e-160 is above
+# the degeneracy floor.
+NON_FINITE_AT_ZERO = {
+    "hamiltonian": {"builtin": "landau_zener", "delta": 1e-160},
+    "grid": {"x": [-1, 1, 9]},
+}
+
+
+@pytest.fixture
+def column_calls(monkeypatch, tmp_path):
+    """``(start, rows)`` of each call of a command's column function, in
+    either process, from a log that both processes append to; each call of
+    the returned function takes the calls logged since the last."""
+    log = tmp_path / "columns.log"
+    write_records = serialize.write_records
+
+    def logged(open_output, points, columns, fmt="jsonl"):
+        def logging_columns(chunk, start):
+            with open(log, "a") as fh:
+                fh.write(f"{start} {len(chunk)}\n")
+            return columns(chunk, start)
+
+        write_records(open_output, points, logging_columns, fmt)
+
+    def taken():
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        log.unlink()
+        return calls
+
+    monkeypatch.setattr(serialize, "write_records", logged)
+    return taken
+
+
+def assert_refused(tmp_path, capfd, argv):
+    """Exit 3 with one ``refused:`` line and no traceback, no output file and
+    no child process left; the line."""
+    pid = os.getpid()
+    out = tmp_path / "refused.jsonl"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert_no_child_left(pid)
+    err = capfd.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize(
+    "chunk, processes, spec",
+    [(3, 2, DEGENERATE_AT_ZERO), (2, 2, DEGENERATE_AT_ZERO), (2, 1, DEGENERATE_AT_ZERO),
+     (3, 2, DEGENERATE_TWICE), (2, 2, DEGENERATE_TWICE)],
+    ids=["worker-chunk", "parent-chunk", "one-process", "worker-then-parent", "parent-then-worker"],
+)
 def test_degenerate_level_in_either_half_refuses_as_one_process(tmp_path, capfd, monkeypatch, two_workers,
-                                                                 chunk, processes):
+                                                                 column_calls, chunk, processes, spec):
     # x = 0 is grid index 4: record 1 of the worker's first chunk of three,
-    # or record 0 of the parent's second or third chunk of two.
+    # or record 0 of the parent's second or third chunk of two.  The second
+    # degenerate point, index 6, is in the parent's second chunk of three or
+    # in the worker's second chunk of two; the first in grid order is named.
     two_workers(chunk)
     if processes == 1:
         monkeypatch.setattr(serialize, "_second_worker", lambda n_chunks: False)
-    pid = os.getpid()
-    out = tmp_path / "q.jsonl"
-    assert main(["qgt", "--spec", write_spec(tmp_path, "q.json", DEGENERATE_AT_ZERO), "--out", str(out)]) == 3
-    assert_no_child_left(pid)
-    err = capfd.readouterr().err
-    assert err.startswith("refused: level 0 is degenerate") and "at grid index 4, point [0.0]" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    err = assert_refused(tmp_path, capfd, ["qgt", "--spec", write_spec(tmp_path, "q.json", spec)])
+    assert " is degenerate within tolerance at grid index 4, point [0.0] " in err
+    calls = column_calls()
+    assert calls and all(start % chunk == 0 and rows == min(chunk, 9 - start) for start, rows in calls)
+
+
+@pytest.mark.filterwarnings("error")  # the overflow is refused, not warned about
+@pytest.mark.parametrize("command, chunk", [("qgt", 3), ("qgt", 2), ("verify", 10**6)],
+                         ids=["worker-chunk", "parent-chunk", "verify"])
+def test_non_finite_tensor_is_refused(tmp_path, capfd, two_workers, command, chunk):
+    # Grid index 4 is record 1 of the worker's first chunk of three, or
+    # record 0 of the parent's third chunk of two; verify takes every point.
+    two_workers(chunk)
+    spec = {"mode": command, **NON_FINITE_AT_ZERO, **({"target": "qgt"} if command == "verify" else {})}
+    err = assert_refused(tmp_path, capfd, [command, "--spec", write_spec(tmp_path, "q.json", spec)])
+    assert err == "refused: tensor of level 0 is not finite at grid index 4, point [0.0] (gap 2.000e-160)\n"
 
 
 def _fail_once():
@@ -906,24 +977,28 @@ def _fail_once():
 
 
 @pytest.mark.parametrize("side", ["worker", "parent"])
-def test_failure_before_ready_falls_back_to_one_process(tmp_path, capfd, two_workers, monkeypatch, side):
+def test_failure_before_ready_falls_back_to_one_process(tmp_path, capfd, two_workers, monkeypatch, column_calls,
+                                                        side):
     spec = write_spec(tmp_path, "g.json", group_spec())
     two_workers(10**6)
     one = tmp_path / "one.jsonl"
     assert main(["group", "--spec", spec, "--out", str(one)]) == 0
+    assert column_calls() == [(0, 25)]
     two_workers(4)
     pid = os.getpid()
     if side == "worker":  # the worker fails on every chunk, silently
         monkeypatch.setattr(cli, "evaluate_at", lambda *args: (
             evaluate_at(*args) if os.getpid() == pid else os._exit(7)
         ))
-    else:  # this process fails on its first chunk, then runs the whole grid
+    else:  # this process fails on its first chunk, then evaluates every chunk in grid order
         monkeypatch.setattr(cli, "evaluate_at", _fail_once())
     out = tmp_path / "g.jsonl"
     assert main(["group", "--spec", spec, "--out", str(out)]) == 0
     assert_no_child_left(pid)
     assert out.read_bytes() == one.read_bytes()
     assert capfd.readouterr().err == ""
+    # Every chunk is evaluated again, and no call sees more than one chunk.
+    assert sorted(set(column_calls())) == [(lo, min(4, 25 - lo)) for lo in range(0, 25, 4)]
 
 
 @pytest.mark.parametrize(
