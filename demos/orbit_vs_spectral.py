@@ -12,12 +12,11 @@ import numpy as np
 
 from qpt import (
     covariance_matrix,
-    euler_point,
+    euler_coframes,
     evaluate_at,
     orbit_consistency_check,
     orbit_family,
     qgt_tensor,
-    su2_coframe,
     su2_spin_rep,
 )
 from qpt.liegroup import EULER_GENERATOR_SCALE, LEFT_INVARIANT
@@ -33,12 +32,12 @@ for s in (0.5, 1.0, 1.5):
 
 # One point in detail, spin 1/2.
 rep = su2_spin_rep(0.5)
-point = euler_point(0.7, 1.2, 2.1)
+point = [0.7, 1.2, 2.1]
 family = orbit_family(rep, [0, 0, 1])
-spectral = qgt_tensor(family, point.coords, a=0)
+spectral = qgt_tensor(family, point, a=0)
 
 tensor = covariance_matrix(rep, [1, 0], projective=True)
-coframe = su2_coframe(point, frame=LEFT_INVARIANT) * EULER_GENERATOR_SCALE
+coframe = euler_coframes(point, frame=LEFT_INVARIANT) * EULER_GENERATOR_SCALE
 pulled = evaluate_at(tensor, coframe)
 
 print("\nspectral Re(h):\n", spectral.metric)

@@ -7,10 +7,9 @@ import numpy as np
 from qpt import (
     covariance_matrix,
     degeneracy_directions,
-    euler_point,
+    euler_coframes,
     evaluate_at,
     maurer_cartan_residual,
-    su2_coframe,
     su2_spin_rep,
 )
 
@@ -30,10 +29,10 @@ print("T[j,k] = <0| R_j R_k |0> =\n", linear.coefficients, "\n")
 # The real part is the metric coefficient matrix, the imaginary part the
 # two-form one.  Contracting with the invariant coframe turns them into
 # coordinate tensors on the Euler chart.
-point = euler_point(0.4, 1.1, 2.5)
-coframe = su2_coframe(point)
+point = (0.4, 1.1, 2.5)
+coframe = euler_coframes(point)
 coord = evaluate_at(linear, coframe)
-print(f"metric at (a,b,g) = {tuple(point.coords)}:")
+print(f"metric at (a,b,g) = {point}:")
 print(coord.metric)
 print("expected: unit diagonal with cos(b) =", np.cos(1.1), "in the (a,g) corner\n")
 

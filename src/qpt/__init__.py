@@ -33,17 +33,15 @@ from .hilbert import (
     norm,
 )
 from .liegroup import (
-    GroupPoint,
     LieAlgebraRep,
     adjoint_matrix,
     angular_momentum,
-    euler_point,
-    exponential_point,
-    group_element,
+    euler_coframes,
+    euler_elements,
+    exponential_elements,
     heisenberg_rep,
     maurer_cartan_residual,
     rep_from_spec,
-    su2_coframe,
     su2_spin_rep,
 )
 from .pullback import (
@@ -53,7 +51,6 @@ from .pullback import (
     degeneracy_directions,
     evaluate_at,
     multiplier_consistency,
-    orbit_state,
     split,
 )
 from .qgt import (

@@ -1,5 +1,10 @@
 """Hermitian matrix representations of Lie algebras and group charts.
 
+A chart is a set of functions on coordinate arrays ``(..., m)``: the Euler
+chart (``m = 3``) has :func:`euler_elements` and :func:`euler_coframes`, the
+exponential chart (``m = n``) :func:`exponential_elements`.  Each takes one
+point or any stack of them and returns a value of matching leading shape.
+
 Conventions used throughout the package:
 
 * generators ``R_1..R_n`` are Hermitian and close as
@@ -12,7 +17,7 @@ Conventions used throughout the package:
   ``c[j, k, r] = 2 eps_{jkr}``;
 * Euler angles follow the z-y-z product
   ``U(a, b, g) = exp(1j a R_3/2) exp(1j b R_2/2) exp(1j g R_3/2)``,
-  under which the right-invariant coframe returned by :func:`su2_coframe`
+  under which the right-invariant coframe returned by :func:`euler_coframes`
   satisfies ``dU U^-1 = 1j * sum_j (R_j / 2) theta_j``.  The factor 1/2 is
   exposed as :data:`EULER_GENERATOR_SCALE`.
 """
@@ -31,46 +36,8 @@ from .hilbert import PROPERTY_ATOL
 # Coframe components pair with generators/2 in the z-y-z Euler product.
 EULER_GENERATOR_SCALE = 0.5
 
-EULER = "euler"
-EXPONENTIAL = "exponential"
-
 RIGHT_INVARIANT = "right"
 LEFT_INVARIANT = "left"
-
-
-@dataclass(frozen=True)
-class GroupPoint:
-    """Chart coordinates of a group element, or of a stack of them.
-
-    ``coords`` has shape ``(m,)`` for one point or ``(P, m)`` for a stack;
-    the functions that take a point return one value or a stack to match.
-    Euler angles cover the group for ``alpha in [0, 4 pi)``,
-    ``beta in [0, pi]``, ``gamma in [0, 2 pi)``; only finiteness is
-    enforced, the covering convention is documentation.
-    """
-
-    coords: np.ndarray
-    chart: str = EXPONENTIAL
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float).copy()
-        if coords.ndim not in (1, 2) or not np.all(np.isfinite(coords)):
-            raise ValueError("group point coordinates must be a finite (m,) or (P, m) array")
-        if self.chart not in (EULER, EXPONENTIAL):
-            raise SpecError(f"unknown chart {self.chart!r}")
-        if self.chart == EULER and coords.shape[-1] != 3:
-            raise SpecError("Euler chart needs exactly three angles")
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-
-def euler_point(alpha, beta, gamma) -> GroupPoint:
-    """Euler chart point; arrays of angles of one shape ``(P,)`` give a stack."""
-    return GroupPoint(np.stack([alpha, beta, gamma], axis=-1), chart=EULER)
-
-
-def exponential_point(x) -> GroupPoint:
-    return GroupPoint(np.asarray(x, dtype=float), chart=EXPONENTIAL)
 
 
 @dataclass(frozen=True)
@@ -308,7 +275,8 @@ def rep_from_spec(spec: dict, path: str = "$.rep") -> LieAlgebraRep:
     ``{"builtin": "heisenberg", "modes": n, "cutoff": N}`` with integer
     ``n`` and ``N`` or explicit
     ``{"generators": [...], "structure_constants": [...],
-    "multiplier_form": [...]}`` with complex entries as ``[re, im]`` pairs.
+    "multiplier_form": [...]}`` with complex entries as ``[re, im]`` pairs
+    and linearly independent generators.
     A spin whose dimension ``2s + 1`` exceeds :data:`qpt.fock.MAX_DENSE_STATES`
     is refused before any matrix is allocated.
     """
@@ -337,9 +305,12 @@ def rep_from_spec(spec: dict, path: str = "$.rep") -> LieAlgebraRep:
     omega = spec.get("multiplier_form")
     omega = None if omega is None else require_array(omega, f"{path}.multiplier_form", 2)
     try:
-        return LieAlgebraRep(gens, c, multiplier_form=omega)
+        rep = LieAlgebraRep(gens, c, multiplier_form=omega)
     except ValueError as exc:
         raise SpecError(f"at {path}: {exc}") from exc
+    if _linearly_dependent(rep.generators):  # the builtins are independent by construction
+        raise SpecError(f"at {path}.generators: generators are not linearly independent")
+    return rep
 
 
 def grid_points(*axes) -> np.ndarray:
@@ -347,6 +318,24 @@ def grid_points(*axes) -> np.ndarray:
     axis slowest), shape ``(P, len(axes))``."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+def _coordinates(x, m: int) -> np.ndarray:
+    """Chart coordinates ``x`` as a float array ``(..., m)``, refused with a
+    ``ValueError`` unless its last axis holds ``m`` finite numbers."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != m:
+        raise ValueError(f"need {m} chart coordinates on the last axis, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("chart coordinates must be finite")
+    return x
+
+
+def _linearly_dependent(matrices: np.ndarray) -> bool:
+    """Whether a stack of ``k`` matrices ``(k, d, d)`` spans fewer than ``k``
+    dimensions."""
+    k, d = matrices.shape[0], matrices.shape[-1]
+    return np.linalg.matrix_rank(matrices.reshape(k, d * d), tol=1e-12 * d) < k
 
 
 def euler_coframes(angles, frame: str = RIGHT_INVARIANT) -> np.ndarray:
@@ -363,9 +352,11 @@ def euler_coframes(angles, frame: str = RIGHT_INVARIANT) -> np.ndarray:
       ``gamma`` exchanged (components listed below).
 
     The determinant equals ``sin(beta)`` for both frames, vanishing only at
-    the chart-degenerate angles ``beta = 0, pi``.
+    the chart-degenerate angles ``beta = 0, pi``.  Euler angles cover the
+    group for ``alpha in [0, 4 pi)``, ``beta in [0, pi]``,
+    ``gamma in [0, 2 pi)``; only finiteness is enforced.
     """
-    angles = np.asarray(angles, dtype=float)
+    angles = _coordinates(angles, 3)
     a, b, g = angles[..., 0], angles[..., 1], angles[..., 2]
     theta = np.zeros(angles.shape[:-1] + (3, 3))
     if frame == RIGHT_INVARIANT:
@@ -379,16 +370,6 @@ def euler_coframes(angles, frame: str = RIGHT_INVARIANT) -> np.ndarray:
     else:
         raise SpecError(f"unknown frame {frame!r}")
     return theta
-
-
-def su2_coframe(point: GroupPoint, frame: str = RIGHT_INVARIANT) -> np.ndarray:
-    """Invariant coframe components of the z-y-z Euler chart at ``point``,
-    ``(3, 3)`` for one point or ``(P, 3, 3)`` for a stack: the components
-    of :func:`euler_coframes`, ``theta[..., j, a]`` pairing the j-th
-    invariant one-form with ``dx^a``."""
-    if point.chart != EULER:
-        raise SpecError("su2_coframe requires Euler coordinates")
-    return euler_coframes(point.coords, frame)
 
 
 def unitary_exponential(h, t) -> np.ndarray:
@@ -409,110 +390,76 @@ def euler_elements(rep: LieAlgebraRep, angles) -> np.ndarray:
     """
     if rep.n_generators != 3:
         raise SpecError("Euler chart requires a three-generator representation")
-    a, b, g = np.moveaxis(np.asarray(angles, dtype=float) * EULER_GENERATOR_SCALE, -1, 0)
+    a, b, g = np.moveaxis(_coordinates(angles, 3) * EULER_GENERATOR_SCALE, -1, 0)
     r2, r3 = rep.generators[1:]
     return unitary_exponential(r3, a) @ unitary_exponential(r2, b) @ unitary_exponential(r3, g)
 
 
-def group_element(rep: LieAlgebraRep, point: GroupPoint) -> np.ndarray:
-    """Unitary representative of a chart point, ``(d, d)``, or of a stack,
-    ``(P, d, d)``.
-
-    Exponential coordinates give ``exp(1j sum_j x_j R_j)``, one
-    :func:`unitary_exponential` of the ``(P, d, d)`` stack of ``x . R``;
-    Euler coordinates give the z-y-z product with half generators from
-    :func:`euler_elements`, built from the same exponential.
-    """
-    if point.chart == EULER:
-        return euler_elements(rep, point.coords)
-    if point.coords.shape[-1] != rep.n_generators:
-        raise ValueError(
-            f"need {rep.n_generators} exponential coordinates, got {point.coords.shape[-1]}"
-        )
-    u = unitary_exponential(np.tensordot(point.coords, rep.generators, axes=1), 1.0)
+def exponential_elements(rep: LieAlgebraRep, x) -> np.ndarray:
+    """Unitaries ``exp(1j sum_j x_j R_j)`` at exponential coordinates ``x``
+    of shape ``(..., n)``, ``(..., d, d)``: one :func:`unitary_exponential`
+    of the stack of ``x . R``."""
+    x = _coordinates(x, rep.n_generators)
+    u = unitary_exponential(np.tensordot(x, rep.generators, axes=1), 1.0)
     if not np.all(np.isfinite(u)):
         raise RuntimeError("matrix exponential is not finite")
     return u
 
 
-def adjoint_matrix(
-    rep: LieAlgebraRep, point: GroupPoint, return_shift: bool = False
-):
-    """Matrix of the adjoint action on the generator basis, ``(n, n)`` at
-    one point or ``(P, n, n)`` on a stack.
+def adjoint_matrix(rep: LieAlgebraRep, u, return_shift: bool = False):
+    """Matrix of the adjoint action on the generator basis at unitaries ``u``
+    of shape ``(..., d, d)``, ``(..., n, n)``.
 
     Column ``j`` holds the expansion ``U R_j U^dag = sum_k A[k, j] R_k``
     (plus ``shift[j] * I`` when a multiplier form makes the identity enter).
     With this indexing ``A(g h) = A(g) A(h)`` and the covariance matrix of a
     displaced fiducial transforms as ``A T A^T``.  Every conjugated
-    generator of every point is one column of a single least-squares solve
-    against the fixed generator basis.
+    generator of every unitary is one column of a single least-squares
+    solve against the fixed generator basis.
     """
-    a, shift = _adjoint_action(rep, group_element(rep, point))
-    return (a, shift) if return_shift else a
-
-
-def _adjoint_action(rep: LieAlgebraRep, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`adjoint_matrix` and its identity shift at unitaries ``(..., d, d)``."""
+    u = np.asarray(u)
     gens = rep.generators
     n, d = rep.n_generators, rep.dim
     use_identity = rep.multiplier_form is not None
     basis = np.concatenate([gens, np.eye(d)[None]]) if use_identity else gens
-    bmat = basis.reshape(len(basis), d * d).T
-    if np.linalg.matrix_rank(bmat, tol=1e-12 * d) < len(basis):
+    if _linearly_dependent(basis):
         raise ValueError("generators are not linearly independent; cannot solve for the adjoint")
     v = u[..., None, :, :]  # against the generator axis
     targets = (v @ gens @ v.conj().swapaxes(-1, -2)).reshape(-1, d * d)  # (P * n, d * d)
-    coef, *_ = np.linalg.lstsq(bmat, targets.T, rcond=None)
+    coef, *_ = np.linalg.lstsq(basis.reshape(len(basis), d * d).T, targets.T, rcond=None)
     if float(np.abs(coef.imag).max()) > 1e-8:
         raise ValueError("adjoint coefficients are not real; inconsistent representation")
     coef = coef.real.reshape(len(basis), *u.shape[:-2], n)  # [k, ..., j]
     a = np.moveaxis(coef[:n], 0, -2)
     shift = coef[n] if use_identity else np.zeros(a.shape[:-2] + (n,))
-    return a, shift
+    return (a, shift) if return_shift else a
 
 
-def _coframe_for_rep(rep: LieAlgebraRep, point: GroupPoint) -> np.ndarray:
-    """Coframe components dual to the representation's own generators,
-    ``(..., n, m)``."""
-    if point.chart == EULER:
-        return su2_coframe(point) * EULER_GENERATOR_SCALE
-    # Exponential chart: exact invariant coframe is coordinate-valued only
-    # for abelian algebras.
-    if float(np.abs(rep.structure_constants).max()) > 1e-12:
-        raise SpecError(
-            "exponential-chart coframe is only available for abelian representations"
-        )
-    n = rep.n_generators
-    if point.coords.shape[-1] != n:
-        raise ValueError("coordinate count must match the number of generators")
-    return np.broadcast_to(np.eye(n), point.coords.shape[:-1] + (n, n))
-
-
-def maurer_cartan_residual(rep: LieAlgebraRep, point: GroupPoint, step: float = 1e-5):
-    """Defect of ``d theta_r + (1/2) c[j,k,r] theta_j ^ theta_k = 0``, a
-    float at one point or a ``(P,)`` array on a stack.
+def maurer_cartan_residual(rep: LieAlgebraRep, angles, step: float = 1e-5):
+    """Defect of ``d theta_r + (1/2) c[j,k,r] theta_j ^ theta_k = 0`` at Euler
+    angles ``(..., 3)``, of shape ``(...)``.
 
     The exterior derivative is taken by central finite differences of the
-    coframe components, one displaced stack per coordinate; wedge products
-    carry no 1/2 (``a ^ b = a x b - b x a``).  The coframe is the one dual
-    to the representation's generators, so the identity closes with the
-    stored structure constants.  Chart-degenerate points are flagged with a
+    coframe components, one displaced stack per angle; wedge products
+    carry no 1/2 (``a ^ b = a x b - b x a``).  The coframe is the
+    right-invariant one times :data:`EULER_GENERATOR_SCALE`, dual to the
+    representation's generators, so the identity closes with the stored
+    structure constants.  Chart-degenerate points are flagged with a
     warning but still evaluated.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    coords = point.coords
-    if point.chart == EULER and np.any(np.abs(np.sin(coords[..., 1])) < 1e-8):
+    angles = _coordinates(angles, 3)
+    if np.any(np.abs(np.sin(angles[..., 1])) < 1e-8):
         warnings.warn("chart-degenerate point (sin(beta) ~ 0); residual may be meaningless")
-    theta = _coframe_for_rep(rep, point)
+
+    def coframe(x):
+        return euler_coframes(x) * EULER_GENERATOR_SCALE
+
+    theta = coframe(angles)
     # grad[..., a, r, b] = d theta[r, b] / d x_a
     grad = np.stack(
-        [
-            (_coframe_for_rep(rep, GroupPoint(coords + dx, point.chart))
-             - _coframe_for_rep(rep, GroupPoint(coords - dx, point.chart))) / (2 * step)
-            for dx in step * np.eye(coords.shape[-1])
-        ],
+        [(coframe(angles + dx) - coframe(angles - dx)) / (2 * step) for dx in step * np.eye(3)],
         axis=-3,
     )
     # d theta_r on the coordinate bivector (a, b), plus the wedge term

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ZeroFiducialError
 from .hilbert import _fix_phase, as_state, hermitian_split, hermitian_tensor, hermiticity_defect
-from .liegroup import GroupPoint, LieAlgebraRep, group_element
+from .liegroup import LieAlgebraRep
 
 HERMITICITY_ATOL = 1e-12
 
@@ -167,7 +167,7 @@ def evaluate_at(t: PullbackTensor, theta) -> CoordinateTensor:
     """Contract constant coefficients with coframe components.
 
     ``theta`` has shape ``(n, m)`` at one chart point or ``(P, n, m)`` on a
-    stack, as :func:`qpt.liegroup.su2_coframe` returns it; the result holds
+    stack, as :func:`qpt.liegroup.euler_coframes` returns it; the result holds
     the coordinate matrices of shape ``(..., m, m)``,
     ``G[a, b] = sum_jk Re(T)[j,k] theta[j,a] theta[k,b]`` and likewise with
     the imaginary part for the two-form.  Symmetry and antisymmetry hold to
@@ -183,11 +183,3 @@ def evaluate_at(t: PullbackTensor, theta) -> CoordinateTensor:
     theta_t = np.swapaxes(theta, -1, -2)
     return CoordinateTensor(theta_t @ metric_c @ theta, theta_t @ form_c @ theta)
 
-
-def orbit_state(rep: LieAlgebraRep, fiducial, point: GroupPoint) -> np.ndarray:
-    """Fiducial state displaced along the orbit: ``U(g) |0>``, ``(d,)`` at
-    one point or ``(P, d)`` on a stack."""
-    psi = as_state(fiducial)
-    if psi.size != rep.dim:
-        raise ValueError(f"fiducial dimension {psi.size} does not match rep dimension {rep.dim}")
-    return group_element(rep, point) @ psi

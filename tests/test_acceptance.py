@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qpt.checks import conventions, random_lagrangian_frames, two_form_closedness_residual
-from qpt.liegroup import euler_point, exponential_point, group_element, su2_coframe, su2_spin_rep
+from qpt.liegroup import euler_coframes, exponential_elements, su2_spin_rep
 from qpt.pullback import covariance_matrix, degeneracy_directions, evaluate_at
 from qpt.qgt import (
     bloch_family,
@@ -50,7 +50,7 @@ def test_criterion_1_linear_pullback_metric():
     tensor = covariance_matrix(su2_spin_rep(0.5), NORTH)
     worst = 0.0
     for point in random_euler_points(100, seed=11):
-        metric = evaluate_at(tensor, su2_coframe(euler_point(*point))).metric
+        metric = evaluate_at(tensor, euler_coframes(point)).metric
         expected = np.array(
             [
                 [1.0, 0.0, np.cos(point[1])],
@@ -72,7 +72,7 @@ def test_criterion_2_projective_pullback_metric():
     worst = 0.0
     min_rank, max_rank = 3, 0
     for point in random_euler_points(100, seed=13):
-        metric = evaluate_at(tensor, su2_coframe(euler_point(*point))).metric
+        metric = evaluate_at(tensor, euler_coframes(point)).metric
         expected = np.diag([0.0, 1.0, np.sin(point[1]) ** 2])
         worst = max(worst, float(np.abs(metric - expected).max()))
         rank = np.linalg.matrix_rank(metric, tol=1e-10)
@@ -92,7 +92,7 @@ def test_criterion_3_two_form_and_closedness():
     tensor = covariance_matrix(su2_spin_rep(0.5), NORTH)
     worst = 0.0
     for point in random_euler_points(50, seed=17):
-        form = evaluate_at(tensor, su2_coframe(euler_point(*point))).two_form
+        form = evaluate_at(tensor, euler_coframes(point)).two_form
         expected = np.zeros((3, 3))
         expected[1, 2] = np.sin(point[1])
         expected[2, 1] = -np.sin(point[1])
@@ -107,11 +107,11 @@ def test_criterion_4_maurer_cartan():
     rng = np.random.default_rng(19)
     worst = 0.0
     for _ in range(20):
-        point = euler_point(
+        point = [
             rng.uniform(0, 2 * np.pi),
             rng.uniform(0.15, np.pi - 0.15),
             rng.uniform(0, 2 * np.pi),
-        )
+        ]
         worst = max(worst, maurer_cartan_residual(rep, point, step=1e-5))
     report(4, "Maurer-Cartan residual at 20 nondegenerate points", worst, 1e-8)
 
@@ -198,9 +198,8 @@ def test_criterion_9_equivariance():
     base = covariance_matrix(rep, NORTH).coefficients
     worst = 0.0
     for _ in range(20):
-        point = exponential_point(rng.uniform(-1.5, 1.5, 3))
-        u = group_element(rep, point)
-        a = adjoint_matrix(rep, point)
+        u = exponential_elements(rep, rng.uniform(-1.5, 1.5, 3))
+        a = adjoint_matrix(rep, u)
         displaced = covariance_matrix(rep, u @ NORTH).coefficients
         worst = max(worst, float(np.abs(displaced - a @ base @ a.T).max()))
     report(9, "displaced covariance equals adjoint-conjugated tensor (20 elements)", worst, 1e-8)

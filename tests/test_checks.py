@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -61,10 +63,9 @@ def test_group_chart_calls_do_not_grow_with_the_samples(monkeypatch):
 
 def test_equivariance_exponentiates_its_samples_once(monkeypatch):
     # One stack of unitaries serves the displaced states and the adjoint.
-    calls = counting(monkeypatch, checks, "group_element")
-    calls_in_liegroup = counting(monkeypatch, liegroup, "group_element")
+    calls = counting(monkeypatch, liegroup, "unitary_exponential")
     assert equivariance_residual(su2_spin_rep(1.5), GENERIC) <= 1e-8
-    assert len(calls) + len(calls_in_liegroup) == 1
+    assert len(calls) == 1
 
 
 def test_group_checks_evaluate_each_tensor_once(monkeypatch):
@@ -84,3 +85,15 @@ def test_checks_refuse_a_tensor_of_the_wrong_kind():
     with pytest.raises(ValueError, match="projective"):
         projective_scale_residual(rep, linear)
     assert projective_scale_residual(rep, linear, projective=False) >= 1e-2
+
+
+@pytest.mark.parametrize("delta", [1e100, 1e-3, 1e-100])
+def test_landau_zener_value_is_relative(monkeypatch, delta):
+    # The value check holds at any delta, and sees a relative error of 1e-8
+    # even where the value is 2.5e-201.
+    assert all(r.passed for r in checks.landau_zener_checks(delta))
+    spectral = checks.qgt_tensor
+    monkeypatch.setattr(checks, "qgt_tensor", lambda *args, **kwargs: SimpleNamespace(
+        h=spectral(*args, **kwargs).h * (1 + 1e-8)))
+    value, scaling = checks.landau_zener_checks(delta)
+    assert not value.passed and scaling.passed

@@ -17,7 +17,7 @@ import qpt
 from qpt import cli, serialize
 from qpt.cli import main
 from qpt.errors import require_array
-from qpt.liegroup import EULER_GENERATOR_SCALE, euler_point, su2_coframe, su2_spin_rep
+from qpt.liegroup import EULER_GENERATOR_SCALE, euler_coframes, su2_spin_rep
 from qpt.pullback import covariance_matrix, evaluate_at
 
 
@@ -78,7 +78,7 @@ def test_group_records_round_trip_exactly(tmp_path, frame, normalization):
     tensor = covariance_matrix(rep, [1, 0], projective=True)
     scale = EULER_GENERATOR_SCALE if normalization == "generator" else 1.0
     for rec in records_of(str(out)):
-        coframe = su2_coframe(euler_point(*rec["point"]), frame=frame) * scale
+        coframe = euler_coframes(rec["point"], frame=frame) * scale
         expected = evaluate_at(tensor, coframe)
         assert rec["metric"] == [float(x) for x in expected.metric.reshape(-1)]
         assert rec["two_form"] == [float(x) for x in expected.two_form.reshape(-1)]
@@ -1144,6 +1144,8 @@ ORBIT_GRID = {"alpha": 0.0, "beta": [0.3, 2.8, 2], "gamma": [0.3, 6.0, 2]}
 ORBIT_FAMILY = {"builtin": "orbit", "rep": {"builtin": "su2", "spin": 0.5}, "direction": [0, 0, 1]}
 SX_PAIRS = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 SZ_PAIRS = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+# Closed and Hermitian, but its generators are linearly dependent.
+DEPENDENT_REP = {"generators": [SX_PAIRS, SX_PAIRS], "structure_constants": np.zeros((2, 2, 2)).tolist()}
 
 
 def affine_spec(h0, terms):
@@ -1194,12 +1196,14 @@ def affine_spec(h0, terms):
         ({"hamiltonian": {"builtin": "landau_zener", "delta": 1e308}, "grid": {"x": [-1, 1, 3]}},
          "$.hamiltonian.delta"),
         ({"hamiltonian": {"builtin": "landau_zener"}, "grid": {"x": [-1, 1e308, 3]}}, "$.grid.x[1]"),
+        ({"hamiltonian": dict(ORBIT_FAMILY, rep=DEPENDENT_REP, direction=[0, 1]), "grid": ORBIT_GRID},
+         "$.hamiltonian.rep.generators"),
     ],
     ids=["level-string", "hamiltonian-level-string", "level-7", "hamiltonian-level-7",
          "level-float", "spin-string", "spin-1e9", "spin-negative", "spin-zero", "spin-1.7",
          "affine-h0-string", "affine-terms-shape", "affine-not-hermitian", "affine-terms-empty",
          "affine-terms-5", "affine-infinite", "spin--1e308", "direction-1e308", "direction--1e308",
-         "delta-1e308", "grid-1e308"],
+         "delta-1e308", "grid-1e308", "dependent-generators"],
 )
 @pytest.mark.parametrize("command", ["qgt", "verify"])
 def test_qgt_spec_errors_exit_2(tmp_path, capsys, command, payload, path):
@@ -1252,11 +1256,19 @@ PAULI_STRUCTURE = [
 EXPLICIT_REP = {"generators": PAULI_PAIRS, "structure_constants": PAULI_STRUCTURE}
 
 
-@pytest.mark.parametrize("command", ["qgt", "verify"])
-def test_landau_zener_delta_at_the_bound_stays_finite(tmp_path, command):
+@pytest.mark.parametrize(
+    "command, delta, grid",
+    [("qgt", 1e100, [-1, 1, 3]), ("verify", 1e100, [-1, 1, 3]),
+     ("verify", 1e-3, [0.5, 1, 3]), ("verify", 1e-100, [0.5, 1, 3])],
+    ids=["qgt", "verify", "verify-1e-3", "verify-1e-100"],
+)
+def test_landau_zener_delta_at_the_bound_stays_finite(tmp_path, command, delta, grid):
     # The gap 2 * delta and the closed form 1 / (4 delta^2) of verify stay
-    # finite at the largest delta a spec may give.
-    spec = {"mode": command, "hamiltonian": {"builtin": "landau_zener", "delta": 1e100}, "grid": {"x": [-1, 1, 3]}}
+    # finite at the largest delta a spec may give, and verify's value check,
+    # relative to the closed form, passes at small delta too.  The small-delta
+    # grids keep away from x = 0, where the finite-difference oracle's error
+    # on a value near 1 / (4 delta^2) exceeds its absolute tolerance.
+    spec = {"mode": command, "hamiltonian": {"builtin": "landau_zener", "delta": delta}, "grid": {"x": grid}}
     if command == "verify":
         spec["target"] = "qgt"
     out = tmp_path / "q.jsonl"
@@ -1285,10 +1297,12 @@ def test_landau_zener_delta_at_the_bound_stays_finite(tmp_path, command):
         ({"rep": dict(EXPLICIT_REP, generators=[SX_PAIRS, PAULI_PAIRS[1], [[[1e308, 0], [0, 0]], [[0, 0], [-1, 0]]]])},
          "$.rep.generators[2][0][0][0]"),
         ({"output": {"path": 5}}, "$.output.path"),
+        ({"rep": DEPENDENT_REP}, "$.rep.generators"),
     ],
     ids=["fiducial-dimension", "fiducial-nan-string", "fiducial-bool", "fiducial-string", "fiducial-triple",
          "generator-string", "generator-bool", "structure-constants-string", "multiplier-form-string",
-         "spin-1e9", "spin-1.7", "spin--1e308", "generator-1e308", "output-path"],
+         "spin-1e9", "spin-1.7", "spin--1e308", "generator-1e308", "output-path",
+         "dependent-generators"],
 )
 @pytest.mark.parametrize("command", ["group", "verify"])
 def test_group_spec_errors_exit_2(tmp_path, capsys, command, change, path):

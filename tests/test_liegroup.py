@@ -6,17 +6,14 @@ from qpt import fock
 from qpt.errors import SpecError
 from qpt.hilbert import hermiticity_defect
 from qpt.liegroup import (
-    GroupPoint,
     LieAlgebraRep,
     adjoint_matrix,
+    euler_coframes,
     euler_elements,
-    euler_point,
-    exponential_point,
-    group_element,
+    exponential_elements,
     heisenberg_rep,
     maurer_cartan_residual,
     rep_from_spec,
-    su2_coframe,
     su2_spin_rep,
 )
 
@@ -116,7 +113,7 @@ def test_closure_mask_matches_dense_projector(modes, cutoff):
 
 
 def test_coframe_pinned_point():
-    cf = su2_coframe(euler_point(0, np.pi / 2, 0))
+    cf = euler_coframes([0, np.pi / 2, 0])
     np.testing.assert_allclose(cf[0], [0, 0, -1], atol=1e-15)
     np.testing.assert_allclose(cf[1], [0, 1, 0], atol=1e-15)
     np.testing.assert_allclose(cf[2], [1, 0, 0], atol=1e-15)
@@ -128,49 +125,65 @@ def test_coframe_determinant_is_sin_beta():
         a, g = rng.uniform(0, 2 * np.pi, 2)
         b = rng.uniform(0, np.pi)
         for frame in ("right", "left"):
-            det = np.linalg.det(su2_coframe(euler_point(a, b, g), frame=frame))
+            det = np.linalg.det(euler_coframes([a, b, g], frame=frame))
             assert det == pytest.approx(np.sin(b), abs=1e-12)
 
 
+BAD_COORDINATES = (0.5, [0.1, 0.2], [[0.1, 0.2, 0.3, 0.4]], [0.1, np.nan, 0.3], [[0, 1, 2], [np.inf, 1, 2]])
+
+
 def test_coframe_requires_euler_chart():
-    with pytest.raises(SpecError):
-        su2_coframe(exponential_point([0.1, 0.2, 0.3]))
+    for coords in BAD_COORDINATES:
+        with pytest.raises(ValueError, match="chart coordinates"):
+            euler_coframes(coords)
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        lambda x: euler_elements(su2_spin_rep(0.5), x),
+        lambda x: exponential_elements(su2_spin_rep(0.5), x),
+        lambda x: maurer_cartan_residual(su2_spin_rep(0.5), x),
+    ],
+    ids=["euler-elements", "exponential-elements", "maurer-cartan"],
+)
+def test_chart_functions_refuse_bad_coordinates(chart):
+    # Each takes three finite coordinates per point here, one point or a stack.
+    for coords in BAD_COORDINATES:
+        with pytest.raises(ValueError, match="chart coordinates"):
+            chart(coords)
+    assert np.shape(chart([[0.1, 0.2, 0.3]] * 2))[0] == 2
 
 
 def test_maurer_cartan_su2():
     rep = su2_spin_rep(0.5)
-    assert maurer_cartan_residual(rep, euler_point(1.1, 0.9, 2.2), step=1e-5) <= 1e-8
+    assert maurer_cartan_residual(rep, [1.1, 0.9, 2.2], step=1e-5) <= 1e-8
 
 
 def test_maurer_cartan_negative_control():
     rep = su2_spin_rep(0.5)
     broken = LieAlgebraRep(rep.generators, np.zeros((3, 3, 3)), validate_closure=False)
     # With zeroed structure constants the residual is max |d theta_r| > 0.
-    assert maurer_cartan_residual(broken, euler_point(1.1, 0.9, 2.2)) > 1e-2
-
-
-def test_maurer_cartan_abelian_coordinate_coframe():
-    rep = heisenberg_rep(1, 6)
-    assert maurer_cartan_residual(rep, exponential_point([0.3, -0.4])) == 0.0
+    assert maurer_cartan_residual(broken, [1.1, 0.9, 2.2]) > 1e-2
 
 
 def test_maurer_cartan_degenerate_point_warns():
     rep = su2_spin_rep(0.5)
     with pytest.warns(UserWarning):
-        maurer_cartan_residual(rep, euler_point(0.5, 0.0, 1.0))
+        maurer_cartan_residual(rep, [0.5, 0.0, 1.0])
 
 
 def test_group_element_identity():
     rep = su2_spin_rep(0.5)
     np.testing.assert_allclose(
-        group_element(rep, exponential_point([0, 0, 0])), np.eye(2), atol=1e-15
+        exponential_elements(rep, [0, 0, 0]), np.eye(2), atol=1e-15
     )
 
 
 def test_group_element_euler_closed_form():
     # exp(1j pi sigma_y / 2) = 1j sigma_y, by the half-angle expansion.
     rep = su2_spin_rep(0.5)
-    u = group_element(rep, euler_point(0, np.pi, 0))
+    u = euler_elements(rep, [0, np.pi, 0])
     np.testing.assert_allclose(u, 1j * SY, atol=1e-14)
 
 
@@ -179,7 +192,7 @@ def test_group_element_unitary_random():
     for s in (0.5, 1):
         rep = su2_spin_rep(s)
         for _ in range(5):
-            u = group_element(rep, exponential_point(rng.uniform(-2, 2, 3)))
+            u = exponential_elements(rep, rng.uniform(-2, 2, 3))
             np.testing.assert_allclose(u.conj().T @ u, np.eye(rep.dim), atol=1e-12)
 
 
@@ -187,8 +200,8 @@ def test_group_element_unitary_random():
 def test_group_element_four_pi_periodic(s):
     rep = su2_spin_rep(s)
     a, b, g = 0.7, 1.2, 2.1
-    u1 = group_element(rep, euler_point(a, b, g))
-    u2 = group_element(rep, euler_point(a + 4 * np.pi, b, g))
+    u1 = euler_elements(rep, [a, b, g])
+    u2 = euler_elements(rep, [a + 4 * np.pi, b, g])
     assert np.abs(u1 - u2).max() <= 1e-10
 
 
@@ -214,7 +227,6 @@ def test_euler_elements_match_expm_product(rep):
         a, b, g = point
         expected = expm(1j * a * r[2] / 2) @ expm(1j * b * r[1] / 2) @ expm(1j * g * r[2] / 2)
         assert np.abs(u - expected).max() <= 1e-14
-        np.testing.assert_array_equal(group_element(rep, euler_point(a, b, g)), euler_elements(rep, point))
 
 
 @pytest.mark.parametrize(
@@ -224,7 +236,7 @@ def test_euler_elements_match_expm_product(rep):
 )
 def test_exponential_chart_stack_matches_expm(rep):
     coords = np.random.default_rng(5).uniform(-1.5, 1.5, (12, rep.n_generators))
-    stacked = group_element(rep, exponential_point(coords))
+    stacked = exponential_elements(rep, coords)
     assert stacked.shape == (12, rep.dim, rep.dim)
     for x, u in zip(coords, stacked):
         expected = expm(1j * np.tensordot(x, rep.generators, axes=1))
@@ -239,7 +251,7 @@ def test_rotated_rep_has_non_diagonal_r3():
 def test_adjoint_identity_point():
     rep = su2_spin_rep(0.5)
     np.testing.assert_allclose(
-        adjoint_matrix(rep, exponential_point([0, 0, 0])), np.eye(3), atol=1e-12
+        adjoint_matrix(rep, exponential_elements(rep, [0, 0, 0])), np.eye(3), atol=1e-12
     )
 
 
@@ -248,7 +260,7 @@ def test_adjoint_beta_rotation():
     # (sigma_x, sigma_z) plane, column j holding the image of generator j.
     rep = su2_spin_rep(0.5)
     b = 0.9
-    a = adjoint_matrix(rep, euler_point(0, b, 0))
+    a = adjoint_matrix(rep, euler_elements(rep, [0, b, 0]))
     expected = np.array(
         [[np.cos(b), 0, -np.sin(b)], [0, 1, 0], [np.sin(b), 0, np.cos(b)]]
     )
@@ -259,7 +271,7 @@ def test_adjoint_is_orthogonal():
     rng = np.random.default_rng(2)
     rep = su2_spin_rep(0.5)
     for _ in range(10):
-        a = adjoint_matrix(rep, exponential_point(rng.uniform(-2, 2, 3)))
+        a = adjoint_matrix(rep, exponential_elements(rep, rng.uniform(-2, 2, 3)))
         np.testing.assert_allclose(a.T @ a, np.eye(3), atol=1e-10)
 
 
@@ -267,10 +279,10 @@ def test_adjoint_composition():
     rng = np.random.default_rng(3)
     rep = su2_spin_rep(1)
     for _ in range(5):
-        pg = exponential_point(rng.uniform(-1, 1, 3))
-        ph = exponential_point(rng.uniform(-1, 1, 3))
-        u_prod = group_element(rep, pg) @ group_element(rep, ph)
-        a_prod = adjoint_matrix(rep, pg) @ adjoint_matrix(rep, ph)
+        ug = exponential_elements(rep, rng.uniform(-1, 1, 3))
+        uh = exponential_elements(rep, rng.uniform(-1, 1, 3))
+        u_prod = ug @ uh
+        a_prod = adjoint_matrix(rep, ug) @ adjoint_matrix(rep, uh)
         for j in range(3):
             lhs = u_prod @ rep.generators[j] @ u_prod.conj().T
             rhs = np.tensordot(a_prod[:, j], rep.generators, axes=1)
@@ -278,42 +290,41 @@ def test_adjoint_composition():
 
 
 @pytest.mark.parametrize(
-    "rep, point",
+    "rep, elements, coords",
     [
-        (su2_spin_rep(1), exponential_point(np.random.default_rng(4).uniform(-2, 2, (3, 3)))),
-        (su2_spin_rep(1.5), euler_point([0.3, 1.0, 5.0], [0.2, 1.5, 2.9], [4.0, 0.1, 2.2])),
-        (heisenberg_rep(1, 6), exponential_point([[0.3, -0.4], [0.1, 0.2]])),
+        (su2_spin_rep(1), exponential_elements, np.random.default_rng(4).uniform(-2, 2, (3, 3))),
+        (su2_spin_rep(1.5), euler_elements, [[0.3, 0.2, 4.0], [1.0, 1.5, 0.1], [5.0, 2.9, 2.2]]),
+        (heisenberg_rep(1, 6), exponential_elements, [[0.3, -0.4], [0.1, 0.2]]),
     ],
     ids=["su2-exponential", "su2-euler", "heisenberg-exponential"],
 )
-def test_stacked_group_chart_equals_single_points(rep, point):
-    u = group_element(rep, point)
-    a, shift = adjoint_matrix(rep, point, return_shift=True)
-    assert u.shape == (len(point.coords), rep.dim, rep.dim)
-    assert a.shape == (len(point.coords),) + (rep.n_generators,) * 2
-    for i, coords in enumerate(point.coords):
-        single = GroupPoint(coords, point.chart)
-        np.testing.assert_array_equal(u[i], group_element(rep, single))
-        a_i, shift_i = adjoint_matrix(rep, single, return_shift=True)
+def test_stacked_group_chart_equals_single_points(rep, elements, coords):
+    u = elements(rep, coords)
+    a, shift = adjoint_matrix(rep, u, return_shift=True)
+    assert u.shape == (len(coords), rep.dim, rep.dim)
+    assert a.shape == (len(coords),) + (rep.n_generators,) * 2
+    for i, x in enumerate(coords):
+        np.testing.assert_array_equal(u[i], elements(rep, x))
+        a_i, shift_i = adjoint_matrix(rep, u[i], return_shift=True)
         np.testing.assert_array_equal(a[i], a_i)
         np.testing.assert_array_equal(shift[i], shift_i)
 
 
 def test_maurer_cartan_stack_equals_single_points():
     rep = su2_spin_rep(1)
-    point = euler_point([0.3, 1.1, 5.0], [0.2, 0.9, 2.9], [4.0, 2.2, 0.1])
-    stacked = maurer_cartan_residual(rep, point)
-    single = [maurer_cartan_residual(rep, euler_point(*coords)) for coords in point.coords]
+    angles = np.array([[0.3, 0.2, 4.0], [1.1, 0.9, 2.2], [5.0, 2.9, 0.1]])
+    stacked = maurer_cartan_residual(rep, angles)
+    single = [maurer_cartan_residual(rep, point) for point in angles]
     assert stacked.shape == (3,)
     assert np.abs(stacked - single).max() <= 1e-12 * max(single)
-    assert su2_coframe(point).shape == (3, 3, 3)
+    assert euler_coframes(angles).shape == (3, 3, 3)
 
 
 def test_adjoint_rejects_dependent_generators():
     gens = np.array([SX, SX])
     rep = LieAlgebraRep(gens, np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
-        adjoint_matrix(rep, exponential_point([0.1, 0.2]))
+        adjoint_matrix(rep, exponential_elements(rep, [0.1, 0.2]))
 
 
 def test_rep_arrays_are_read_only():

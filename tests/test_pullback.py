@@ -5,11 +5,11 @@ from qpt.checks import equivariance_residual, two_form_closedness_residual
 from qpt.errors import ZeroFiducialError
 from qpt.liegroup import (
     LieAlgebraRep,
-    euler_point,
-    exponential_point,
-    group_element,
+    adjoint_matrix,
+    euler_coframes,
+    euler_elements,
+    exponential_elements,
     heisenberg_rep,
-    su2_coframe,
     su2_spin_rep,
 )
 from qpt.pullback import (
@@ -18,7 +18,6 @@ from qpt.pullback import (
     degeneracy_directions,
     evaluate_at,
     multiplier_consistency,
-    orbit_state,
     split,
 )
 
@@ -189,7 +188,7 @@ def test_evaluate_at_linear_metric():
     for _ in range(10):
         a, g = rng.uniform(0, 2 * np.pi, 2)
         b = rng.uniform(0, np.pi)
-        coord = evaluate_at(t, su2_coframe(euler_point(a, b, g)))
+        coord = evaluate_at(t, euler_coframes([a, b, g]))
         expected = np.array([[1, 0, np.cos(b)], [0, 1, 0], [np.cos(b), 0, 1]])
         np.testing.assert_allclose(coord.metric, expected, atol=1e-12)
 
@@ -201,7 +200,7 @@ def test_evaluate_at_projective_metric_and_form():
     for _ in range(10):
         a, g = rng.uniform(0, 2 * np.pi, 2)
         b = rng.uniform(0, np.pi)
-        coord = evaluate_at(t, su2_coframe(euler_point(a, b, g)))
+        coord = evaluate_at(t, euler_coframes([a, b, g]))
         np.testing.assert_allclose(
             coord.metric, np.diag([0, 1, np.sin(b) ** 2]), atol=1e-12
         )
@@ -224,19 +223,19 @@ def test_evaluate_at_dimension_mismatch():
     rep = su2_spin_rep(0.5)
     t = covariance_matrix(heisenberg_rep(1, 4), [1, 0, 0, 0])
     with pytest.raises(ValueError):
-        evaluate_at(t, su2_coframe(euler_point(0.1, 0.2, 0.3)))
+        evaluate_at(t, euler_coframes([0.1, 0.2, 0.3]))
 
 
 def test_orbit_state_identity():
     rep = su2_spin_rep(0.5)
     np.testing.assert_allclose(
-        orbit_state(rep, NORTH, exponential_point([0, 0, 0])), NORTH, atol=1e-15
+        exponential_elements(rep, [0, 0, 0]) @ NORTH, NORTH, atol=1e-15
     )
 
 
 def test_orbit_state_beta_pi():
     rep = su2_spin_rep(0.5)
-    out = orbit_state(rep, NORTH, euler_point(0, np.pi, 0))
+    out = euler_elements(rep, [0, np.pi, 0]) @ NORTH
     # exp(1j pi sigma_y / 2)(1,0) = (0,-1); the second basis state up to sign.
     np.testing.assert_allclose(out, [0, -1], atol=1e-14)
     assert abs(np.vdot(out, np.array([0, 1]))) == pytest.approx(1, abs=1e-14)
@@ -247,7 +246,7 @@ def test_orbit_state_preserves_norm():
     rep = su2_spin_rep(1)
     fid = np.array([0.3, 1j, -2.0])
     for _ in range(5):
-        out = orbit_state(rep, fid, exponential_point(rng.uniform(-2, 2, 3)))
+        out = exponential_elements(rep, rng.uniform(-2, 2, 3)) @ fid
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(fid), abs=1e-12)
 
 
@@ -263,16 +262,12 @@ def _highest_weight(s):
 
 
 def test_displaced_fiducial_matches_adjoint_transport():
-    from qpt.liegroup import adjoint_matrix
-
     rep = su2_spin_rep(0.5)
     rng = np.random.default_rng(3)
     t0 = covariance_matrix(rep, NORTH).coefficients
-    point = exponential_point(rng.uniform(-1, 1, 3))
-    moved = covariance_matrix(
-        rep, group_element(rep, point) @ NORTH
-    ).coefficients
-    a = adjoint_matrix(rep, point)
+    u = exponential_elements(rep, rng.uniform(-1, 1, 3))
+    moved = covariance_matrix(rep, u @ NORTH).coefficients
+    a = adjoint_matrix(rep, u)
     np.testing.assert_allclose(moved, a @ t0 @ a.T, atol=1e-12)
 
 
