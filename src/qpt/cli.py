@@ -11,26 +11,29 @@ Subcommands
 :func:`main` runs every command the same way: it parses the arguments,
 loads the spec for the invoked mode, resolves the output path and format
 (before any computation), calls the command's handler for its header,
-records and report, writes them, and exits 4 if the report failed.
+records and report, and writes them into an unnamed temporary file.  Only
+once that succeeds is the output opened and the spool copied into it, so a
+failed run writes nothing and leaves an old file untouched.  It exits 4 if
+the report failed.
 
 Outputs are JSON lines (one header object, one record per grid point, and
 for checking modes a final report object) or, for ``group``, ``weyl`` and
 ``qgt``, a lossy CSV export of the records.  Exit codes: 0 success, 2
 malformed specification, 3 numerical refusal, 4 check failure.  A standard
 output closed by its reader (``qpt group ... | head``) ends the run with
-exit 1 and no traceback, after the record worker, if any, is killed and
-reaped.
+exit 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -60,9 +63,9 @@ EXIT_CHECK = 4
 EULER_AXES = ("alpha", "beta", "gamma")
 
 # Largest grid, in points, that a run accepts: about ten times the largest
-# benchmark grid.  Records are evaluated a chunk at a time on every path, but
-# the point stack and each process's columns are held until the output is
-# written, so the bound is checked before any grid array is allocated.
+# benchmark grid.  Records are evaluated and written a chunk at a time on
+# every path, but the ``(P, m)`` point stack is held for the whole run, so the
+# bound is checked before any grid array is allocated.
 MAX_GRID_POINTS = 2**20
 
 
@@ -317,6 +320,8 @@ def _output_target(args, spec: dict) -> tuple[str, str]:
     path = path if args.out == "-" else args.out
     if path != "-" and not os.path.isdir(os.path.dirname(path) or "."):
         raise SpecError(f"cannot write output {path!r}: no such directory")
+    if path != "-" and os.path.isdir(path):
+        raise SpecError(f"cannot write output {path!r}: it is a directory")
     return path, getattr(args, "format", None) or fmt
 
 
@@ -324,31 +329,28 @@ def _write_output(output, header: dict, records=None, report: dict | None = None
     """The header, the records and the report, or only the records as CSV.
     ``records`` is ``(points, columns)``: the ``(P, m)`` point stack and the
     function that evaluates a slice of it into fields, each record's tensor
-    ``m x m`` (see :func:`serialize.write_records`).  The output is opened
-    only after every record is evaluated."""
+    ``m x m`` (see :func:`serialize.write_records`).  Everything goes into an
+    unnamed temporary file first; the output is opened, and the bytes copied
+    into it, only after every record is written there."""
     path, fmt = output
-
-    @contextlib.contextmanager
-    def opened():
+    with tempfile.TemporaryFile() as spool:
+        if fmt == "jsonl":
+            spool.write((serialize.dump_line(dict(kind="header", **header)) + "\n").encode())
+        else:  # the names need no quoting, so this is csv.writer's row
+            spool.write((",".join(_csv_head(records[0].shape[1], header["mode"] == "qgt")) + "\r\n").encode())
+        if records is not None:
+            serialize.write_records(spool, *records, fmt)
+        if fmt == "jsonl" and report is not None:
+            spool.write((serialize.dump_line(dict(kind="report", **report)) + "\n").encode())
+        spool.seek(0)
         try:
             stream = sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
         except OSError as exc:
             raise SpecError(f"cannot write output: {exc}") from exc
         with contextlib.nullcontext(stream) if path == "-" else stream:
-            if fmt == "jsonl":
-                stream.write(serialize.dump_line(dict(kind="header", **header)) + "\n")
-            else:
-                csv.writer(stream).writerow(_csv_head(records[0].shape[1], header["mode"] == "qgt"))
-            yield stream
-            if fmt == "jsonl" and report is not None:
-                stream.write(serialize.dump_line(dict(kind="report", **report)) + "\n")
+            stream.flush()  # text written before goes first
+            shutil.copyfileobj(spool, stream.buffer)
             stream.flush()  # a reader that has gone shows here, not at exit
-
-    if records is None:
-        with opened():
-            pass
-    else:
-        serialize.write_records(opened, *records, fmt)
 
 
 def _csv_head(m: int, spectral: bool) -> list[str]:

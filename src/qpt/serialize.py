@@ -13,19 +13,17 @@ records, and every line of a chunk is filled from one ``%s`` template built
 from the column shapes.  Each process spells each distinct float bit pattern
 once, into a memo that holds at most one chunk's values and is cleared when
 a chunk's fresh values would overflow it, so a grid whose records repeat
-their values pays ``repr`` for the distinct values only.  With more than one
-chunk and more than one CPU, one forked worker evaluates and encodes the odd
-chunks and this process the even ones; otherwise this process takes every
-chunk.  Each process evaluates all of its chunks first; only then is the
-output opened, its header written and the chunks written in order.  If
-either process fails before the worker reports ready, the worker is killed
-and reaped and this process evaluates every chunk, in grid order, in one
-process, so the first failure raises, a refusal names its index in the whole
-grid, and no output file is left.  A worker that fails or stops short after
-it is ready raises :class:`RuntimeError`.  The bytes are those of
-:func:`dump_line` on each record's dict (JSON spells the non-finite floats
-``NaN``, ``Infinity`` and ``-Infinity``) or of ``csv.writer`` on each
-record's row, whichever process encodes them.
+their values pays ``repr`` for the distinct values only.  Chunks are written
+in grid order as each is finished.  With more than one chunk and more than
+one CPU, one forked worker evaluates and encodes the odd chunks and sends
+each through a pipe, while this process does the even ones; otherwise this
+process takes every chunk.  The worker only speeds the run up: a chunk it
+does not deliver whole is evaluated here, together with every later chunk,
+so the first failure in grid order raises and a refusal names its index in
+the whole grid.  The bytes are those of :func:`dump_line` on each record's
+dict (JSON spells the non-finite floats ``NaN``, ``Infinity`` and
+``-Infinity``) or of ``csv.writer`` on each record's row, whichever process
+encodes them.
 
 :func:`read_pair` runs the same kind of worker for ``compare``: it reads
 the second file while this process reads the first.
@@ -37,18 +35,16 @@ import io
 import json
 import os
 import signal
-import traceback
 
 import numpy as np
 
 # Records per chunk.  A chunk is one evaluation, one ``repr`` of each of its
 # values not yet spelled, and one ``%`` format.  Each process holds about one
-# encoded chunk (some 330 kB of group records) and a memo of at most one
-# chunk's spelled values next to the columns of its share of the grid.
+# chunk's columns and encoded lines (some 330 kB of group records) and a memo
+# of at most one chunk's spelled values.
 CHUNK_RECORDS = 1024
 
 _LENGTH_BYTES = 8  # the length prefix of each message a worker sends
-_READY = b"ready"  # the record worker's first message: its chunks are evaluated
 
 
 def dump_line(obj: dict) -> str:
@@ -73,11 +69,10 @@ def _line_template(columns: dict, fmt: str) -> str:
     return "{" + ", ".join(fields) + "}\n"
 
 
-def write_records(open_output, points, columns, fmt: str = "jsonl") -> None:
+def write_records(stream, points, columns, fmt: str = "jsonl") -> None:
     """Evaluate ``columns`` on ``points`` and write one line per record, in
-    order, to the stream that ``open_output()`` opens: a context manager,
-    entered only once every record is evaluated, so a run that fails in
-    evaluation leaves no output.
+    grid order, to the binary ``stream``, each chunk as soon as it is
+    finished.
 
     ``columns(points[lo:hi], lo)`` gives the fields of the ``(n, m)`` slice
     of the ``(P, m)`` stack that starts at row ``lo``, name -> ``(n, ...)``
@@ -86,41 +81,35 @@ def write_records(open_output, points, columns, fmt: str = "jsonl") -> None:
     record's values, flattened row-major, as ``csv.writer`` writes them.
 
     ``columns`` sees at most :data:`CHUNK_RECORDS` points per call, on every
-    path.  The worker, if any, is reaped before this returns or raises.  A
-    failure of either process before the worker is ready is not an error of
-    its own: then every chunk is evaluated, in grid order, in one process,
-    which raises the first failure as one process would.  A worker that
-    fails or stops short after that raises :class:`RuntimeError`, so no
-    truncated output passes for a finished one.
+    path.  The worker, if any, is reaped before this returns or raises.  If
+    it ends before it has sent a chunk whole, this process evaluates that
+    chunk and every later one, so a failure raises as in one process, after
+    every earlier chunk is written.
     """
     bounds = [(lo, min(lo + CHUNK_RECORDS, len(points))) for lo in range(0, len(points), CHUNK_RECORDS)]
-    worker, spelled = None, {}  # the worker spells into its own copy
+    spelled = {}  # the worker spells into its own copy
+
+    def chunk(lo: int, hi: int) -> bytes:
+        return _encode(columns(points[lo:hi], lo), fmt, spelled).encode()
+
+    worker = None
     if _second_worker(len(bounds)):
-        worker = _fork(lambda send: _evaluate_and_send(send, points, columns, bounds[1::2], fmt, spelled))
-    step = 2 if worker else 1
+        worker = _fork(lambda send: [send(chunk(lo, hi)) for lo, hi in bounds[1::2]])
     try:
-        try:
-            parts = [columns(points[lo:hi], lo) for lo, hi in bounds[::step]]
-            if worker and worker.receive() != _READY:
-                parts = None
-        except Exception:
-            if not worker:
-                raise
-            parts = None  # evaluated again below, where the first failure in grid order raises
-        if parts is None:
-            worker.close(kill=True)
-            worker, step = None, 1
-            parts = [columns(points[lo:hi], lo) for lo, hi in bounds]
-        with open_output() as stream:
-            for i in range(len(bounds)):
-                stream.write(_encode(parts[i // step], fmt, spelled) if i % step == 0 else _chunk_from(worker))
+        for i, (lo, hi) in enumerate(bounds):
+            data = worker.receive() if worker and i % 2 else None
+            if data is None:
+                if worker and i % 2:  # the worker stopped short: this process takes the rest
+                    worker.close(kill=True)
+                    worker = None
+                data = chunk(lo, hi)
+            stream.write(data)
     except BaseException:
         if worker:
             worker.close(kill=True)
         raise
-    status = worker.close() if worker else 0
-    if status:
-        raise RuntimeError(f"record worker process failed (wait status {status})")
+    if worker:
+        worker.close()  # every chunk came whole, whatever the worker did after
 
 
 def _encode(columns: dict, fmt: str, spelled: dict) -> str:
@@ -146,22 +135,6 @@ def _encode(columns: dict, fmt: str, spelled: dict) -> str:
     return (_line_template(columns, fmt) * count) % tuple(words[inverse].tolist())
 
 
-def _evaluate_and_send(send, points, columns, bounds, fmt: str, spelled: dict) -> None:
-    """The worker's half: evaluate every chunk of ``bounds``, report ready,
-    then send each chunk's lines in order."""
-    parts = [columns(points[lo:hi], lo) for lo, hi in bounds]
-    send(_READY)
-    for part in parts:
-        send(_encode(part, fmt, spelled).encode())
-
-
-def _chunk_from(worker) -> str:
-    data = worker.receive()
-    if data is None:
-        raise RuntimeError("record worker process ended before sending every chunk")
-    return data.decode()
-
-
 def read_pair(read, first, second) -> tuple:
     """``(read(first), read(second))``, where ``read`` returns a tuple of
     arrays.  With more than one CPU a forked worker runs ``read(second)``
@@ -174,15 +147,11 @@ def read_pair(read, first, second) -> tuple:
         return read(first), read(second)
     try:
         result = read(first)
-        try:
-            other = tuple(np.load(io.BytesIO(data), allow_pickle=False)
-                          for data in iter(worker.receive, None))
-        except RuntimeError:  # a message cut short: the worker failed
-            other = None
+        other = tuple(np.load(io.BytesIO(data), allow_pickle=False) for data in iter(worker.receive, None))
     except BaseException:
         worker.close(kill=True)
         raise
-    if worker.close() or other is None:
+    if worker.close():  # the worker failed, maybe in the middle of a message
         other = read(second)
     return result, other
 
@@ -209,16 +178,14 @@ class _Worker:
         self.pipe = pipe
 
     def receive(self) -> bytes | None:
-        """The next message, or None at the end of the stream; a message
-        cut short raises :class:`RuntimeError`."""
+        """The next message, or None at the end of the stream or if the
+        stream ends in the middle of a message."""
         prefix = self.pipe.read(_LENGTH_BYTES)
-        if not prefix:
+        if len(prefix) < _LENGTH_BYTES:
             return None
         size = int.from_bytes(prefix, "little")
         data = self.pipe.read(size)
-        if len(prefix) < _LENGTH_BYTES or len(data) < size:
-            raise RuntimeError("worker process ended in the middle of a message")
-        return data
+        return data if len(data) == size else None
 
     def close(self, kill: bool = False) -> int:
         """Kill the process if asked, close the pipe and reap the process:
@@ -233,9 +200,8 @@ def _fork(produce):
     """Fork one worker that runs ``produce(send)``, where ``send(data)``
     writes one message, length first, to the pipe the returned
     :class:`_Worker` reads; None if no process can be forked.  The worker
-    leaves only through ``os._exit``.  A failure before its first message is
-    silent, because its caller then does the work itself; a later one
-    prints its traceback."""
+    leaves only through ``os._exit``, and fails silently, because its caller
+    then does the work itself."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -244,26 +210,19 @@ def _fork(produce):
         os.close(write_fd)
         return None
     if pid == 0:
-        status, sent = 1, False
+        status = 1
         try:
             os.close(read_fd)
             pipe = os.fdopen(write_fd, "wb")
 
             def send(data: bytes) -> None:
-                nonlocal sent
                 pipe.write(len(data).to_bytes(_LENGTH_BYTES, "little"))
                 pipe.write(data)
                 pipe.flush()
-                sent = True
 
             produce(send)
             pipe.close()
             status = 0
-        except BaseException:
-            # Reported while the pipe is still open: once it closes, the
-            # parent may kill this process before a traceback is written.
-            if sent:
-                os.write(2, traceback.format_exc().encode())
         finally:
             os._exit(status)  # never return into the caller, nor flush its buffers
     os.close(write_fd)

@@ -631,7 +631,7 @@ def write_rows(stream, columns, fmt="jsonl"):
     column function hands out the rows of each chunk from its start."""
     rows = np.arange(len(next(iter(columns.values()))), dtype=float)[:, None]
     serialize.write_records(
-        lambda: contextlib.nullcontext(stream), rows,
+        stream, rows,
         lambda chunk, start: {name: col[start:start + len(chunk)] for name, col in columns.items()},
         fmt,
     )
@@ -659,10 +659,10 @@ def test_write_records_spells_floats_as_json(two_workers, chunk):
     columns = {"point": rng.normal(size=(9, 2)), "h": rng.normal(size=(9, 4, 2)), "gap": rng.normal(size=9)}
     columns["h"][1, 2, 1] = -0.0
     columns["gap"][[0, 4, 7]] = [np.nan, np.inf, -np.inf]
-    stream = io.StringIO()
+    stream = io.BytesIO()
     write_rows(stream, columns)
     assert_no_child_left(pid)
-    assert stream.getvalue() == encoded_alone(columns, "jsonl")
+    assert stream.getvalue().decode() == encoded_alone(columns, "jsonl")
 
 
 def signed_zeros():
@@ -698,10 +698,10 @@ def test_each_value_is_spelled_as_alone(monkeypatch, two_workers, data, chunk, p
         monkeypatch.setattr(serialize, "_second_worker", lambda n_chunks: False)
     pid = os.getpid()
     columns = data()
-    stream = io.StringIO()
+    stream = io.BytesIO()
     write_rows(stream, columns, fmt)
     assert_no_child_left(pid)
-    assert stream.getvalue() == encoded_alone(columns, fmt)
+    assert stream.getvalue().decode() == encoded_alone(columns, fmt)
 
 
 def test_memo_holds_at_most_one_chunk():
@@ -726,11 +726,11 @@ def test_one_chunk_or_one_cpu_encodes_in_process(monkeypatch):
     monkeypatch.setattr(serialize, "CHUNK_RECORDS", 2)
     points = np.arange(10.0).reshape(5, 2)
     sizes = []
-    stream = io.StringIO()
-    serialize.write_records(lambda: contextlib.nullcontext(stream), points,
+    stream = io.BytesIO()
+    serialize.write_records(stream, points,
                             lambda chunk, start: sizes.append((start, len(chunk))) or {"point": chunk})
     assert sizes == [(0, 2), (2, 2), (4, 1)]  # chunk by chunk on one CPU too, never the whole grid
-    assert stream.getvalue() == encoded_alone({"point": points}, "jsonl")
+    assert stream.getvalue().decode() == encoded_alone({"point": points}, "jsonl")
     assert serialize.read_pair(lambda x: (x + 1,), 1, 2) == ((2,), (3,))
 
 
@@ -761,48 +761,69 @@ def _exit_after_first():
     return fail
 
 
-def _fail_after_sending(send_all, *args):
-    send_all(*args)
-    os._exit(3)  # every chunk is sent, but the worker fails
+def _fail_after_sending(monkeypatch):
+    # Every chunk is sent, then the worker fails.
+    fork = serialize._fork
+    monkeypatch.setattr(serialize, "_fork", lambda produce: fork(lambda send: (produce(send), os._exit(3))))
 
 
 @pytest.mark.parametrize(
-    "name, fail, message, err",
-    [("_encode", lambda: _raise, "ended before sending every chunk", "ValueError: encoder failure\n"),
-     ("_encode", _exit_after_first, "ended before sending every chunk", "worker exits after one chunk\n"),
-     ("_evaluate_and_send", lambda: _fail_after_sending, r"failed \(wait status 768\)", None)],
+    "double, err",
+    [(lambda mp: _in_worker(mp, "_encode", _raise), ""),
+     (lambda mp: _in_worker(mp, "_encode", _exit_after_first()), "worker exits after one chunk\n"),
+     (_fail_after_sending, "")],
     ids=["raises", "exits-short", "fails-at-end"],
 )
-def test_child_failure_raises_and_is_reaped(tmp_path, capfd, two_workers, monkeypatch, name, fail, message, err):
-    # A failure after the worker is ready, once the output is open; the
-    # worker's standard error shows that it failed where its double says.
-    two_workers(4)
-    _in_worker(monkeypatch, name, fail())
-    pid = os.getpid()
+def test_child_failure_raises_and_is_reaped(tmp_path, capfd, two_workers, monkeypatch, double, err):
+    # The worker fails silently, in the middle of the grid or after sending
+    # every chunk; this process evaluates what it did not get whole, and the
+    # run writes what one process writes.  The worker's standard error shows
+    # that it failed where its double says.
     spec = write_spec(tmp_path, "g.json", group_spec())
-    with pytest.raises(RuntimeError, match="record worker process " + message):
-        main(["group", "--spec", spec, "--out", str(tmp_path / "g.jsonl")])
+    one = tmp_path / "one.jsonl"
+    assert main(["group", "--spec", spec, "--out", str(one)]) == 0
+    two_workers(4)
+    double(monkeypatch)
+    pid = os.getpid()
+    out = tmp_path / "g.jsonl"
+    assert main(["group", "--spec", spec, "--out", str(out)]) == 0
     assert_no_child_left(pid)
-    stderr = capfd.readouterr().err
-    assert stderr.endswith(err) if err else stderr == ""
+    assert out.read_bytes() == one.read_bytes()
+    assert capfd.readouterr().err == err
+
+
+@pytest.mark.parametrize("sent", [(100).to_bytes(8, "little") + b"x" * 10, b"\x64\x00\x00"],
+                         ids=["in-the-data", "in-the-length"])
+def test_message_cut_short_reads_as_the_end(sent):
+    # A worker killed in the middle of a message: the caller redoes its work.
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, sent)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        assert serialize._Worker(os.getpid(), pipe).receive() is None
 
 
 class ClosedAfter:
-    """A text stream that fails like a closed pipe after ``n`` writes."""
+    """A text stream, and its binary layer, that fails like a closed pipe
+    after ``n`` writes."""
 
     def __init__(self, n):
         self.left = n
+        self.buffer = self
 
     def write(self, text):
         self.left -= 1
         if self.left < 0:
             raise BrokenPipeError("stdout closed")
 
+    def flush(self):
+        pass
+
 
 def test_parent_write_error_reaps_the_child(tmp_path, two_workers, monkeypatch):
     two_workers(2)
     pid = os.getpid()
-    monkeypatch.setattr(sys, "stdout", ClosedAfter(3))  # the header line and one chunk
+    monkeypatch.setattr(sys, "stdout", ClosedAfter(0))  # the output is copied in one block
     spec = write_spec(tmp_path, "g.json", group_spec())
     assert main(["group", "--spec", spec]) == 1
     assert_no_child_left(pid)
@@ -901,15 +922,17 @@ def column_calls(monkeypatch, tmp_path):
     log = tmp_path / "columns.log"
     write_records = serialize.write_records
 
-    def logged(open_output, points, columns, fmt="jsonl"):
+    def logged(stream, points, columns, fmt="jsonl"):
         def logging_columns(chunk, start):
             with open(log, "a") as fh:
                 fh.write(f"{start} {len(chunk)}\n")
             return columns(chunk, start)
 
-        write_records(open_output, points, logging_columns, fmt)
+        write_records(stream, points, logging_columns, fmt)
 
     def taken():
+        if not log.exists():
+            return []
         calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
         log.unlink()
         return calls
@@ -964,6 +987,26 @@ def test_non_finite_tensor_is_refused(tmp_path, capfd, two_workers, command, chu
     assert err == "refused: tensor of level 0 is not finite at grid index 4, point [0.0] (gap 2.000e-160)\n"
 
 
+def test_output_naming_a_directory_is_refused_before_any_work(tmp_path, capfd, column_calls):
+    spec = write_spec(tmp_path, "g.json", group_spec())
+    assert main(["group", "--spec", spec, "--out", str(tmp_path)]) == 2
+    assert capfd.readouterr().err == f"error: cannot write output {str(tmp_path)!r}: it is a directory\n"
+    assert column_calls() == []
+
+
+@pytest.mark.parametrize("target", ["file", "stdout"])
+def test_failed_run_leaves_its_target_as_it_was(tmp_path, capfd, two_workers, target):
+    two_workers(2)
+    pid = os.getpid()
+    argv = ["qgt", "--spec", write_spec(tmp_path, "q.json", DEGENERATE_AT_ZERO)]
+    old = tmp_path / "old.jsonl"
+    old.write_bytes(b"an earlier run\n")
+    assert main(argv + (["--out", str(old)] if target == "file" else [])) == 3
+    assert_no_child_left(pid)
+    assert old.read_bytes() == b"an earlier run\n"
+    assert capfd.readouterr().out == ""
+
+
 def _fail_once():
     calls = []
 
@@ -986,18 +1029,26 @@ def test_failure_before_ready_falls_back_to_one_process(tmp_path, capfd, two_wor
     assert column_calls() == [(0, 25)]
     two_workers(4)
     pid = os.getpid()
-    if side == "worker":  # the worker fails on every chunk, silently
-        monkeypatch.setattr(cli, "evaluate_at", lambda *args: (
-            evaluate_at(*args) if os.getpid() == pid else os._exit(7)
-        ))
-    else:  # this process fails on its first chunk, then evaluates every chunk in grid order
-        monkeypatch.setattr(cli, "evaluate_at", _fail_once())
     out = tmp_path / "g.jsonl"
+    if side == "parent":  # this process fails on its first chunk: that raises at once
+        monkeypatch.setattr(cli, "evaluate_at", _fail_once())
+        with pytest.raises(ValueError, match="first evaluation fails"):
+            main(["group", "--spec", spec, "--out", str(out)])
+        assert_no_child_left(pid)
+        assert not out.exists()
+        # Of this process's chunks, at rows 0, 8, 16 and 24, only the first is evaluated.
+        assert [call for call in column_calls() if call[0] % 8 == 0] == [(0, 4)]
+        return
+    # The worker fails on every chunk, silently; this process evaluates its
+    # first chunk and every later one.
+    monkeypatch.setattr(cli, "evaluate_at", lambda *args: (
+        evaluate_at(*args) if os.getpid() == pid else os._exit(7)
+    ))
     assert main(["group", "--spec", spec, "--out", str(out)]) == 0
     assert_no_child_left(pid)
     assert out.read_bytes() == one.read_bytes()
     assert capfd.readouterr().err == ""
-    # Every chunk is evaluated again, and no call sees more than one chunk.
+    # No call sees more than one chunk.
     assert sorted(set(column_calls())) == [(lo, min(4, 25 - lo)) for lo in range(0, 25, 4)]
 
 
