@@ -346,6 +346,15 @@ def weyl_checks(system: weyl_mod.WeylSystem, seed: int = 0) -> list[CheckResult]
     return results
 
 
+def _relative_deviation(h, oracle) -> float:
+    """Largest entry deviation of the ``(P, m, m)`` stack ``oracle`` from
+    ``h``, each point's relative to ``max(1, |h|)`` there: a tensor of size
+    1 or less is held to the absolute deviation, a larger one to its
+    relative error."""
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    return float((np.abs(h - oracle).max(axis=(-2, -1)) / scale).max())
+
+
 def qgt_checks(
     family: HamiltonianFamily,
     points,
@@ -355,13 +364,14 @@ def qgt_checks(
     """Invariant battery for a Hamiltonian family over sample points.
 
     The spectral tensor and its finite-difference oracle are one stacked
-    evaluation each.
+    evaluation each.  The oracle's residual at each point is relative to
+    the tensor's size there, where that exceeds 1
+    (:func:`_relative_deviation`).
     """
     spectral = qgt_tensor(family, points, a=level)
     herm_dev = float(hermiticity_defect(spectral.h).max())
     psd_dev = max(0.0, -float(np.linalg.eigvalsh(spectral.metric).min()))
-    fd = finite_difference_qgt(family, points, a=level, step=fd_step)
-    fd_dev = float(np.abs(spectral.h - fd.h).max())
+    fd_dev = _relative_deviation(spectral.h, finite_difference_qgt(family, points, a=level, step=fd_step).h)
     return [
         CheckResult("qgt-hermiticity", herm_dev, 1e-12),
         CheckResult("qgt-metric-psd", psd_dev, 1e-10),
@@ -379,7 +389,7 @@ def bloch_closed_form_checks(grid_shape: tuple[int, int] = (10, 10)) -> list[Che
     expected = np.zeros_like(res.metric)
     expected[:, 0, 0], expected[:, 1, 1] = 0.25, 0.25 * np.sin(points[:, 0]) ** 2
     metric_dev = float(np.abs(res.metric - expected).max())
-    fd_dev = float(np.abs(res.h - finite_difference_qgt(family, points, a=0, step=1e-5).h).max())
+    fd_dev = _relative_deviation(res.h, finite_difference_qgt(family, points, a=0, step=1e-5).h)
     return [
         CheckResult("bloch-metric-closed-form", metric_dev, 1e-8),
         CheckResult("bloch-spectral-vs-finite-difference", fd_dev, 1e-6),

@@ -355,12 +355,18 @@ def finite_difference_qgt(
     """Independent finite-difference evaluation of the geometric tensor, at
     a point ``lam`` of shape ``(m,)`` or on a stack of shape ``(P, m)``.
 
-    Each direction costs two displaced stacks, one eigensystem each.
-    Eigenvectors at displaced points are phase-aligned so their overlap with
-    the center state is real positive; the alignment removes the eigensolver
-    gauge, which is additionally cancelled by keeping both terms of the
-    tensor formula.  Refuses when an alignment overlap drops below 0.5,
-    naming the first such grid index and its point.
+    The eigenstate turns on the scale ``gap / D``, where ``D`` is the
+    largest spectral norm of the central difference quotients of ``H`` at
+    ``step``, one per direction, taken from ``family.hamiltonian`` alone.
+    So each point takes its own step, ``step * min(1, gap / D)``: a narrow
+    gap shrinks it, and the relative truncation error stays near that of a
+    wide gap at ``step``.  Each direction then costs two displaced stacks,
+    one eigensystem each.  Eigenvectors at displaced points are
+    phase-aligned so their overlap with the center state is real positive;
+    the alignment removes the eigensolver gauge, which is additionally
+    cancelled by keeping both terms of the tensor formula.  Refuses when an
+    alignment overlap drops below 0.5, naming the first such grid index and
+    its point.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -386,9 +392,15 @@ def finite_difference_qgt(
             )
         return phi * (overlap.conj() / size)[:, None]
 
+    units = np.eye(family.param_dim)
+    slope = np.max([np.linalg.norm(family.hamiltonian(stack + step * e) - family.hamiltonian(stack - step * e),
+                                   ord=2, axis=(-2, -1)) for e in units], axis=0) / (2 * step)
+    steps = np.full(len(stack), step)
+    narrow = slope > gaps
+    steps[narrow] *= gaps[narrow] / slope[narrow]
     derivs = np.stack(
-        [(aligned_states(stack + dx) - aligned_states(stack - dx)) / (2 * step)
-         for dx in step * np.eye(family.param_dim)],
+        [(aligned_states(stack + dx) - aligned_states(stack - dx)) / (2 * steps[:, None])
+         for dx in steps[:, None] * units[:, None]],  # (m, P, m): each direction's displacements
         axis=1,
     )
     h = hermitian_tensor(psi, derivs, projective=True)

@@ -17,16 +17,18 @@ their values pays ``repr`` for the distinct values only.  Chunks are written
 in grid order as each is finished.  With more than one chunk and more than
 one CPU, one forked worker evaluates and encodes the odd chunks and sends
 each through a pipe, while this process does the even ones; otherwise this
-process takes every chunk.  The worker only speeds the run up: a chunk it
-does not deliver whole is evaluated here, together with every later chunk,
-so the first failure in grid order raises and a refusal names its index in
-the whole grid.  The bytes are those of :func:`dump_line` on each record's
-dict (JSON spells the non-finite floats ``NaN``, ``Infinity`` and
-``-Infinity``) or of ``csv.writer`` on each record's row, whichever process
-encodes them.
+process takes every chunk.  The worker runs on a CPU of its own, the highest
+of this process's mask, and this process on the rest, until the worker is
+reaped and this process's mask is restored (see :func:`_fork`).  The worker
+only speeds the run up: a chunk it does not deliver whole is evaluated here,
+together with every later chunk, so the first failure in grid order raises
+and a refusal names its index in the whole grid.  The bytes are those of
+:func:`dump_line` on each record's dict (JSON spells the non-finite floats
+``NaN``, ``Infinity`` and ``-Infinity``) or of ``csv.writer`` on each
+record's row, whichever process encodes them.
 
-:func:`read_pair` runs the same kind of worker for ``compare``: it reads
-the second file while this process reads the first.
+:func:`read_pair` runs the same kind of worker, placed the same way, for
+``compare``: it reads the second file while this process reads the first.
 """
 
 from __future__ import annotations
@@ -173,9 +175,10 @@ def _second_worker(n_chunks: int) -> bool:
 class _Worker:
     """A forked process and the read end of the pipe it sends messages to."""
 
-    def __init__(self, pid: int, pipe):
+    def __init__(self, pid: int, pipe, restore=None):
         self.pid = pid
         self.pipe = pipe
+        self.restore = restore  # this process's CPU mask before the fork, if it was narrowed
 
     def receive(self) -> bytes | None:
         """The next message, or None at the end of the stream or if the
@@ -189,11 +192,26 @@ class _Worker:
 
     def close(self, kill: bool = False) -> int:
         """Kill the process if asked, close the pipe and reap the process:
-        its wait status."""
-        if kill:
-            os.kill(self.pid, signal.SIGKILL)
-        self.pipe.close()
-        return os.waitpid(self.pid, 0)[1]
+        its wait status.  This process gets back the CPU mask it had before
+        the fork, however the reaping ends."""
+        try:
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            self.pipe.close()
+            return os.waitpid(self.pid, 0)[1]
+        finally:
+            _bind(self.restore)
+
+
+def _bind(cpus) -> bool:
+    """Bind this thread to the set ``cpus``, if given: whether it was."""
+    if not cpus:
+        return False
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
 
 
 def _fork(produce):
@@ -201,7 +219,15 @@ def _fork(produce):
     writes one message, length first, to the pipe the returned
     :class:`_Worker` reads; None if no process can be forked.  The worker
     leaves only through ``os._exit``, and fails silently, because its caller
-    then does the work itself."""
+    then does the work itself.
+
+    With two or more CPUs in this thread's mask, the worker binds itself to
+    the highest of them and this thread to the others, so the two never
+    queue for one CPU; :meth:`_Worker.close` gives this thread its mask
+    back.  A one-CPU mask, or a platform or call that refuses the binding,
+    leaves that process unbound."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    own = {max(cpus)} if len(cpus) > 1 else None  # the worker's CPU
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -212,6 +238,7 @@ def _fork(produce):
     if pid == 0:
         status = 1
         try:
+            _bind(own)
             os.close(read_fd)
             pipe = os.fdopen(write_fd, "wb")
 
@@ -226,7 +253,8 @@ def _fork(produce):
         finally:
             os._exit(status)  # never return into the caller, nor flush its buffers
     os.close(write_fd)
-    return _Worker(pid, os.fdopen(read_fd, "rb"))
+    restore = cpus if own and _bind(cpus - own) else None
+    return _Worker(pid, os.fdopen(read_fd, "rb"), restore)
 
 
 def read_jsonl(path: str):

@@ -6,7 +6,7 @@ import pytest
 from qpt import checks, liegroup, pullback
 from qpt.checks import equivariance_residual, group_checks, projective_scale_residual, qgt_checks
 from qpt.liegroup import grid_points, su2_spin_rep
-from qpt.qgt import bloch_family
+from qpt.qgt import QGTResult, bloch_family, finite_difference_qgt, landau_zener_family
 
 GENERIC = [0.3 + 0.1j, -0.2 + 0.5j, 0.7 - 0.4j, 0.1 + 0.2j]
 
@@ -97,3 +97,55 @@ def test_landau_zener_value_is_relative(monkeypatch, delta):
         h=spectral(*args, **kwargs).h * (1 + 1e-8)))
     value, scaling = checks.landau_zener_checks(delta)
     assert not value.passed and scaling.passed
+
+
+def _off_by(monkeypatch, relative=0.0, absolute=0.0):
+    """Make the spectral tensor the checks see wrong by ``relative`` and
+    then by ``absolute`` in every entry."""
+    spectral = checks.qgt_tensor
+
+    def wrong(*args, **kwargs):
+        right = spectral(*args, **kwargs)
+        return QGTResult(right.point, right.h * (1 + relative) + absolute, right.gap)
+
+    monkeypatch.setattr(checks, "qgt_tensor", wrong)
+
+
+def _fd_check(results):
+    (check,) = [r for r in results if r.name.endswith("spectral-vs-finite-difference")]
+    return check
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-3, 1e-6])
+def test_finite_difference_oracle_follows_the_gap(monkeypatch, delta):
+    # At x = 0 the gap is 2 delta and the tensor 1 / (4 delta**2): the step
+    # shrinks with the gap and the residual is relative, so the check passes
+    # on the correct tensor and fails on one off by a relative 1e-4.
+    family, points = landau_zener_family(delta), np.linspace(-1.0, 1.0, 3)[:, None]
+    assert _fd_check(qgt_checks(family, points)).residual < 1e-8
+    _off_by(monkeypatch, relative=1e-4)
+    assert not _fd_check(qgt_checks(family, points)).passed
+
+
+def test_finite_difference_residual_is_taken_per_point(monkeypatch):
+    # An error of 1e-5 where the tensor is about 1 fails, though the tensor
+    # is 2.5e5 at the other point.
+    family, points = landau_zener_family(1e-3), np.array([[0.0], [np.sqrt(5e-4)]])
+    assert _fd_check(qgt_checks(family, points)).passed
+    _off_by(monkeypatch, absolute=1e-5)
+    assert not _fd_check(qgt_checks(family, points)).passed
+
+
+def test_bloch_finite_difference_residual_is_relative(monkeypatch):
+    assert _fd_check(checks.bloch_closed_form_checks()).residual < 1e-8
+    _off_by(monkeypatch, relative=1e-4)
+    assert not _fd_check(checks.bloch_closed_form_checks()).passed
+
+
+def test_finite_difference_oracle_reads_only_the_hamiltonian():
+    # The step comes from differences of H, never from the family's own
+    # derivative, which the spectral sum uses.
+    family = landau_zener_family(1e-3)
+    family._derivative = lambda *args: pytest.fail("the oracle read the derivative")
+    fd = finite_difference_qgt(family, [0.0])
+    assert abs(fd.h[0, 0] - 0.25e6) / 0.25e6 < 1e-8

@@ -1091,6 +1091,157 @@ def test_compare_reads_its_second_file_in_a_worker(tmp_path, capsys, two_workers
     assert json.loads(reports[0].splitlines()[-1])["per_record_max"] == [0.0, 0.5, 0.0]
 
 
+class FakeCpus:
+    """``os.sched_getaffinity`` and ``os.sched_setaffinity`` on a pretend
+    machine: this thread's mask starts as ``cpus``, and each process keeps
+    the masks it asked for in ``binds``.  With ``refuse`` every binding
+    raises ``OSError`` and changes nothing."""
+
+    def __init__(self, monkeypatch, cpus, refuse=False):
+        self.mask, self.refuse, self.binds = set(cpus), refuse, []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(self.mask))
+        monkeypatch.setattr(os, "sched_setaffinity", self.bind)
+
+    def bind(self, pid, cpus):
+        assert pid == 0  # this thread only
+        self.binds.append(set(cpus))
+        if self.refuse:
+            raise OSError("binding refused")
+        self.mask = set(cpus)
+
+
+def placed_columns(cpus, fail=lambda start: None):
+    """A column function whose records say which process evaluated them
+    (1 for the worker), its mask as a bit field and its binding count;
+    ``fail(start)`` runs first in each call."""
+    pid = os.getpid()
+
+    def columns(chunk, start):
+        fail(start)
+        place = [os.getpid() != pid, sum(1 << cpu for cpu in os.sched_getaffinity(0)), len(cpus.binds)]
+        return {"point": chunk, "place": np.tile(np.array(place, dtype=float), (len(chunk), 1))}
+
+    return columns
+
+
+def placements(stream):
+    """(worker, mask bits, bindings) of each record ``placed_columns`` wrote as csv."""
+    return [tuple(int(float(x)) for x in row[-3:]) for row in csv.reader(io.StringIO(stream.getvalue().decode()))]
+
+
+def test_worker_and_parent_run_on_disjoint_cpus(monkeypatch, two_workers):
+    # Chunks of 2 of 9 points: rows 0, 4 and 8 here, rows 2 and 6 in the
+    # worker, which binds itself to CPU 3 and this thread to CPUs 0-2.
+    cpus = FakeCpus(monkeypatch, {0, 1, 2, 3})
+    two_workers(2)
+    pid = os.getpid()
+    stream = io.BytesIO()
+    serialize.write_records(stream, np.zeros((9, 1)), placed_columns(cpus), "csv")
+    assert_no_child_left(pid)
+    here, worker = (0, 0b0111, 1), (1, 0b1000, 1)
+    assert placements(stream) == [here] * 2 + [worker] * 2 + [here] * 2 + [worker] * 2 + [here]
+    assert cpus.mask == {0, 1, 2, 3}
+    assert cpus.binds == [{0, 1, 2}, {0, 1, 2, 3}]
+
+
+def test_worker_stopping_short_gives_back_the_cpus(monkeypatch, two_workers):
+    # The worker leaves before its second chunk, at row 6: once it is
+    # killed, this process evaluates the rest on every CPU.
+    cpus = FakeCpus(monkeypatch, {0, 1, 2, 3})
+    two_workers(2)
+    pid = os.getpid()
+
+    def stop(start):
+        if os.getpid() != pid and start == 6:
+            os._exit(0)
+
+    stream = io.BytesIO()
+    serialize.write_records(stream, np.zeros((9, 1)), placed_columns(cpus, stop), "csv")
+    assert_no_child_left(pid)
+    here, worker, alone = (0, 0b0111, 1), (1, 0b1000, 1), (0, 0b1111, 2)
+    assert placements(stream) == [here] * 2 + [worker] * 2 + [here] * 2 + [alone] * 3
+    assert cpus.mask == {0, 1, 2, 3}
+
+
+def test_parent_failure_gives_back_the_cpus(monkeypatch, two_workers):
+    cpus = FakeCpus(monkeypatch, {0, 1, 2, 3})
+    two_workers(2)
+    pid = os.getpid()
+
+    def fail(start):
+        if os.getpid() == pid and start == 4:
+            assert os.sched_getaffinity(0) == {0, 1, 2}
+            raise ValueError("parent fails")
+
+    with pytest.raises(ValueError, match="parent fails"):
+        serialize.write_records(io.BytesIO(), np.zeros((9, 1)), placed_columns(cpus, fail), "csv")
+    assert_no_child_left(pid)
+    assert cpus.mask == {0, 1, 2, 3}
+
+
+def test_read_pair_gives_back_the_cpus(monkeypatch, two_workers):
+    # The worker reads the second file on CPU 3 while this process reads
+    # the first on CPUs 0-2.  When the worker fails, the second file is read
+    # again here, on every CPU.
+    cpus = FakeCpus(monkeypatch, {0, 1, 2, 3})
+    pid = os.getpid()
+
+    def read(name, fail=False):
+        if fail and os.getpid() != pid:
+            raise ValueError("worker fails")
+        return (np.array([name, sum(1 << cpu for cpu in os.sched_getaffinity(0))]),)
+
+    first, second = serialize.read_pair(read, 1, 2)
+    assert_no_child_left(pid)
+    assert (first[0].tolist(), second[0].tolist()) == ([1, 0b0111], [2, 0b1000])
+    assert cpus.mask == {0, 1, 2, 3}
+    first, second = serialize.read_pair(lambda name: read(name, fail=True), 1, 2)
+    assert_no_child_left(pid)
+    assert (first[0].tolist(), second[0].tolist()) == ([1, 0b0111], [2, 0b1111])
+    assert cpus.mask == {0, 1, 2, 3}
+
+
+def test_one_cpu_mask_binds_nothing(monkeypatch, two_workers):
+    cpus = FakeCpus(monkeypatch, {0})
+    two_workers(2)
+    pid = os.getpid()
+    stream = io.BytesIO()
+    serialize.write_records(stream, np.zeros((5, 1)), placed_columns(cpus), "csv")
+    assert_no_child_left(pid)
+    assert placements(stream) == [(0, 1, 0)] * 2 + [(1, 1, 0)] * 2 + [(0, 1, 0)]
+    assert cpus.binds == [] and cpus.mask == {0}
+
+
+def test_refused_binding_writes_what_one_process_writes(tmp_path, monkeypatch, two_workers):
+    spec = write_spec(tmp_path, "g.json", group_spec())
+    one = tmp_path / "one.jsonl"
+    two_workers(10**6)
+    assert main(["group", "--spec", spec, "--out", str(one)]) == 0
+    cpus = FakeCpus(monkeypatch, {0, 1, 2, 3}, refuse=True)
+    two_workers(4)
+    pid = os.getpid()
+    out = tmp_path / "g.jsonl"
+    assert main(["group", "--spec", spec, "--out", str(out)]) == 0
+    assert_no_child_left(pid)
+    assert out.read_bytes() == one.read_bytes()
+    assert cpus.binds == [{0, 1, 2}] and cpus.mask == {0, 1, 2, 3}
+
+
+def test_worker_runs_on_a_cpu_of_its_own():
+    # The real affinity calls: the worker sends the mask it runs under while
+    # this thread holds its own.  With one CPU, neither is bound.
+    before = os.sched_getaffinity(0)
+    worker = serialize._fork(lambda send: send(json.dumps(sorted(os.sched_getaffinity(0))).encode()))
+    here = os.sched_getaffinity(0)
+    theirs = set(json.loads(worker.receive()))
+    assert worker.close() == 0
+    assert os.sched_getaffinity(0) == before
+    if len(before) > 1:
+        assert theirs == {max(before)} and here == before - theirs
+    else:
+        assert theirs == here == before
+
+
 @pytest.mark.parametrize(
     "argv",
     [["compare", "A", "A", "--tol", "nan"], ["compare", "A", "A", "--tol", "inf"],
