@@ -398,13 +398,24 @@ def bloch_closed_form_checks(grid_shape: tuple[int, int] = (10, 10)) -> list[Che
 
 def landau_zener_checks(delta: float = 1.0) -> list[CheckResult]:
     """Avoided-crossing curvature value, as its error relative to the closed
-    form, and its gap scaling."""
-    h_full = complex(qgt_tensor(landau_zener_family(delta), [0.0], a=0).h[0, 0])
+    form, and its gap scaling, both at the crossing x = 0."""
+    h_full = _at_crossing(delta, "landau-zener-value")
     closed_form = 1.0 / (4.0 * delta**2)  # delta^2 / (4 (lam^2 + delta^2)^2) at lam = 0
     value_dev = abs(h_full - closed_form) / closed_form
-    h_half = complex(qgt_tensor(landau_zener_family(delta / 2), [0.0], a=0).h[0, 0])
+    h_half = _at_crossing(delta / 2, "landau-zener-gap-scaling")
     scaling_dev = abs(h_half / h_full - 4.0)
     return [
         CheckResult("landau-zener-value", float(value_dev), 1e-10),
         CheckResult("landau-zener-gap-scaling", float(scaling_dev), 1e-8),
     ]
+
+
+def _at_crossing(delta: float, check: str) -> complex:
+    """``h`` of the ground level of ``landau_zener_family(delta)`` at x = 0.
+    That point need not be on the command's grid, so a refusal names
+    ``check`` and x = 0, not a grid index."""
+    try:
+        return complex(qgt_tensor(landau_zener_family(delta), [0.0], a=0).h[0, 0])
+    except NumericalRefusal as exc:
+        reason = str(exc).replace(" at grid index 0, point [0.0]", "")  # the place within this one-point call
+        raise NumericalRefusal(f"{check} check at x = 0, delta {delta!r}: {reason}") from exc

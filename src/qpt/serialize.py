@@ -13,30 +13,35 @@ records, and every line of a chunk is filled from one ``%s`` template built
 from the column shapes.  Each process spells each distinct float bit pattern
 once, into a memo that holds at most one chunk's values and is cleared when
 a chunk's fresh values would overflow it, so a grid whose records repeat
-their values pays ``repr`` for the distinct values only.  Chunks are written
-in grid order as each is finished.  With more than one chunk and more than
-one CPU, one forked worker evaluates and encodes the odd chunks and sends
-each through a pipe, while this process does the even ones; otherwise this
-process takes every chunk.  The worker runs on a CPU of its own, the highest
-of this process's mask, and this process on the rest, until the worker is
-reaped and this process's mask is restored (see :func:`_fork`).  The worker
-only speeds the run up: a chunk it does not deliver whole is evaluated here,
-together with every later chunk, so the first failure in grid order raises
-and a refusal names its index in the whole grid.  The bytes are those of
-:func:`dump_line` on each record's dict (JSON spells the non-finite floats
-``NaN``, ``Infinity`` and ``-Infinity``) or of ``csv.writer`` on each
+their values pays ``repr`` for the distinct values only.  The bytes are
+those of :func:`dump_line` on each record's dict (JSON spells the non-finite
+floats ``NaN``, ``Infinity`` and ``-Infinity``) or of ``csv.writer`` on each
 record's row, whichever process encodes them.
 
-:func:`read_pair` runs the same kind of worker, placed the same way, for
-``compare``: it reads the second file while this process reads the first.
+With more than one chunk and more than one CPU, the grid is cut in two
+halves (see :func:`_beside`).  This process writes the first half of the
+chunks to the stream in grid order, each as it is finished, while one forked
+worker writes the second half into an unnamed temporary file, which is
+appended to the stream once the worker has exited 0.  If the worker fails,
+this process evaluates the second half itself, so the first failure in grid
+order raises and a refusal names its index in the whole grid.  A failure in
+the second half is thus seen only after the first half is done, and then
+takes one-CPU time.  The worker's half (about half the record bytes) sits in
+``TMPDIR`` until it is appended.
+
+:func:`read_pair` shares its work the same way for ``compare``: the worker
+reads the second file and saves its stacks with ``np.savez`` into its file,
+while this process reads the first.
 """
 
 from __future__ import annotations
 
-import io
+import contextlib
 import json
 import os
+import shutil
 import signal
+import tempfile
 
 import numpy as np
 
@@ -45,8 +50,6 @@ import numpy as np
 # chunk's columns and encoded lines (some 330 kB of group records) and a memo
 # of at most one chunk's spelled values.
 CHUNK_RECORDS = 1024
-
-_LENGTH_BYTES = 8  # the length prefix of each message a worker sends
 
 
 def dump_line(obj: dict) -> str:
@@ -73,8 +76,7 @@ def _line_template(columns: dict, fmt: str) -> str:
 
 def write_records(stream, points, columns, fmt: str = "jsonl") -> None:
     """Evaluate ``columns`` on ``points`` and write one line per record, in
-    grid order, to the binary ``stream``, each chunk as soon as it is
-    finished.
+    grid order, to the binary ``stream``.
 
     ``columns(points[lo:hi], lo)`` gives the fields of the ``(n, m)`` slice
     of the ``(P, m)`` stack that starts at row ``lo``, name -> ``(n, ...)``
@@ -83,35 +85,30 @@ def write_records(stream, points, columns, fmt: str = "jsonl") -> None:
     record's values, flattened row-major, as ``csv.writer`` writes them.
 
     ``columns`` sees at most :data:`CHUNK_RECORDS` points per call, on every
-    path.  The worker, if any, is reaped before this returns or raises.  If
-    it ends before it has sent a chunk whole, this process evaluates that
-    chunk and every later one, so a failure raises as in one process, after
-    every earlier chunk is written.
+    path.  This process writes the first half of the chunks, each as soon as
+    it is finished; a worker, if any, writes the second half into its file,
+    checking before each chunk that the process it was forked from still
+    lives.  If the worker fails, this process evaluates the second half
+    itself, so a failure raises as in one process, after every earlier chunk
+    is written.
     """
     bounds = [(lo, min(lo + CHUNK_RECORDS, len(points))) for lo in range(0, len(points), CHUNK_RECORDS)]
+    cut = (len(bounds) + 1) // 2
     spelled = {}  # the worker spells into its own copy
+    parent = os.getpid()
 
-    def chunk(lo: int, hi: int) -> bytes:
-        return _encode(columns(points[lo:hi], lo), fmt, spelled).encode()
+    def write(out, part, worker=False) -> None:
+        for lo, hi in part:
+            if worker and os.getppid() != parent:
+                raise ChildProcessError("the process this worker was forked from is gone")
+            out.write(_encode(columns(points[lo:hi], lo), fmt, spelled).encode())
 
-    worker = None
-    if _second_worker(len(bounds)):
-        worker = _fork(lambda send: [send(chunk(lo, hi)) for lo, hi in bounds[1::2]])
-    try:
-        for i, (lo, hi) in enumerate(bounds):
-            data = worker.receive() if worker and i % 2 else None
-            if data is None:
-                if worker and i % 2:  # the worker stopped short: this process takes the rest
-                    worker.close(kill=True)
-                    worker = None
-                data = chunk(lo, hi)
-            stream.write(data)
-    except BaseException:
-        if worker:
-            worker.close(kill=True)
-        raise
-    if worker:
-        worker.close()  # every chunk came whole, whatever the worker did after
+    with _beside(lambda: write(stream, bounds[:cut]), lambda file: write(file, bounds[cut:], True),
+                 len(bounds)) as (_, rest):
+        if rest is None:
+            write(stream, bounds[cut:])
+        else:
+            shutil.copyfileobj(rest, stream)
 
 
 def _encode(columns: dict, fmt: str, spelled: dict) -> str:
@@ -140,28 +137,14 @@ def _encode(columns: dict, fmt: str, spelled: dict) -> str:
 def read_pair(read, first, second) -> tuple:
     """``(read(first), read(second))``, where ``read`` returns a tuple of
     arrays.  With more than one CPU a forked worker runs ``read(second)``
-    while this process runs ``read(first)``, and the worker's arrays come
-    back through the pipe in ``.npy`` format.  If the worker fails, this
-    process runs ``read(second)`` itself, so it raises what one process
-    would."""
-    worker = _fork(lambda send: [send(_npy(array)) for array in read(second)]) if _second_worker(2) else None
-    if worker is None:
-        return read(first), read(second)
-    try:
-        result = read(first)
-        other = tuple(np.load(io.BytesIO(data), allow_pickle=False) for data in iter(worker.receive, None))
-    except BaseException:
-        worker.close(kill=True)
-        raise
-    if worker.close():  # the worker failed, maybe in the middle of a message
-        other = read(second)
-    return result, other
-
-
-def _npy(array) -> bytes:
-    buffer = io.BytesIO()
-    np.save(buffer, array, allow_pickle=False)
-    return buffer.getvalue()
+    and ``np.savez``es the arrays into its file while this process runs
+    ``read(first)``.  If the worker fails, this process runs
+    ``read(second)`` itself, so it raises what one process would."""
+    with _beside(lambda: read(first), lambda file: np.savez(file, *read(second))) as (result, file):
+        if file is None:
+            return result, read(second)
+        with np.load(file, allow_pickle=False) as arrays:
+            return result, tuple(arrays[name] for name in arrays.files)
 
 
 def _second_worker(n_chunks: int) -> bool:
@@ -170,37 +153,6 @@ def _second_worker(n_chunks: int) -> bool:
     if n_chunks < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return False
     return len(os.sched_getaffinity(0)) > 1
-
-
-class _Worker:
-    """A forked process and the read end of the pipe it sends messages to."""
-
-    def __init__(self, pid: int, pipe, restore=None):
-        self.pid = pid
-        self.pipe = pipe
-        self.restore = restore  # this process's CPU mask before the fork, if it was narrowed
-
-    def receive(self) -> bytes | None:
-        """The next message, or None at the end of the stream or if the
-        stream ends in the middle of a message."""
-        prefix = self.pipe.read(_LENGTH_BYTES)
-        if len(prefix) < _LENGTH_BYTES:
-            return None
-        size = int.from_bytes(prefix, "little")
-        data = self.pipe.read(size)
-        return data if len(data) == size else None
-
-    def close(self, kill: bool = False) -> int:
-        """Kill the process if asked, close the pipe and reap the process:
-        its wait status.  This process gets back the CPU mask it had before
-        the fork, however the reaping ends."""
-        try:
-            if kill:
-                os.kill(self.pid, signal.SIGKILL)
-            self.pipe.close()
-            return os.waitpid(self.pid, 0)[1]
-        finally:
-            _bind(self.restore)
 
 
 def _bind(cpus) -> bool:
@@ -214,47 +166,55 @@ def _bind(cpus) -> bool:
     return True
 
 
-def _fork(produce):
-    """Fork one worker that runs ``produce(send)``, where ``send(data)``
-    writes one message, length first, to the pipe the returned
-    :class:`_Worker` reads; None if no process can be forked.  The worker
-    leaves only through ``os._exit``, and fails silently, because its caller
-    then does the work itself.
+@contextlib.contextmanager
+def _beside(here, there, n_chunks: int = 2):
+    """Run ``here()`` in this process and ``there(file)`` in one forked
+    worker, and yield ``(here(), file)``.  ``file`` is an unnamed
+    ``tempfile.TemporaryFile()`` opened before the fork, at offset 0, if the
+    worker exited 0.  It is None with no second worker (see
+    :func:`_second_worker`), when ``os.fork`` fails or when the worker
+    failed; the caller then does ``there``'s work itself.  The worker exits
+    0 only once ``there`` has returned and the file is flushed; it leaves
+    only through ``os._exit``, silently.  The file is closed when the block
+    ends.  If this process raises first, the worker is killed and reaped.
 
-    With two or more CPUs in this thread's mask, the worker binds itself to
-    the highest of them and this thread to the others, so the two never
-    queue for one CPU; :meth:`_Worker.close` gives this thread its mask
-    back.  A one-CPU mask, or a platform or call that refuses the binding,
-    leaves that process unbound."""
+    The worker binds itself to the highest CPU of this thread's mask and
+    this thread to the others, so the two never queue for one CPU; this
+    thread gets its mask back once the worker is reaped, on every path.  A
+    one-CPU mask, or a platform or call that refuses the binding, leaves
+    that process unbound."""
+    if not _second_worker(n_chunks):
+        yield here(), None
+        return
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
     own = {max(cpus)} if len(cpus) > 1 else None  # the worker's CPU
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the caller does all the work
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
+    with tempfile.TemporaryFile() as file:
         try:
-            _bind(own)
-            os.close(read_fd)
-            pipe = os.fdopen(write_fd, "wb")
-
-            def send(data: bytes) -> None:
-                pipe.write(len(data).to_bytes(_LENGTH_BYTES, "little"))
-                pipe.write(data)
-                pipe.flush()
-
-            produce(send)
-            pipe.close()
-            status = 0
+            pid = os.fork()
+        except OSError:  # no process to spare: the caller does all the work
+            yield here(), None
+            return
+        if pid == 0:
+            status = 1
+            try:
+                _bind(own)
+                there(file)
+                file.flush()
+                status = 0
+            finally:
+                os._exit(status)  # never return into the caller, nor flush its buffers
+        restore = cpus if own and _bind(cpus - own) else None
+        try:
+            result = here()
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
         finally:
-            os._exit(status)  # never return into the caller, nor flush its buffers
-    os.close(write_fd)
-    restore = cpus if own and _bind(cpus - own) else None
-    return _Worker(pid, os.fdopen(read_fd, "rb"), restore)
+            _bind(restore)
+        file.seek(0)
+        yield result, None if status else file
 
 
 def read_jsonl(path: str):

@@ -9,8 +9,9 @@ larger grid's peak exceeds the smaller's by more than 10%.  Three cases:
 - success: direction ``[0, 0, 1]``, pinned to one CPU (as ``taskset -c 0``
   would);
 - refusal: direction ``[0, 0, 0]``, degenerate at every point, so the run
-  exits 3; pinned to one CPU and unpinned, where the record worker fails on
-  its first chunk and this process evaluates that chunk itself and refuses.
+  exits 3; pinned to one CPU and unpinned, where this process refuses on the
+  first chunk of its own half and the record worker, busy with the second
+  half, is killed and reaped with its unnamed file.
 
 A whole-grid evaluation holds stacks of ``21 x 21`` matrices per point and
 grows by about 60% (success) or 80% (refusal) here.

@@ -1,11 +1,15 @@
 import contextlib
 import copy
 import csv
+import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -748,37 +752,19 @@ def _raise(encode, *args):
     raise ValueError("encoder failure")
 
 
-def _exit_after_first():
-    encoded = []
-
-    def fail(encode, *args):
-        if encoded:  # past the worker's first chunk
-            os.write(2, b"worker exits after one chunk\n")
-            os._exit(0)  # a clean exit that sends a short stream
-        encoded.append(args)
-        return encode(*args)
-
-    return fail
+def _fail_after_writing(monkeypatch):
+    # Every chunk is written and flushed, then the worker fails.
+    beside = serialize._beside
+    monkeypatch.setattr(serialize, "_beside", lambda here, there, *n: beside(
+        here, lambda file: (there(file), file.flush(), os._exit(3)), *n))
 
 
-def _fail_after_sending(monkeypatch):
-    # Every chunk is sent, then the worker fails.
-    fork = serialize._fork
-    monkeypatch.setattr(serialize, "_fork", lambda produce: fork(lambda send: (produce(send), os._exit(3))))
-
-
-@pytest.mark.parametrize(
-    "double, err",
-    [(lambda mp: _in_worker(mp, "_encode", _raise), ""),
-     (lambda mp: _in_worker(mp, "_encode", _exit_after_first()), "worker exits after one chunk\n"),
-     (_fail_after_sending, "")],
-    ids=["raises", "exits-short", "fails-at-end"],
-)
-def test_child_failure_raises_and_is_reaped(tmp_path, capfd, two_workers, monkeypatch, double, err):
-    # The worker fails silently, in the middle of the grid or after sending
-    # every chunk; this process evaluates what it did not get whole, and the
-    # run writes what one process writes.  The worker's standard error shows
-    # that it failed where its double says.
+@pytest.mark.parametrize("double", [lambda mp: _in_worker(mp, "_encode", _raise), _fail_after_writing],
+                         ids=["raises", "fails-at-end"])
+def test_child_failure_raises_and_is_reaped(tmp_path, capfd, two_workers, monkeypatch, double):
+    # The worker fails silently, on its first chunk or after writing every
+    # chunk; this process evaluates the worker's half itself, and the run
+    # writes what one process writes.
     spec = write_spec(tmp_path, "g.json", group_spec())
     one = tmp_path / "one.jsonl"
     assert main(["group", "--spec", spec, "--out", str(one)]) == 0
@@ -789,18 +775,7 @@ def test_child_failure_raises_and_is_reaped(tmp_path, capfd, two_workers, monkey
     assert main(["group", "--spec", spec, "--out", str(out)]) == 0
     assert_no_child_left(pid)
     assert out.read_bytes() == one.read_bytes()
-    assert capfd.readouterr().err == err
-
-
-@pytest.mark.parametrize("sent", [(100).to_bytes(8, "little") + b"x" * 10, b"\x64\x00\x00"],
-                         ids=["in-the-data", "in-the-length"])
-def test_message_cut_short_reads_as_the_end(sent):
-    # A worker killed in the middle of a message: the caller redoes its work.
-    read_fd, write_fd = os.pipe()
-    os.write(write_fd, sent)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as pipe:
-        assert serialize._Worker(os.getpid(), pipe).receive() is None
+    assert capfd.readouterr().err == ""
 
 
 class ClosedAfter:
@@ -975,6 +950,18 @@ def test_degenerate_level_in_either_half_refuses_as_one_process(tmp_path, capfd,
     assert calls and all(start % chunk == 0 and rows == min(chunk, 9 - start) for start, rows in calls)
 
 
+@pytest.mark.parametrize("chunk", [3, 2], ids=["chunks-of-3", "chunks-of-2"])
+def test_refusal_in_the_workers_half_names_its_grid_index(tmp_path, capfd, two_workers, column_calls, chunk):
+    # x = 0 is grid index 6, the first row of the worker's half.  The worker
+    # fails there silently; this process, after its own half, evaluates the
+    # worker's half and refuses as one process would.
+    two_workers(chunk)
+    spec = dict(DEGENERATE_AT_ZERO, grid={"x": [-3, 1, 9]})
+    err = assert_refused(tmp_path, capfd, ["qgt", "--spec", write_spec(tmp_path, "q.json", spec)])
+    assert " is degenerate within tolerance at grid index 6, point [0.0] " in err
+    assert column_calls().count((6, min(chunk, 3))) == 2  # once in each process
+
+
 @pytest.mark.filterwarnings("error")  # the overflow is refused, not warned about
 @pytest.mark.parametrize("command, chunk", [("qgt", 3), ("qgt", 2), ("verify", 10**6)],
                          ids=["worker-chunk", "parent-chunk", "verify"])
@@ -1036,11 +1023,11 @@ def test_failure_before_ready_falls_back_to_one_process(tmp_path, capfd, two_wor
             main(["group", "--spec", spec, "--out", str(out)])
         assert_no_child_left(pid)
         assert not out.exists()
-        # Of this process's chunks, at rows 0, 8, 16 and 24, only the first is evaluated.
-        assert [call for call in column_calls() if call[0] % 8 == 0] == [(0, 4)]
+        # Of this process's half, the chunks at rows 0, 4, 8 and 12, only the first is evaluated.
+        assert [call for call in column_calls() if call[0] < 16] == [(0, 4)]
         return
-    # The worker fails on every chunk, silently; this process evaluates its
-    # first chunk and every later one.
+    # The worker fails on its first chunk, silently; this process evaluates
+    # its own half and then the worker's.
     monkeypatch.setattr(cli, "evaluate_at", lambda *args: (
         evaluate_at(*args) if os.getpid() == pid else os._exit(7)
     ))
@@ -1076,9 +1063,16 @@ def test_compare_reads_its_second_file_in_a_worker(tmp_path, capsys, two_workers
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     a.write_text(QGT_RECORD * 3)
     b.write_text(QGT_RECORD + QGT_RECORD.replace("[1, 0]]", "[1.5, -0.25]]") + QGT_RECORD)
-    forks = []
-    fork = serialize._fork
-    monkeypatch.setattr(serialize, "_fork", lambda produce: forks.append(1) or fork(produce))
+    handed = []  # whether the worker's file came back, per read
+    beside = serialize._beside
+
+    @contextlib.contextmanager
+    def logged(*args):
+        with beside(*args) as (result, file):
+            handed.append(file is not None)
+            yield result, file
+
+    monkeypatch.setattr(serialize, "_beside", logged)
     pid = os.getpid()
     reports = []
     for worker in (True, False):
@@ -1086,7 +1080,7 @@ def test_compare_reads_its_second_file_in_a_worker(tmp_path, capsys, two_workers
         assert main(["compare", str(a), str(b), "--tol", "1"]) == 0
         assert_no_child_left(pid)
         reports.append(capsys.readouterr().out)
-    assert forks == [1]
+    assert handed == [True, False]
     assert reports[0] == reports[1]
     assert json.loads(reports[0].splitlines()[-1])["per_record_max"] == [0.0, 0.5, 0.0]
 
@@ -1130,8 +1124,9 @@ def placements(stream):
 
 
 def test_worker_and_parent_run_on_disjoint_cpus(monkeypatch, two_workers):
-    # Chunks of 2 of 9 points: rows 0, 4 and 8 here, rows 2 and 6 in the
-    # worker, which binds itself to CPU 3 and this thread to CPUs 0-2.
+    # Chunks of 2 of 9 points: the first three chunks, rows 0-5, here, and
+    # the last two, rows 6-8, in the worker, which binds itself to CPU 3 and
+    # this thread to CPUs 0-2.
     cpus = FakeCpus(monkeypatch, {0, 1, 2, 3})
     two_workers(2)
     pid = os.getpid()
@@ -1139,27 +1134,27 @@ def test_worker_and_parent_run_on_disjoint_cpus(monkeypatch, two_workers):
     serialize.write_records(stream, np.zeros((9, 1)), placed_columns(cpus), "csv")
     assert_no_child_left(pid)
     here, worker = (0, 0b0111, 1), (1, 0b1000, 1)
-    assert placements(stream) == [here] * 2 + [worker] * 2 + [here] * 2 + [worker] * 2 + [here]
+    assert placements(stream) == [here] * 6 + [worker] * 3
     assert cpus.mask == {0, 1, 2, 3}
     assert cpus.binds == [{0, 1, 2}, {0, 1, 2, 3}]
 
 
 def test_worker_stopping_short_gives_back_the_cpus(monkeypatch, two_workers):
-    # The worker leaves before its second chunk, at row 6: once it is
-    # killed, this process evaluates the rest on every CPU.
+    # The worker fails before its second chunk, at row 8: once it is
+    # reaped, this process evaluates the worker's half on every CPU.
     cpus = FakeCpus(monkeypatch, {0, 1, 2, 3})
     two_workers(2)
     pid = os.getpid()
 
     def stop(start):
-        if os.getpid() != pid and start == 6:
-            os._exit(0)
+        if os.getpid() != pid and start == 8:
+            os._exit(5)
 
     stream = io.BytesIO()
     serialize.write_records(stream, np.zeros((9, 1)), placed_columns(cpus, stop), "csv")
     assert_no_child_left(pid)
-    here, worker, alone = (0, 0b0111, 1), (1, 0b1000, 1), (0, 0b1111, 2)
-    assert placements(stream) == [here] * 2 + [worker] * 2 + [here] * 2 + [alone] * 3
+    here, alone = (0, 0b0111, 1), (0, 0b1111, 2)
+    assert placements(stream) == [here] * 6 + [alone] * 3
     assert cpus.mask == {0, 1, 2, 3}
 
 
@@ -1208,7 +1203,7 @@ def test_one_cpu_mask_binds_nothing(monkeypatch, two_workers):
     stream = io.BytesIO()
     serialize.write_records(stream, np.zeros((5, 1)), placed_columns(cpus), "csv")
     assert_no_child_left(pid)
-    assert placements(stream) == [(0, 1, 0)] * 2 + [(1, 1, 0)] * 2 + [(0, 1, 0)]
+    assert placements(stream) == [(0, 1, 0)] * 4 + [(1, 1, 0)]
     assert cpus.binds == [] and cpus.mask == {0}
 
 
@@ -1227,19 +1222,122 @@ def test_refused_binding_writes_what_one_process_writes(tmp_path, monkeypatch, t
     assert cpus.binds == [{0, 1, 2}] and cpus.mask == {0, 1, 2, 3}
 
 
-def test_worker_runs_on_a_cpu_of_its_own():
-    # The real affinity calls: the worker sends the mask it runs under while
-    # this thread holds its own.  With one CPU, neither is bound.
+def test_worker_runs_on_a_cpu_of_its_own(two_workers):
+    # The real affinity calls: the worker writes the mask it runs under to
+    # its file while this thread holds its own.  With one CPU, neither is bound.
+    def write_mask(file):
+        file.write(json.dumps(sorted(os.sched_getaffinity(0))).encode())
+
     before = os.sched_getaffinity(0)
-    worker = serialize._fork(lambda send: send(json.dumps(sorted(os.sched_getaffinity(0))).encode()))
-    here = os.sched_getaffinity(0)
-    theirs = set(json.loads(worker.receive()))
-    assert worker.close() == 0
+    with serialize._beside(lambda: os.sched_getaffinity(0), write_mask) as (here, file):
+        theirs = set(json.loads(file.read()))
     assert os.sched_getaffinity(0) == before
     if len(before) > 1:
         assert theirs == {max(before)} and here == before - theirs
     else:
         assert theirs == here == before
+
+
+def _fork_fails():
+    raise OSError(errno.EAGAIN, "no process to spare")
+
+
+def test_fork_failure_writes_and_reads_as_one_process(tmp_path, monkeypatch, two_workers):
+    # Records and compare's reads are those of one process, on the whole mask.
+    spec = write_spec(tmp_path, "g.json", group_spec())
+    one = tmp_path / "one.jsonl"
+    two_workers(10**6)
+    assert main(["group", "--spec", spec, "--out", str(one)]) == 0
+    cpus = FakeCpus(monkeypatch, {0, 1, 2, 3})
+    two_workers(4)
+    monkeypatch.setattr(os, "fork", _fork_fails)
+    pid = os.getpid()
+    out = tmp_path / "g.jsonl"
+    assert main(["group", "--spec", spec, "--out", str(out)]) == 0
+    assert out.read_bytes() == one.read_bytes()
+    stream = io.BytesIO()
+    serialize.write_records(stream, np.zeros((9, 1)), placed_columns(cpus), "csv")
+    assert placements(stream) == [(0, 0b1111, 0)] * 9
+    first, second = serialize.read_pair(lambda name: (np.array([name, os.getpid()]),), 1, 2)
+    assert (first[0].tolist(), second[0].tolist()) == ([1, pid], [2, pid])
+    assert cpus.binds == [] and cpus.mask == {0, 1, 2, 3}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc/self/fd")
+@pytest.mark.parametrize("path", ["success", "worker-fails", "parent-fails", "fork-fails",
+                                  "read-pair", "read-pair-worker-fails"])
+def test_no_descriptor_or_file_is_left_behind(tmp_path, monkeypatch, two_workers, path):
+    # The worker's file is closed on every path, and it never has a name.
+    spool = tmp_path / "tmp"
+    spool.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool))
+    two_workers(2)
+    pid = os.getpid()
+    side = {"worker-fails": "worker", "read-pair-worker-fails": "worker", "parent-fails": "parent"}.get(path)
+    if path == "fork-fails":
+        monkeypatch.setattr(os, "fork", _fork_fails)
+
+    def fail():
+        if side == ("parent" if os.getpid() == pid else "worker"):
+            raise ValueError(f"{side} fails")
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    if path.startswith("read-pair"):
+        first, second = serialize.read_pair(lambda name: fail() or (np.full(3, name),), 1.0, 2.0)
+        assert (first[0].tolist(), second[0].tolist()) == ([1.0] * 3, [2.0] * 3)
+    else:
+        stream = io.BytesIO()
+        with pytest.raises(ValueError) if side == "parent" else contextlib.nullcontext():
+            serialize.write_records(stream, np.arange(9.0)[:, None], lambda chunk, start: fail() or {"x": chunk}, "csv")
+        if side != "parent":
+            assert stream.getvalue() == b"".join(b"%d.0\r\n" % i for i in range(9))
+    assert_no_child_left(pid)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert list(spool.iterdir()) == []
+
+
+def _ended(pid):
+    """Whether process ``pid`` has exited: gone, or a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in "ZX"
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs /proc/<pid>/task/<pid>/children and two CPUs")
+def test_worker_stops_soon_after_its_parent_dies(tmp_path):
+    # 400,000 spin-3/2 orbit points: the worker's half takes several seconds
+    # on one CPU.  It checks its parent before each chunk, so once the parent
+    # is killed the worker ends within a chunk or two.
+    spec = {"mode": "qgt",
+            "hamiltonian": {"builtin": "orbit", "rep": {"builtin": "su2", "spin": 1.5}, "direction": [0, 0, 1]},
+            "grid": {"alpha": [0.0, 1.0, 8], "beta": [0.3, 2.8, 200], "gamma": [0.3, 6.0, 250]}}
+    src = str(Path(qpt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["qgt", "--spec", write_spec(tmp_path, "q.json", spec), "--out", str(tmp_path / "q.jsonl")]
+    proc = subprocess.Popen([sys.executable, "-m", "qpt.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    worker = None
+    try:
+        deadline = time.monotonic() + 60
+        while worker is None:
+            assert proc.poll() is None and time.monotonic() < deadline
+            worker = next(map(int, children.read_text().split()), None)
+            time.sleep(0.01)
+        proc.kill()
+        proc.wait()
+        killed = time.monotonic()
+        while not _ended(worker) and time.monotonic() - killed < 2:
+            time.sleep(0.01)
+        assert _ended(worker)
+    finally:
+        proc.kill()
+        proc.wait()
+        if worker is not None and not _ended(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 @pytest.mark.parametrize(
@@ -1476,6 +1574,22 @@ def test_landau_zener_delta_at_the_bound_stays_finite(tmp_path, command, delta, 
     out = tmp_path / "q.jsonl"
     assert main([command, "--spec", write_spec(tmp_path, "q.json", spec), "--out", str(out)]) == 0
     assert "Infinity" not in out.read_text() and "NaN" not in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "delta, reason",
+    [(0, "level 0 is degenerate within tolerance (gap 0.000e+00 < 1.000e-308)"),
+     (1e-170, "tensor of level 0 is not finite (gap 2.000e-170)")],
+    ids=["degenerate", "not-finite"],
+)
+def test_landau_zener_closed_form_refusal_names_its_check(tmp_path, capsys, delta, reason):
+    # The grid holds x = 1, 1.5 and 2; the closed-form checks evaluate x = 0,
+    # which is not on it, so the refusal names the check, not a grid index.
+    spec = {"mode": "verify", "target": "qgt", "hamiltonian": {"builtin": "landau_zener", "delta": delta},
+            "grid": {"x": [1, 2, 3]}}
+    assert main(["verify", "--spec", write_spec(tmp_path, "q.json", spec)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"refused: landau-zener-value check at x = 0, delta {float(delta)!r}: {reason}\n"
 
 
 @pytest.mark.parametrize(
