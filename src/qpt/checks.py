@@ -1,12 +1,15 @@
 """Named invariant checks used by the ``verify`` front end.
 
 Each check returns a residual together with the tolerance it is held to, so
-reports stay machine readable.  Randomised checks draw from a fixed seed and
+reports stay machine readable.  Randomised checks draw from a fixed seed,
+through :func:`_samples` over the standard library's ``random.Random``, and
 are therefore reproducible run to run.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +102,19 @@ def conventions() -> dict:
     }
 
 
+def _samples(seed: int, shape, low=None, high=None) -> np.ndarray:
+    """A ``shape`` array of draws from ``random.Random(seed)``: uniform on
+    ``[low, high)``, bounds broadcast against ``shape``, or standard normal
+    without bounds.  The same seed gives the same array whatever the numpy
+    version."""
+    rng = random.Random(seed)
+    count = math.prod(shape)
+    if low is None:
+        return np.reshape([rng.gauss(0.0, 1.0) for _ in range(count)], shape)
+    unit = np.reshape([rng.random() for _ in range(count)], shape)
+    return low + (np.asarray(high) - low) * unit
+
+
 def equivariance_residual(
     rep: LieAlgebraRep, fiducial, n_samples: int = 20, seed: int = 0
 ) -> float:
@@ -110,9 +126,8 @@ def equivariance_residual(
     exponentiated once.  ``fiducial`` is a state or its linear
     :class:`PullbackTensor`.
     """
-    rng = np.random.default_rng(seed)
     base = _as_tensor(rep, fiducial)
-    u = exponential_elements(rep, rng.uniform(-1.5, 1.5, (n_samples, rep.n_generators)))
+    u = exponential_elements(rep, _samples(seed, (n_samples, rep.n_generators), -1.5, 1.5))
     a = adjoint_matrix(rep, u)
     displaced = covariance_matrix(rep, u @ base.fiducial).coefficients
     return float(np.abs(displaced - a @ base.coefficients @ a.swapaxes(-1, -2)).max())
@@ -131,7 +146,7 @@ def projective_scale_residual(
     """
     t = _as_tensor(rep, fiducial, projective=projective)
     psi = t.fiducial
-    c = np.random.default_rng(seed).normal(size=(rep.n_generators, 2)) @ [1.0, 1j]
+    c = _samples(seed, (rep.n_generators, 2)) @ [1.0, 1j]
     shifted = hermitian_tensor(psi, rep.generators @ psi + c[:, None] * psi, projective)
     return float(np.abs(shifted - t.coefficients).max())
 
@@ -171,7 +186,6 @@ def group_checks(
     The linear and projective tensors are evaluated once and handed to
     every check that reads them.
     """
-    rng = np.random.default_rng(seed)
     tol_dim = PROPERTY_ATOL * rep.dim
     results = []
 
@@ -210,7 +224,7 @@ def group_checks(
         )
 
     if rep.n_generators == 3 and rep.multiplier_form is None:
-        angles = rng.uniform([0.0, 0.15, 0.0], [2 * np.pi, np.pi - 0.15, 2 * np.pi], (n_points, 3))
+        angles = _samples(seed, (n_points, 3), [0.0, 0.15, 0.0], [2 * np.pi, np.pi - 0.15, 2 * np.pi])
         det_dev = float(np.abs(np.linalg.det(euler_coframes(angles)) - np.sin(angles[:, 1])).max())
         mc_dev = float(maurer_cartan_residual(rep, angles, step=fd_step).max())
         results.append(CheckResult("coframe-determinant", det_dev, 1e-12))
@@ -239,10 +253,8 @@ def random_lagrangian_frames(modes: int, n_samples: int = 5, seed: int = 0):
     symplectic block matrix ``[[X, -Y], [Y, X]]``; it maps the position
     plane to a Lagrangian subspace.
     """
-    rng = np.random.default_rng(seed)
     frames = []
-    for _ in range(n_samples):
-        z = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    for z in _samples(seed, (n_samples, modes, modes, 2)) @ [1.0, 1j]:
         q, _ = np.linalg.qr(z)
         big = np.block([[q.real, -q.imag], [q.imag, q.real]])
         frames.append([big[:, m] for m in range(modes)])
@@ -319,9 +331,7 @@ def weyl_checks(system: weyl_mod.WeylSystem, seed: int = 0) -> list[CheckResult]
     comm_dev = float(np.abs(products - products.T - 1j * system.symplectic_form).max())
     results.append(CheckResult("vacuum-commutator", comm_dev, 1e-14))
 
-    oracle = np.array(
-        [[weyl_mod.gaussian_moment_oracle(j, k, modes) for k in range(modes)] for j in range(modes)]
-    )
+    oracle = weyl_mod.gaussian_moments(modes)
     qq, pp = products[:modes, :modes], products[modes:, modes:]
     quad_dev = float(max(np.abs(qq - oracle).max(), np.abs(pp - oracle).max()))
     results.append(CheckResult("quadrature-vs-fock", quad_dev, 1e-10))
@@ -332,14 +342,8 @@ def weyl_checks(system: weyl_mod.WeylSystem, seed: int = 0) -> list[CheckResult]
         lag_dev = max(lag_dev, float(np.abs(restricted.coefficients.imag).max()))
     results.append(CheckResult("lagrangian-restriction-im", lag_dev, 1e-14))
 
-    rng = np.random.default_rng(seed)
-
-    def sample_v():
-        v = rng.uniform(-1.0, 1.0, n)
-        length = float(np.linalg.norm(v))
-        return v * (0.5 / length) if length > 0.5 else v
-
-    v1, v2 = sample_v(), sample_v()
+    pair = _samples(seed, (2, n), -1.0, 1.0)
+    v1, v2 = pair / np.maximum(1.0, 2 * np.linalg.norm(pair, axis=1, keepdims=True))  # lengths <= 0.5
     defects = [weyl_mod.weyl_defect(s, v1, v2) for s in defect_systems]
     results.append(CheckResult("weyl-defect-monotone", defect_growth(defects), 0.0))
     results.append(CheckResult("weyl-defect-cutoff-32", defects[2], 1e-6))

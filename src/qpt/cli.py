@@ -14,7 +14,10 @@ loads the spec for the invoked mode, resolves the output path and format
 records and report, and writes them into an unnamed temporary file.  Only
 once that succeeds is the output opened and the spool copied into it, so a
 failed run writes nothing and leaves an old file untouched.  It exits 4 if
-the report failed.
+the report failed.  :func:`run`, behind the ``qpt`` script and ``python -m
+qpt.cli``, calls :func:`main`, flushes standard output and error and ends the
+process through ``os._exit``, skipping the interpreter's teardown; ``main``
+itself returns its code, for tests and in-process callers.
 
 Outputs are JSON lines (one header object, one record per grid point, and
 for checking modes a final report object) or, for ``group``, ``weyl`` and
@@ -89,6 +92,21 @@ def main(argv=None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
     return EXIT_CHECK if report is not None and not report["pass"] else EXIT_OK
+
+
+def run() -> None:
+    """:func:`main` as a whole process: its code is the exit status, once
+    standard output and error are flushed.  A flush that fails, as on a
+    reader that has gone, exits 1.  The process ends through ``os._exit``,
+    without the interpreter's teardown; an exception that escapes ``main``
+    takes the normal exit path, traceback and all."""
+    code = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: started without it
+        try:
+            stream.flush()
+        except (OSError, ValueError):  # ValueError: a stream closed under us
+            code = EXIT_FAILURE
+    os._exit(code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -577,4 +595,4 @@ def cmd_compare(args, spec: dict):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

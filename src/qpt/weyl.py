@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from . import fock
 from .errors import NotLagrangianError
@@ -276,23 +275,36 @@ def lagrangian_restriction(t: PullbackTensor, subspace) -> PullbackTensor:
 def gaussian_moment_oracle(
     j: int, k: int, n_modes: int, quadrature_points: int = 64
 ) -> float:
-    """Gaussian vacuum moment ``I[j, k]`` by Gauss-Hermite quadrature.
+    """Gaussian vacuum moment ``I[j, k]`` by the trapezoidal rule: entry
+    ``(j, k)`` of :func:`gaussian_moments`."""
+    if not (0 <= j < n_modes and 0 <= k < n_modes):
+        raise ValueError("moment indices must address position axes")
+    return float(gaussian_moments(n_modes, quadrature_points)[j, k])
 
-    Computes ``N^2 * integral d^n q exp(-q^2) q_j q_k`` with the
-    normalisation ``N^2 pi^(n/2) = 1``, factorised over axes.  Independent
-    of the Fock realisation; serves as the cross-check oracle for the
-    vacuum second moments.
+
+def gaussian_moments(n_modes: int, quadrature_points: int = 64) -> np.ndarray:
+    """Every Gaussian vacuum moment ``I[j, k]``, an ``(n_modes, n_modes)``
+    array, from one quadrature rule.
+
+    ``I[j, k] = N^2 * integral d^n q exp(-q^2) q_j q_k`` with the
+    normalisation ``N^2 pi^(n/2) = 1``, factorised over axes into the
+    one-axis integrals of ``exp(-x^2) x^p`` for ``p`` = 0, 1, 2.  Each is
+    the trapezoidal rule on ``quadrature_points`` uniform nodes over
+    ``[-sqrt(points), sqrt(points)]``.  For a Gaussian the rule's error
+    falls like ``exp(-pi^2 / h^2)`` in the node spacing ``h`` and the cut
+    tails like ``exp(-points)``: at the default 64 nodes the moments are
+    exact to rounding, and at the floor of 32 the tails leave about 2e-13.
+    No Fock matrix, ladder operator or Hermite recurrence enters, so the
+    rule is independent of what it checks: the oracle for the vacuum second
+    moments in :func:`qpt.checks.weyl_checks`.
     """
     if quadrature_points < 32:
         raise ValueError("quadrature_points must be at least 32")
-    if not (0 <= j < n_modes and 0 <= k < n_modes):
-        raise ValueError("moment indices must address position axes")
-    nodes, weights = hermgauss(quadrature_points)
-    plain = float(weights.sum())  # integral of exp(-x^2)
-    first = float(weights @ nodes)
-    second = float(weights @ nodes**2)
-    factors = []
-    for axis in range(n_modes):
-        power = (axis == j) + (axis == k)
-        factors.append((plain, first, second)[power])
-    return float(np.prod(factors) / np.pi ** (n_modes / 2))
+    nodes = np.linspace(-1.0, 1.0, quadrature_points) * np.sqrt(quadrature_points)
+    weights = np.full(quadrature_points, nodes[1] - nodes[0])
+    weights[[0, -1]] /= 2
+    weights *= np.exp(-nodes**2)
+    integrals = np.array([weights.sum(), weights @ nodes, weights @ nodes**2])
+    axes = np.eye(n_modes, dtype=int)
+    powers = axes[:, None, :] + axes[None, :, :]  # powers[j, k, axis] of q_axis in q_j q_k
+    return integrals[powers].prod(axis=-1) / np.pi ** (n_modes / 2)

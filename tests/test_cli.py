@@ -47,6 +47,26 @@ def group_spec(projective=True, frame=None, normalization=None, grid=None):
     return spec
 
 
+def qpt_env() -> dict:
+    """The environment of a ``qpt`` subprocess: this checkout's package first
+    on the path, and a buffered stdout, as in a shell pipeline."""
+    src = str(Path(qpt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def processes_naming(marker: str) -> list[int]:
+    """The live processes whose command line holds ``marker``: a forked
+    worker has its parent's command line."""
+    pids = []
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        with contextlib.suppress(OSError):
+            if marker.encode() in cmdline.read_bytes():
+                pids.append(int(cmdline.parent.name))
+    return pids
+
+
 def records_of(path):
     return [o for o in serialize.read_jsonl(path) if o["kind"] == "record"]
 
@@ -132,9 +152,11 @@ def test_compare_orbit_pullback_against_spectral(tmp_path, capsys):
 
 
 def test_runtime_commands_do_not_need_scipy(tmp_path):
-    # SciPy is a test dependency only.  A fresh interpreter in which any
-    # import of it raises runs group, qgt, compare, weyl and verify on group
-    # (su2 and heisenberg) and Weyl targets.
+    # SciPy is a test dependency only, and no command loads numpy.random or
+    # numpy.polynomial, whose imports cost more than some commands' work.
+    # A fresh interpreter in which any import of them raises runs group,
+    # qgt, compare, weyl and verify on group (su2 and heisenberg) and Weyl
+    # targets.
     grid = {"alpha": 0.0, "beta": [0.3, 2.8, 3], "gamma": [0.3, 6.0, 3]}
     g_spec = write_spec(tmp_path, "g.json", group_spec(frame="left", normalization="generator", grid=grid))
     orbit = {"builtin": "orbit", "rep": {"builtin": "su2", "spin": 0.5}, "direction": [0, 0, 1]}
@@ -160,13 +182,12 @@ def test_runtime_commands_do_not_need_scipy(tmp_path):
     ]
     script = (
         "import sys\n"
-        "sys.modules['scipy'] = None  # any import of scipy or a submodule raises\n"
+        "for name in ('scipy', 'numpy.random', 'numpy.polynomial'):\n"
+        "    sys.modules[name] = None  # any import of it or a submodule raises\n"
         "import qpt, qpt.cli\n"
         f"assert [qpt.cli.main(argv) for argv in {runs!r}] == [0] * {len(runs)}\n"
     )
-    src = str(Path(qpt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", script], env=qpt_env(), capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
 
@@ -815,9 +836,7 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, read):
         argv = ["group", "--spec", write_spec(tmp_path, "g.json", group_spec(grid=grid))]
     else:
         argv = ["qgt", "--spec", write_spec(tmp_path, "q.json", AFFINE_SPEC), "--format", "csv"]
-    src = str(Path(qpt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as in a shell pipeline
+    env = qpt_env()
     reader, writer = os.pipe()
     if not read:
         os.close(reader)
@@ -837,6 +856,72 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, read):
         proc.wait()
         proc.stderr.close()
     assert err == b""
+
+
+@pytest.mark.parametrize("command", ["weyl", "group"])
+def test_piped_output_is_the_file_output(tmp_path, command):
+    # The process ends through os._exit once its streams are flushed; a pipe
+    # still receives every byte that --out FILE holds.  The group grid of
+    # 1600 points is two chunks, so with two CPUs a forked worker writes the
+    # second.
+    if command == "weyl":
+        argv = ["weyl", "--modes", "2", "--cutoff", "8"]
+    else:
+        grid = {"alpha": 0.0, "beta": [0.3, 2.8, 40], "gamma": [0.3, 6.0, 40]}
+        argv = ["group", "--spec", write_spec(tmp_path, "g.json", group_spec(grid=grid))]
+    out = tmp_path / "out.jsonl"
+    runs = [subprocess.run([sys.executable, "-m", "qpt.cli", *argv, "--out", target], env=qpt_env(),
+                           capture_output=True, timeout=120) for target in ("-", str(out))]
+    assert [(done.returncode, done.stderr) for done in runs] == [(0, b"")] * 2
+    assert runs[1].stdout == b""
+    assert runs[0].stdout == out.read_bytes()
+
+
+def test_process_started_without_standard_output_writes_its_file(tmp_path):
+    # ``qpt ... --out FILE >&-``: Python has no sys.stdout, and there is
+    # nothing to flush there.
+    out = tmp_path / "w.jsonl"
+    argv = [sys.executable, "-m", "qpt.cli", "weyl", "--modes", "1", "--cutoff", "4", "--out", str(out)]
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], env=qpt_env(), stderr=subprocess.PIPE,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert report_of(str(out))["pass"] is True
+
+
+@pytest.mark.parametrize("case", ["spec", "refusal", "check"])
+def test_exit_code_reaches_the_caller(tmp_path, case):
+    # Exit 2 and 3 with one line on stderr, and 4 with a failing report, from
+    # the process as from main, with no traceback and no process left.  The
+    # refusal is at x = 0, grid index 512 of 8193, in this process's first
+    # chunk, while with two CPUs a forked worker evaluates the sixth to the
+    # ninth.  The family, diag(x, -x, 10, 11, ...) of side 32, takes some
+    # 0.1 s a chunk, so a worker left to run through its half would be seen.
+    if case == "spec":
+        argv, code, line = ["weyl", "--modes", "0"], 2, b"error: "
+    elif case == "refusal":
+        h0, term = np.zeros((2, 32, 32, 2))
+        h0[range(2, 32), range(2, 32), 0] = range(10, 40)
+        term[[0, 1], [0, 1], 0] = [1, -1]
+        spec = {"mode": "qgt", "hamiltonian": {"affine": {"h0": h0.tolist(), "terms": [term.tolist()]}},
+                "grid": {"x": [-0.5, 7.5, 8193]}}
+        argv, code, line = ["qgt", "--spec", write_spec(tmp_path, "q.json", spec)], 3, b"refused: "
+    else:
+        spec = {"mode": "verify", "target": "weyl", "modes": 1, "cutoff": 8}
+        argv, code, line = ["verify", "--spec", write_spec(tmp_path, "v.json", spec), "--tol", "1e-30"], 4, b""
+    out, err = tmp_path / "out.jsonl", tmp_path / "stderr"
+    with open(err, "wb") as stderr:
+        # Files, not pipes: a process left behind would not hold up the run.
+        done = subprocess.run([sys.executable, "-m", "qpt.cli", *argv, "--out", str(out)], env=qpt_env(),
+                              stdout=subprocess.DEVNULL, stderr=stderr, timeout=120)
+    assert processes_naming(str(tmp_path)) == []
+    assert done.returncode == code
+    text = err.read_bytes()
+    if line:
+        assert text.startswith(line) and text.count(b"\n") == 1
+        assert not out.exists()
+    else:
+        assert text == b""
+        assert report_of(str(out))["pass"] is False
 
 
 QGT_ORBIT_SPEC = {
@@ -929,25 +1014,37 @@ def assert_refused(tmp_path, capfd, argv):
     return err
 
 
+# x = 0 is grid index 4 of the six points from -2 to 0.5 too: in chunks of
+# three, this process's half is [0, 3) and the worker's [3, 6).
+AT_ZERO_IN_THE_SECOND_HALF = {"x": [-2, 0.5, 6]}
+
+
 @pytest.mark.parametrize(
     "chunk, processes, spec",
-    [(3, 2, DEGENERATE_AT_ZERO), (2, 2, DEGENERATE_AT_ZERO), (2, 1, DEGENERATE_AT_ZERO),
-     (3, 2, DEGENERATE_TWICE), (2, 2, DEGENERATE_TWICE)],
-    ids=["worker-chunk", "parent-chunk", "one-process", "worker-then-parent", "parent-then-worker"],
+    [(3, 2, dict(DEGENERATE_AT_ZERO, grid=AT_ZERO_IN_THE_SECOND_HALF)), (2, 2, DEGENERATE_AT_ZERO),
+     (2, 1, DEGENERATE_AT_ZERO), (3, 2, DEGENERATE_TWICE), (2, 2, DEGENERATE_TWICE)],
+    ids=["worker-chunk", "parent-chunk", "one-process", "parent-then-worker-in-chunks-of-3",
+         "parent-then-worker"],
 )
 def test_degenerate_level_in_either_half_refuses_as_one_process(tmp_path, capfd, monkeypatch, two_workers,
                                                                  column_calls, chunk, processes, spec):
-    # x = 0 is grid index 4: record 1 of the worker's first chunk of three,
-    # or record 0 of the parent's second or third chunk of two.  The second
-    # degenerate point, index 6, is in the parent's second chunk of three or
-    # in the worker's second chunk of two; the first in grid order is named.
+    # Degenerate x = 0 is grid index 4.  On six points it is record 1 of the
+    # worker's only chunk of three, and this process's half refuses nowhere.
+    # On nine points the halves are [0, 6) and [6, 9), in chunks of three or
+    # of two, so x = 0 is in this process's half: record 1 of its second
+    # chunk of three or record 0 of its third chunk of two, and the worker's
+    # half refuses nowhere, or, for the second degenerate point x = 0.5 at
+    # index 6, at record 0 of the worker's first chunk.  In one process every
+    # chunk is this process's.  The first degenerate point in grid order is
+    # named.
     two_workers(chunk)
     if processes == 1:
         monkeypatch.setattr(serialize, "_second_worker", lambda n_chunks: False)
     err = assert_refused(tmp_path, capfd, ["qgt", "--spec", write_spec(tmp_path, "q.json", spec)])
     assert " is degenerate within tolerance at grid index 4, point [0.0] " in err
+    size = spec["grid"]["x"][2]
     calls = column_calls()
-    assert calls and all(start % chunk == 0 and rows == min(chunk, 9 - start) for start, rows in calls)
+    assert calls and all(start % chunk == 0 and rows == min(chunk, size - start) for start, rows in calls)
 
 
 @pytest.mark.parametrize("chunk", [3, 2], ids=["chunks-of-3", "chunks-of-2"])
@@ -963,13 +1060,18 @@ def test_refusal_in_the_workers_half_names_its_grid_index(tmp_path, capfd, two_w
 
 
 @pytest.mark.filterwarnings("error")  # the overflow is refused, not warned about
-@pytest.mark.parametrize("command, chunk", [("qgt", 3), ("qgt", 2), ("verify", 10**6)],
+@pytest.mark.parametrize("command, chunk, grid",
+                         [("qgt", 3, AT_ZERO_IN_THE_SECOND_HALF), ("qgt", 2, None), ("verify", 10**6, None)],
                          ids=["worker-chunk", "parent-chunk", "verify"])
-def test_non_finite_tensor_is_refused(tmp_path, capfd, two_workers, command, chunk):
-    # Grid index 4 is record 1 of the worker's first chunk of three, or
-    # record 0 of the parent's third chunk of two; verify takes every point.
+def test_non_finite_tensor_is_refused(tmp_path, capfd, two_workers, command, chunk, grid):
+    # x = 0 is grid index 4: on six points, record 1 of the worker's only
+    # chunk of three, the halves being [0, 3) and [3, 6); on nine, record 0
+    # of this process's third chunk of two, its half being [0, 6).  verify
+    # takes every point in one process.
     two_workers(chunk)
     spec = {"mode": command, **NON_FINITE_AT_ZERO, **({"target": "qgt"} if command == "verify" else {})}
+    if grid:
+        spec["grid"] = grid
     err = assert_refused(tmp_path, capfd, [command, "--spec", write_spec(tmp_path, "q.json", spec)])
     assert err == "refused: tensor of level 0 is not finite at grid index 4, point [0.0] (gap 2.000e-160)\n"
 
@@ -1314,10 +1416,8 @@ def test_worker_stops_soon_after_its_parent_dies(tmp_path):
     spec = {"mode": "qgt",
             "hamiltonian": {"builtin": "orbit", "rep": {"builtin": "su2", "spin": 1.5}, "direction": [0, 0, 1]},
             "grid": {"alpha": [0.0, 1.0, 8], "beta": [0.3, 2.8, 200], "gamma": [0.3, 6.0, 250]}}
-    src = str(Path(qpt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = ["qgt", "--spec", write_spec(tmp_path, "q.json", spec), "--out", str(tmp_path / "q.jsonl")]
-    proc = subprocess.Popen([sys.executable, "-m", "qpt.cli", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "qpt.cli", *argv], env=qpt_env(),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
     worker = None
