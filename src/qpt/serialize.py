@@ -9,11 +9,20 @@ Records are evaluated and written by :func:`write_records`.  A command hands
 it its ``(P, m)`` point stack and its column function, which maps a slice of
 the points and the slice's start in the grid to field name -> ``(n, ...)``
 float stack.  The grid is cut into chunks of :data:`CHUNK_RECORDS` (1024)
-records, and every line of a chunk is filled from one ``%s`` template built
-from the column shapes.  Each process spells each distinct float bit pattern
-once, into a memo that holds at most one chunk's values and is cleared when
-a chunk's fresh values would overflow it, so a grid whose records repeat
-their values pays ``repr`` for the distinct values only.  The bytes are
+records.  A record's first field is its point, the later fields its tensor
+part.  Each process keeps one memo from the bytes of each tensor part to its
+text, so a grid whose records repeat their tensors spells and formats the
+distinct ones only: the left-frame ``group`` tensors do not depend on α, so
+they recur once per α slice of #β·#γ rows.  The memo holds at most four
+chunks of rows, enough for the 2,500-row slice of a 50 × 50 grid.  It
+stores a chunk that finds no row in it only while it holds less than a
+chunk, or once a chunk has found a row since it was last emptied, so
+records that never repeat (``qgt``) keep it at one chunk.  A chunk whose
+fresh rows would take it past its bound empties it and is stored whole.
+Grids with a longer period fall back to a per-chunk dedupe: within a chunk,
+one ``np.unique`` spells the point values and the fresh rows' values once
+each.  Every line of a chunk is filled from one ``%s`` template, with the
+point's slots and one slot for the tensor part's text.  The bytes are
 those of :func:`dump_line` on each record's dict (JSON spells the non-finite
 floats ``NaN``, ``Infinity`` and ``-Infinity``) or of ``csv.writer`` on each
 record's row, whichever process encodes them.
@@ -45,11 +54,14 @@ import tempfile
 
 import numpy as np
 
-# Records per chunk.  A chunk is one evaluation, one ``repr`` of each of its
-# values not yet spelled, and one ``%`` format.  Each process holds about one
-# chunk's columns and encoded lines (some 330 kB of group records) and a memo
-# of at most one chunk's spelled values.
+# Records per chunk.  A chunk is one evaluation, one ``np.unique`` and
+# ``repr`` of the values not yet spelled, and one ``%`` format.  Each process
+# holds about one chunk's columns and encoded lines (some 330 kB of group
+# records) and a memo of at most ``_MEMO_CHUNKS`` chunks of spelled tensor
+# parts: four, as left-frame group records recur once per α slice of #β·#γ
+# rows (2,500 on a 50 × 50 grid), past a one-chunk memo.
 CHUNK_RECORDS = 1024
+_MEMO_CHUNKS = 4
 
 
 def dump_line(obj: dict) -> str:
@@ -63,15 +75,16 @@ def _nested(shape) -> str:
     return "[" + ", ".join([_nested(shape[1:])] * shape[0]) + "]"
 
 
-def _line_template(columns: dict, fmt: str) -> str:
+def _templates(columns: dict, fmt: str) -> tuple:
+    """The ``%s`` templates of one record's tensor part (every field after
+    the first, with its leading separator) and of its line, whose last slot
+    takes the tensor part's text."""
     if fmt == "csv":
-        width = sum(col[0].size for col in columns.values())
-        return ",".join(["%s"] * width) + "\r\n"
-    fields = ['"kind": "record"'] + [
-        f"{json.dumps(name).replace('%', '%%')}: {_nested(col.shape[1:])}"
-        for name, col in columns.items()
-    ]
-    return "{" + ", ".join(fields) + "}\n"
+        first, *rest = (col[0].size for col in columns.values())
+        return ",%s" * sum(rest), ",".join(["%s"] * first) + "%s\r\n"
+    first, *rest = (f"{json.dumps(name).replace('%', '%%')}: {_nested(col.shape[1:])}"
+                    for name, col in columns.items())
+    return "".join(", " + field for field in rest), '{"kind": "record", ' + first + "%s}\n"
 
 
 def write_records(stream, points, columns, fmt: str = "jsonl") -> None:
@@ -94,14 +107,14 @@ def write_records(stream, points, columns, fmt: str = "jsonl") -> None:
     """
     bounds = [(lo, min(lo + CHUNK_RECORDS, len(points))) for lo in range(0, len(points), CHUNK_RECORDS)]
     cut = (len(bounds) + 1) // 2
-    spelled = {}  # the worker spells into its own copy
+    memo = _RowMemo()  # the worker spells into its own copy
     parent = os.getpid()
 
     def write(out, part, worker=False) -> None:
         for lo, hi in part:
             if worker and os.getppid() != parent:
                 raise ChildProcessError("the process this worker was forked from is gone")
-            out.write(_encode(columns(points[lo:hi], lo), fmt, spelled).encode())
+            out.write(_encode(columns(points[lo:hi], lo), fmt, memo).encode())
 
     with _beside(lambda: write(stream, bounds[:cut]), lambda file: write(file, bounds[cut:], True),
                  len(bounds)) as (_, rest):
@@ -111,27 +124,53 @@ def write_records(stream, points, columns, fmt: str = "jsonl") -> None:
             shutil.copyfileobj(rest, stream)
 
 
-def _encode(columns: dict, fmt: str, spelled: dict) -> str:
+class _RowMemo(dict):
+    """The bytes of each record's tensor part spelled so far -> its text;
+    the bytes keep ``-0.0`` apart from ``0.0``.  ``hit`` tells whether a
+    chunk has found a row in it since it was last emptied."""
+
+    hit = False
+
+
+def _encode(columns: dict, fmt: str, memo: _RowMemo) -> str:
     """The lines of one chunk of records, field name -> ``(n, ...)`` stack.
 
-    ``spelled`` maps the bit pattern of each float spelled so far to its
-    text, so each distinct value is spelled once; the bits keep ``-0.0``
-    apart from ``0.0``.  It is emptied first when this chunk's fresh values
-    would take it past the chunk's value count."""
+    A record's tensor part is every field after the first; each distinct
+    one not in ``memo`` is spelled once, and one ``np.unique`` spells the
+    first field's values and the fresh rows' values once each.  The chunk's
+    rows are stored if it or an earlier chunk found a row in the memo since
+    the memo was last emptied, or if the memo holds less than
+    :data:`CHUNK_RECORDS` rows.  A chunk whose fresh rows would take the
+    memo past ``_MEMO_CHUNKS`` chunks empties it first and is stored whole."""
     columns = {name: np.asarray(col, dtype=float) for name, col in columns.items()}
-    count = len(next(iter(columns.values())))
-    block = np.concatenate([col.reshape(count, -1) for col in columns.values()], axis=1)
-    keys, inverse = np.unique(block.ravel().view(np.uint64), return_inverse=True)
-    keys = keys.tolist()
-    fresh = [key for key in keys if key not in spelled]
-    if len(spelled) + len(fresh) > block.size:
-        spelled.clear()
-        fresh = keys
-    values = np.array(fresh, dtype=np.uint64).view(float)
-    spell = json.dumps if fmt == "jsonl" and not np.isfinite(values).all() else repr
-    spelled.update(zip(fresh, map(spell, values.tolist())))
-    words = np.array([spelled[key] for key in keys], dtype=object)
-    return (_line_template(columns, fmt) * count) % tuple(words[inverse].tolist())
+    first, *rest = columns
+    count = len(columns[first])
+    head = columns[first].reshape(count, -1)
+    tensors = np.concatenate([np.empty((count, 0))] + [columns[name].reshape(count, -1) for name in rest], axis=1)
+    width = tensors.itemsize * tensors.shape[1]
+    keys = tensors.view(f"V{width}").ravel().tolist() if width else [b""] * count
+    missing = [row for row, key in enumerate(keys) if key not in memo]
+    memo.hit |= len(missing) < count
+    store = memo.hit or len(memo) < CHUNK_RECORDS
+    fresh = {keys[row]: row for row in missing}  # each distinct fresh tensor part -> a row holding it
+    if store and len(memo) + len(fresh) > _MEMO_CHUNKS * CHUNK_RECORDS:
+        memo.clear()
+        memo.hit = False
+        fresh = dict(zip(keys, range(count)))
+    values = np.concatenate([head.ravel(), tensors[list(fresh.values())].ravel()])
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    distinct = distinct.view(float)
+    spell = json.dumps if fmt == "jsonl" and not np.isfinite(distinct).all() else repr
+    words = np.array(list(map(spell, distinct.tolist())), dtype=object)[inverse]
+    row_template, line_template = _templates(columns, fmt)
+    texts = dict(zip(fresh, ("\0".join([row_template] * len(fresh)) % tuple(words[head.size:].tolist())).split("\0")))
+    if store:
+        memo.update(texts)
+        texts = memo
+    cells = np.empty((count, head.shape[1] + 1), dtype=object)
+    cells[:, :-1] = words[:head.size].reshape(head.shape)
+    cells[:, -1] = list(map(texts.__getitem__, keys))
+    return (line_template * count) % tuple(cells.ravel().tolist())
 
 
 def read_pair(read, first, second) -> tuple:

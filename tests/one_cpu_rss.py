@@ -16,16 +16,19 @@ larger grid's peak exceeds the smaller's by more than 10%.  Three cases:
 A whole-grid evaluation holds stacks of ``21 x 21`` matrices per point and
 grows by about 60% (success) or 80% (refusal) here.
 
-``qpt group`` runs on spin 3/2 with a generic fiducial at 262,144 and at
-524,288 points, pinned to one CPU and unpinned, and fails if its peak grows
-by more than 64 bytes per added point.  The ``(P, 3)`` point stack and its
-build take about 48; holding every record's columns until the output
-opens took about 168 (one CPU) or 101 (two).
+``qpt group`` runs on spin 3/2 at 262,144 and at 524,288 points, pinned to
+one CPU and unpinned, and fails if its peak grows by more than 64 bytes per
+added point.  It runs twice: with a generic fiducial, and with the
+highest-weight fiducial ``[1, 0, 0, 0]``, projective, in the left frame,
+whose records repeat once per α slice, so the encoder's row memo fills.  The
+``(P, 3)`` point stack and its build take about 48; holding every record's
+columns until the output opens took about 168 (one CPU) or 101 (two).
 
 Usage: ``python tests/one_cpu_rss.py`` from the repository root.  The name
 keeps pytest from collecting it.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -42,7 +45,10 @@ QGT_CASES = [  # name, direction, exit code, pinned to one CPU
 ]
 GROUP_BYTES_PER_POINT = 64
 GROUP_CASES = [("one CPU", True), ("unpinned", False)]  # name, pinned to one CPU
-GROUP_FIDUCIAL = [[0.3, 0.1], [-0.2, 0.5], [0.7, -0.4], [0.1, 0.2]]
+GROUP_FIELDS = {  # name -> the spec's fiducial fields
+    "generic fiducial": {"fiducial": [[0.3, 0.1], [-0.2, 0.5], [0.7, -0.4], [0.1, 0.2]]},
+    "repeating rows": {"fiducial": [[1, 0], [0, 0], [0, 0], [0, 0]], "projective": True, "frame": "left"},
+}
 
 
 def peak_rss_mib(work: Path, spec: dict, expected: int, pinned: bool, out: str) -> float:
@@ -73,12 +79,12 @@ def qgt_spec(alpha_count: int, direction) -> dict:
     }
 
 
-def group_spec(alpha_count: int) -> dict:
-    """Spin 3/2 with a generic fiducial on ``alpha_count * 4096`` points."""
+def group_spec(alpha_count: int, fields: dict) -> dict:
+    """Spin 3/2 with the fiducial ``fields`` on ``alpha_count * 4096`` points."""
     return {
         "mode": "group",
         "rep": {"builtin": "su2", "spin": 1.5},
-        "fiducial": GROUP_FIDUCIAL,
+        **fields,
         "grid": {"alpha": [0.0, 6.0, alpha_count], "beta": [0.3, 2.8, 64], "gamma": [0.3, 6.0, 64]},
     }
 
@@ -92,10 +98,10 @@ def main() -> int:
             print(f"{name}: own ru_maxrss of qpt qgt, spin 10: {small:.1f} MiB at 4096 points, "
                   f"{large:.1f} MiB at 8192 points (ratio {large / small:.3f}, bound {GROWTH_BOUND})")
             failed |= large > GROWTH_BOUND * small
-        for name, pinned in GROUP_CASES:
-            small, large = (peak_rss_mib(Path(work), group_spec(n), 0, pinned, os.devnull) for n in (64, 128))
+        for (name, pinned), (kind, fields) in itertools.product(GROUP_CASES, GROUP_FIELDS.items()):
+            small, large = (peak_rss_mib(Path(work), group_spec(n, fields), 0, pinned, os.devnull) for n in (64, 128))
             per_point = (large - small) * 2**20 / (64 * 4096)
-            print(f"{name}: own ru_maxrss of qpt group, spin 3/2: {small:.1f} MiB at 262144 points, "
+            print(f"{name}, {kind}: own ru_maxrss of qpt group, spin 3/2: {small:.1f} MiB at 262144 points, "
                   f"{large:.1f} MiB at 524288 points ({per_point:.0f} bytes per added point, "
                   f"bound {GROUP_BYTES_PER_POINT})")
             failed |= per_point > GROUP_BYTES_PER_POINT

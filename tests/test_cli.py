@@ -691,9 +691,9 @@ def test_write_records_spells_floats_as_json(two_workers, chunk):
 
 
 def signed_zeros():
-    # Chunks of 4: -0.0 alone in chunk 0 (this process), 0.0 alone in
-    # chunks 1 (the worker) and 2 (this process), both in chunk 3.  A memo
-    # keyed on values would merge them: -0.0 == 0.0, with equal hashes.
+    # One field, so the tensor part is empty.  Chunks of 4: -0.0 alone in
+    # chunk 0, 0.0 alone in chunks 1 and 2, both in chunk 3.  A dedupe keyed
+    # on values would merge them: -0.0 == 0.0, with equal hashes.
     h = np.ones((16, 2))
     h[0:4, 0], h[4:12, 1], h[12, :] = -0.0, 0.0, [0.0, -0.0]
     return {"h": h}
@@ -706,14 +706,31 @@ def repeated():
 
 
 def all_distinct():
-    # 36 distinct values where a chunk of 4 holds 12: the memo is cleared
-    # mid-run.  The last chunk repeats the first, spelled again after a clear.
+    # Distinct rows, but the last chunk of 4 repeats the first three chunks
+    # later, where the memo finds them.
     values = np.random.default_rng(5).normal(size=(16, 3))
     values[12:] = values[:4]
     return {"point": values[:, :2], "gap": values[:, 2]}
 
 
-@pytest.mark.parametrize("data", [signed_zeros, repeated, all_distinct])
+def periodic():
+    # Tensor rows recur every 6 records, past a chunk of 4, as left-frame
+    # group records recur once per alpha slice; no two points are equal.
+    rng = np.random.default_rng(7)
+    metric = rng.normal(size=(6, 2, 2))
+    return {"point": rng.normal(size=(30, 3)), "metric": metric[np.arange(30) % 6]}
+
+
+def non_finite_rows():
+    # A row of NaN, Infinity and -Infinity recurs in every chunk of 4 beside
+    # finite rows: its text, spelled in an earlier chunk, is still NaN in
+    # jsonl and nan in csv.
+    h = np.arange(48.0).reshape(16, 3) / 7
+    h[::3] = [np.nan, np.inf, -np.inf]
+    return {"point": np.arange(16.0)[:, None], "h": h}
+
+
+@pytest.mark.parametrize("data", [signed_zeros, repeated, all_distinct, periodic, non_finite_rows])
 @pytest.mark.parametrize("chunk, processes", [(16, 1), (4, 1), (4, 2)],
                          ids=["one-chunk", "one-process", "two-processes"])
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -729,19 +746,29 @@ def test_each_value_is_spelled_as_alone(monkeypatch, two_workers, data, chunk, p
     assert stream.getvalue().decode() == encoded_alone(columns, fmt)
 
 
-def test_memo_holds_at_most_one_chunk():
-    # Values per chunk: 32, 48, 48, 48, 48, 1, 48, 32.  The memo keeps what
-    # it spelled while a chunk's fresh values fit beside it, and is cleared
-    # when they would not.
-    chunks = [signed_zeros(), repeated(), all_distinct(), all_distinct(), repeated(),
-              {"x": np.array([0.5])}, all_distinct(), signed_zeros()]
-    spelled, sizes = {}, []
-    for columns in chunks:
-        assert serialize._encode(columns, "jsonl", spelled) == encoded_alone(columns, "jsonl")
-        assert len(spelled) <= sum(col.size for col in columns.values())
-        sizes.append(len(spelled))
-    assert sizes == [3, 9, 45, 45, 45, 1, 37, 3]
-    assert sorted(spelled.values()) == ["-0.0", "0.0", "1.0"]
+def test_row_memo_stores_within_its_bound(monkeypatch):
+    # Chunks of 4 records, so the memo holds at most 16 rows.  Row r is
+    # [r, -r]; each chunk is listed by its rows.
+    monkeypatch.setattr(serialize, "CHUNK_RECORDS", 4)
+    chunks = [[0, 1, 2, 3],  # stored: the memo held less than a chunk
+              [4, 5, 6, 7],  # no row found, and none found before: not stored
+              [0, 4, 8, 9],  # row 0 found: stored
+              [10, 11, 12, 13],  # no row found, but one was before: stored
+              [0, 14, 15, 16],
+              [0, 17, 18, 19],  # 17 rows would overflow: emptied, and the whole chunk stored
+              [20, 21, 22, 23]]  # no row found since: not stored
+    memo, sizes = serialize._RowMemo(), []
+    for rows in chunks:
+        columns = {"point": np.arange(4.0)[:, None], "t": np.array([[r, -r] for r in rows], dtype=float)}
+        assert serialize._encode(columns, "jsonl", memo) == encoded_alone(columns, "jsonl")
+        assert len(memo) <= 16
+        sizes.append(len(memo))
+    assert sizes == [4, 4, 7, 11, 14, 4, 4]
+    assert memo == {np.array([r, -r], dtype=float).tobytes(): f', "t": [{r}.0, {-r}.0]' for r in chunks[-2]}
+    memo = serialize._RowMemo()
+    columns = {"point": np.zeros((4, 1)), "t": np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])}
+    assert serialize._encode(columns, "csv", memo) == "0.0,0.0,1.0\r\n0.0,-0.0,1.0\r\n" * 2
+    assert sorted(memo.values()) == [",-0.0,1.0", ",0.0,1.0"]
 
 
 def test_one_chunk_or_one_cpu_encodes_in_process(monkeypatch):
