@@ -3,14 +3,17 @@
 Each check returns a residual together with the tolerance it is held to, so
 reports stay machine readable.  Randomised checks draw from a fixed seed,
 through :func:`_samples` over the standard library's ``random.Random``, and
-are therefore reproducible run to run.
+are therefore reproducible run to run.  :class:`CheckResult` and
+:func:`conventions` live in :mod:`qpt.report`, which loads no embedding
+module, and are re-exported here.  The checks that read spectral tensors
+import :mod:`qpt.qgt` when they run, so the Weyl battery does not load it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,70 +39,10 @@ from .pullback import (
     multiplier_consistency,
     split,
 )
-from .qgt import (
-    HamiltonianFamily,
-    bloch_family,
-    finite_difference_qgt,
-    landau_zener_family,
-    orbit_consistency_check,
-    qgt_tensor,
-)
+from .report import CheckResult, conventions  # conventions: re-exported
 
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.residual <= self.tolerance)
-
-    def to_json(self, cap: float | None = None) -> dict:
-        """The report row, with the tolerance capped at ``cap`` if given."""
-        tolerance = self.tolerance if cap is None else min(self.tolerance, cap)
-        return {
-            "name": self.name,
-            "residual": float(self.residual),
-            "tolerance": float(tolerance),
-            "pass": bool(self.residual <= tolerance),
-        }
-
-
-def conventions() -> dict:
-    """Factor and ordering conventions recorded in every output header."""
-    return {
-        "wedge_product": "a ^ b = a(x)b - b(x)a (no 1/2)",
-        "symmetric_product": "a (.) b = a(x)b + b(x)a (no 1/2)",
-        "tensor_assembly": "T[j,k] theta_j (x) theta_k with no extra factor",
-        "commutator": "[R_j, R_k] = 1j c[j,k,r] R_r + 1j omega[j,k] I",
-        "generator_normalization": (
-            "builtin su2 uses R = 2J (spin 1/2 gives the Pauli matrices); "
-            "structure constants c = 2 eps are stored with the rep"
-        ),
-        "euler_product": "U(a,b,g) = exp(1j a R3/2) exp(1j b R2/2) exp(1j g R3/2)",
-        "coframes": (
-            "display coframe is right-invariant with dU U^-1 = 1j (R_j/2) theta_j; "
-            "'generator' normalization rescales by 1/2; the left-invariant frame "
-            "pairs constant fiducial coefficients with coordinate tensors"
-        ),
-        "su2_linear_metric_note": (
-            "the spin-1/2 north-pole linear metric is the full contraction: unit "
-            "coefficients on da^2, db^2 and dg^2 plus cos(b) on da(.)dg; shortened "
-            "displays that drop the dg^2 term are not reproduced"
-        ),
-        "su2_projective_metric_note": (
-            "the spin-1/2 projective metric is reported as db^2 + sin^2(b) dg^2 in "
-            "display normalization; generator normalization is 1/4 of it "
-            "(Fubini-Study scale)"
-        ),
-        "weyl_exchange": (
-            "W(v1) W(v2) = exp(-1j omega(v1,v2)) W(v2) W(v1), pinned by [Q,P] = 1j"
-        ),
-        "complex_serialization": "[re, im] pairs",
-        "float_format": "shortest round-trip decimal (<= 17 significant digits)",
-    }
+if TYPE_CHECKING:
+    from .qgt import HamiltonianFamily
 
 
 def _samples(seed: int, shape, low=None, high=None) -> np.ndarray:
@@ -236,6 +179,8 @@ def group_checks(
                 1e-6,
             )
         )
+        from .qgt import orbit_consistency_check
+
         try:
             results.append(
                 CheckResult("orbit-vs-spectral", orbit_consistency_check(rep, projective), 1e-8)
@@ -372,6 +317,8 @@ def qgt_checks(
     the tensor's size there, where that exceeds 1
     (:func:`_relative_deviation`).
     """
+    from .qgt import finite_difference_qgt, qgt_tensor
+
     spectral = qgt_tensor(family, points, a=level)
     herm_dev = float(hermiticity_defect(spectral.h).max())
     psd_dev = max(0.0, -float(np.linalg.eigvalsh(spectral.metric).min()))
@@ -385,6 +332,8 @@ def qgt_checks(
 
 def bloch_closed_form_checks(grid_shape: tuple[int, int] = (10, 10)) -> list[CheckResult]:
     """Ground-state tensor of the two-level sphere family versus closed form."""
+    from .qgt import bloch_family, finite_difference_qgt, qgt_tensor
+
     family = bloch_family()
     thetas = np.linspace(0.15, np.pi - 0.15, grid_shape[0])
     phis = np.linspace(0.0, 2 * np.pi - 0.1, grid_shape[1])
@@ -418,6 +367,8 @@ def _at_crossing(delta: float, check: str) -> complex:
     """``h`` of the ground level of ``landau_zener_family(delta)`` at x = 0.
     That point need not be on the command's grid, so a refusal names
     ``check`` and x = 0, not a grid index."""
+    from .qgt import landau_zener_family, qgt_tensor
+
     try:
         return complex(qgt_tensor(landau_zener_family(delta), [0.0], a=0).h[0, 0])
     except NumericalRefusal as exc:

@@ -17,7 +17,10 @@ failed run writes nothing and leaves an old file untouched.  It exits 4 if
 the report failed.  :func:`run`, behind the ``qpt`` script and ``python -m
 qpt.cli``, calls :func:`main`, flushes standard output and error and ends the
 process through ``os._exit``, skipping the interpreter's teardown; ``main``
-itself returns its code, for tests and in-process callers.
+itself returns its code, for tests and in-process callers.  Each handler
+imports the modules it uses when it runs, so a process loads only its own
+command's: ``compare`` no embedding module, ``group`` neither ``qgt`` nor
+``weyl`` nor the check battery, ``qgt`` no ``weyl``.
 
 Outputs are JSON lines (one header object, one record per grid point, and
 for checking modes a final report object) or, for ``group``, ``weyl`` and
@@ -40,22 +43,12 @@ import tempfile
 
 import numpy as np
 
-from . import checks, serialize
+from . import serialize
 from .errors import (
     NumericalRefusal, SpecError, require_array, require_bool, require_choice, require_integer,
     require_number, require_object, require_string,
 )
-from .liegroup import (
-    EULER_GENERATOR_SCALE,
-    LEFT_INVARIANT,
-    RIGHT_INVARIANT,
-    euler_coframes,
-    grid_points,
-    rep_from_spec,
-)
-from .pullback import covariance_matrix, evaluate_at
-from .qgt import ham_from_spec, qgt_tensor
-from .weyl import build_weyl, gaussian_covariance, lagrangian_restriction
+from .report import CheckResult, conventions
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -64,6 +57,9 @@ EXIT_REFUSAL = 3
 EXIT_CHECK = 4
 
 EULER_AXES = ("alpha", "beta", "gamma")
+# The names of liegroup.RIGHT_INVARIANT and LEFT_INVARIANT, default first: the
+# parser takes them before any embedding module is loaded.
+FRAMES = ("right", "left")
 
 # Largest grid, in points, that a run accepts: about ten times the largest
 # benchmark grid.  Records are evaluated and written a chunk at a time on
@@ -129,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_group = sub.add_parser("group", help="group-orbit pull-back over a chart grid")
     add_common(p_group)
     p_group.add_argument("--projective", action="store_true", default=None)
-    p_group.add_argument("--frame", choices=(RIGHT_INVARIANT, LEFT_INVARIANT), default=None)
+    p_group.add_argument("--frame", choices=FRAMES, default=None)
     p_group.add_argument("--normalization", choices=("display", "generator"), default=None)
     p_group.set_defaults(handler=cmd_group)
 
@@ -262,6 +258,8 @@ def _grid_axes(spec: dict, required_names=None) -> list[tuple[str, np.ndarray]]:
 def _rep_and_fiducial(spec: dict):
     """The representation at ``$.rep`` and a fiducial of its dimension at
     ``$.fiducial``, a list of ``[re, im]`` pairs."""
+    from .liegroup import rep_from_spec
+
     rep = rep_from_spec(spec.get("rep"))
     # Any finite fiducial: it is scaled before its norm is taken.
     fiducial = require_array(spec.get("fiducial"), "$.fiducial", 1, pairs=True, bound=sys.float_info.max)
@@ -274,10 +272,13 @@ def _weyl_system(spec: dict, args):
     """The Weyl system of ``$.modes`` and ``$.cutoff``.  Its own size and that
     of the cutoff-32 defect check are checked before any state is allocated,
     and a refusal names the spec path."""
+    from .checks import check_defect_budget
+    from .weyl import build_weyl
+
     modes = require_integer(_flag(spec, args, "modes", 1), "$.modes")
     cutoff = require_integer(_flag(spec, args, "cutoff", 16), "$.cutoff")
     system = build_weyl(modes, cutoff, ("$.modes", "$.cutoff"))
-    checks.check_defect_budget(modes, "$.modes")
+    check_defect_budget(modes, "$.modes")
     return system
 
 
@@ -290,6 +291,9 @@ def _flag(spec, args, name, default):
 def _family_on_grid(spec, args):
     """The family at ``$.hamiltonian``, its grid axes and ``(P, m)`` points,
     and the eigenlevel to follow: an integer below the family's dimension."""
+    from .liegroup import grid_points
+    from .qgt import ham_from_spec
+
     family = ham_from_spec(spec.get("hamiltonian"))
     axes = _grid_axes(spec)
     if len(axes) != family.param_dim:
@@ -380,7 +384,7 @@ def _csv_head(m: int, spectral: bool) -> list[str]:
     return head + [f"g{ij}" for ij in pairs] + [f"w{ij}" for ij in pairs]
 
 
-def _report(results: list[checks.CheckResult], cap: float | None = None, **extra) -> dict:
+def _report(results: list[CheckResult], cap: float | None = None, **extra) -> dict:
     """The checks, each tolerance capped at ``cap`` if given, then ``extra``
     fields and the overall verdict."""
     rows = [r.to_json(cap) for r in results]
@@ -394,11 +398,12 @@ def _report(results: list[checks.CheckResult], cap: float | None = None, **extra
 
 
 def cmd_group(args, spec: dict):
+    from .liegroup import EULER_GENERATOR_SCALE, euler_coframes, grid_points
+    from .pullback import covariance_matrix, evaluate_at
+
     rep, fiducial = _rep_and_fiducial(spec)
     projective = require_bool(_flag(spec, args, "projective", False), "$.projective")
-    frame = require_choice(
-        _flag(spec, args, "frame", RIGHT_INVARIANT), (RIGHT_INVARIANT, LEFT_INVARIANT), "$.frame"
-    )
+    frame = require_choice(_flag(spec, args, "frame", FRAMES[0]), FRAMES, "$.frame")
     normalization = require_choice(
         _flag(spec, args, "normalization", "display"), ("display", "generator"), "$.normalization"
     )
@@ -427,7 +432,7 @@ def cmd_group(args, spec: dict):
         "normalization": normalization,
         "chart": chart,
         "grid": {name: values.tolist() for name, values in axes},
-        "conventions": checks.conventions(),
+        "conventions": conventions(),
     }
     return header, (points, columns), None
 
@@ -450,17 +455,20 @@ def _parse_directions(raw, n2: int):
 
 
 def cmd_weyl(args, spec: dict):
+    from .checks import weyl_checks
+    from .weyl import gaussian_covariance, lagrangian_restriction
+
     system = _weyl_system(spec, args)
     projective = require_bool(_flag(spec, args, "projective", False), "$.projective")
     tensor = gaussian_covariance(system, projective=projective)
     directions = _parse_directions(_flag(spec, args, "lagrangian", None), 2 * system.modes)
 
-    results = checks.weyl_checks(system)
+    results = weyl_checks(system)
     emitted = tensor
     if directions is not None:
         emitted = lagrangian_restriction(tensor, directions)
         results.append(
-            checks.CheckResult(
+            CheckResult(
                 "requested-lagrangian-im",
                 float(np.abs(emitted.coefficients.imag).max()),
                 1e-14,
@@ -477,12 +485,14 @@ def cmd_weyl(args, spec: dict):
         "fiducial": "vacuum",
         "projective": projective,
         "lagrangian": None if directions is None else directions.tolist(),
-        "conventions": checks.conventions(),
+        "conventions": conventions(),
     }
     return header, (record["point"], lambda point, start: record), _report(results)
 
 
 def cmd_qgt(args, spec: dict):
+    from .qgt import qgt_tensor
+
     family, axes, points, level = _family_on_grid(spec, args)
     degeneracy_tol = _tolerance(spec, args, "degeneracy_tol", None)
 
@@ -499,12 +509,14 @@ def cmd_qgt(args, spec: dict):
         "hamiltonian": spec["hamiltonian"],
         "level": level,
         "grid": {name: values.tolist() for name, values in axes},
-        "conventions": checks.conventions(),
+        "conventions": conventions(),
     }
     return header, (points, columns), None
 
 
 def cmd_verify(args, spec: dict):
+    from . import checks
+
     target = require_choice(spec.get("target"), ("group", "weyl", "qgt"), "$.target")
     fd_step = _tolerance(spec, args, "fd_step", 1e-5)
     cap = _tolerance(spec, args, "tol", None)
@@ -529,7 +541,7 @@ def cmd_verify(args, spec: dict):
             delta = require_number(spec["hamiltonian"].get("delta", 1.0), "$.hamiltonian.delta")
             results += checks.landau_zener_checks(delta)
         header = {"target": target, "hamiltonian": spec["hamiltonian"]}
-    header["conventions"] = checks.conventions()
+    header["conventions"] = conventions()
     return header, None, _report(results, cap)
 
 
@@ -587,7 +599,7 @@ def cmd_compare(args, spec: dict):
     diff = tensors_a - tensors_b
     per_record = np.maximum(np.abs(diff.real), np.abs(diff.imag)).max(axis=(1, 2))
     report = _report(
-        [checks.CheckResult("max-deviation", per_record.max(), tol)],
+        [CheckResult("max-deviation", per_record.max(), tol)],
         per_record_max=per_record.tolist(),
         worst_record=int(per_record.argmax()),
     )

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qpt import checks, liegroup, pullback
+from qpt import checks, liegroup, pullback, qgt
 from qpt.checks import equivariance_residual, group_checks, projective_scale_residual, qgt_checks
 from qpt.liegroup import grid_points, su2_spin_rep
 from qpt.qgt import QGTResult, bloch_family, finite_difference_qgt, landau_zener_family
@@ -92,8 +92,8 @@ def test_landau_zener_value_is_relative(monkeypatch, delta):
     # The value check holds at any delta, and sees a relative error of 1e-8
     # even where the value is 2.5e-201.
     assert all(r.passed for r in checks.landau_zener_checks(delta))
-    spectral = checks.qgt_tensor
-    monkeypatch.setattr(checks, "qgt_tensor", lambda *args, **kwargs: SimpleNamespace(
+    spectral = qgt.qgt_tensor
+    monkeypatch.setattr(qgt, "qgt_tensor", lambda *args, **kwargs: SimpleNamespace(
         h=spectral(*args, **kwargs).h * (1 + 1e-8)))
     value, scaling = checks.landau_zener_checks(delta)
     assert not value.passed and scaling.passed
@@ -102,13 +102,13 @@ def test_landau_zener_value_is_relative(monkeypatch, delta):
 def _off_by(monkeypatch, relative=0.0, absolute=0.0):
     """Make the spectral tensor the checks see wrong by ``relative`` and
     then by ``absolute`` in every entry."""
-    spectral = checks.qgt_tensor
+    spectral = qgt.qgt_tensor
 
     def wrong(*args, **kwargs):
         right = spectral(*args, **kwargs)
         return QGTResult(right.point, right.h * (1 + relative) + absolute, right.gap)
 
-    monkeypatch.setattr(checks, "qgt_tensor", wrong)
+    monkeypatch.setattr(qgt, "qgt_tensor", wrong)
 
 
 def _fd_check(results):

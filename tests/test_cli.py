@@ -108,6 +108,27 @@ def test_group_records_round_trip_exactly(tmp_path, frame, normalization):
         assert rec["two_form"] == [float(x) for x in expected.two_form.reshape(-1)]
 
 
+@pytest.mark.parametrize("projective", [False, True], ids=["linear", "projective"])
+@pytest.mark.parametrize("frame", ["right", "left"])
+def test_generator_records_are_display_records_over_four(tmp_path, frame, projective):
+    # Generator normalisation halves each coframe, and halving is exact, so
+    # every entry of a generator-normalised record is the display entry / 4,
+    # bit for bit, even for a generic complex fiducial.
+    grid = {"alpha": [0.2, 5.9, 3], "beta": [0.3, 2.8, 4], "gamma": [0.1, 6.0, 5]}
+    fiducial = [[0.3, -0.7], [1.1, 0.4], [-0.2, 0.9], [0.6, 0.05]]
+    stacks = {}
+    for normalization in ("display", "generator"):
+        spec = {**group_spec(projective, frame, normalization, grid), "rep": {"builtin": "su2", "spin": 1.5},
+                "fiducial": fiducial}
+        out = tmp_path / f"{normalization}.jsonl"
+        assert main(["group", "--spec", write_spec(tmp_path, "g.json", spec), "--out", str(out)]) == 0
+        records = records_of(str(out))
+        assert len(records) == 60
+        stacks[normalization] = np.array([[rec["metric"], rec["two_form"]] for rec in records])
+    assert np.abs(stacks["display"]).max() > 0.1
+    assert np.array_equal(stacks["generator"], stacks["display"] / 4)
+
+
 def test_group_runs_deterministic(tmp_path):
     spec = write_spec(tmp_path, "g.json", group_spec())
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -190,6 +211,56 @@ def test_runtime_commands_do_not_need_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=qpt_env(), capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def loaded_by(script: str) -> set[str]:
+    """The ``qpt`` submodules, and numpy if so, that ``script`` leaves loaded
+    in a fresh interpreter that writes no bytecode, as the benchmark's."""
+    report = "\nimport sys\nprint(*[m for m in sys.modules if m.startswith('qpt.') or m == 'numpy'])\n"
+    done = subprocess.run([sys.executable, "-c", script + report], env={**qpt_env(), "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return {name.removeprefix("qpt.") for name in done.stdout.split()}
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    # ``import qpt`` compiles nothing more, and each command only the
+    # modules it uses: a source file loaded is a source file compiled.
+    assert loaded_by("import qpt") == set()
+    g_spec = write_spec(tmp_path, "g.json", group_spec())
+    q_spec = write_spec(tmp_path, "q.json", {
+        "mode": "qgt", "hamiltonian": {"builtin": "bloch"}, "grid": {"theta": [0.3, 2.8, 3], "phi": 0.5},
+    })
+    out = tmp_path / "out"
+
+    def command(*argv):
+        return loaded_by(f"import qpt.cli\nassert qpt.cli.main({list(argv)!r}) == 0")
+
+    group = command("group", "--spec", g_spec, "--out", f"{out}.g")
+    assert {"liegroup", "pullback", "serialize"} <= group
+    assert not group & {"qgt", "weyl", "checks"}
+    compare = command("compare", f"{out}.g", f"{out}.g", "--out", f"{out}.c")
+    assert not compare & {"liegroup", "pullback", "qgt", "weyl", "fock", "hilbert", "checks"}
+    qgt = command("qgt", "--spec", q_spec, "--out", f"{out}.q")
+    assert "qgt" in qgt and not qgt & {"weyl", "checks"}
+    weyl = command("weyl", "--modes", "1", "--cutoff", "8", "--out", f"{out}.w")
+    assert {"weyl", "checks"} <= weyl and "qgt" not in weyl
+    # A submodule is an attribute of the package, loaded on first use.
+    liegroup = loaded_by("import qpt\nassert qpt.liegroup.su2_spin_rep(0.5).dim == 2")
+    assert "liegroup" in liegroup and not liegroup & {"pullback", "qgt", "weyl", "checks"}
+
+
+def test_public_names_resolve_from_the_package():
+    namespace = {}
+    exec("from qpt import *", namespace)
+    assert set(qpt.__all__) <= set(namespace) and set(qpt.__all__) <= set(dir(qpt))
+    assert all(getattr(qpt, name) is namespace[name] for name in qpt.__all__)
+    assert qpt.CheckResult is qpt.checks.CheckResult and qpt.conventions is qpt.checks.conventions
+    assert isinstance(qpt.__version__, str)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(qpt, "no_such_name")
+    # The parser's frame names are the coframes' own.
+    assert cli.FRAMES == (qpt.liegroup.RIGHT_INVARIANT, qpt.liegroup.LEFT_INVARIANT)
 
 
 def test_compare_grid_mismatch(tmp_path):
@@ -1147,7 +1218,7 @@ def test_failure_before_ready_falls_back_to_one_process(tmp_path, capfd, two_wor
     pid = os.getpid()
     out = tmp_path / "g.jsonl"
     if side == "parent":  # this process fails on its first chunk: that raises at once
-        monkeypatch.setattr(cli, "evaluate_at", _fail_once())
+        monkeypatch.setattr(qpt.pullback, "evaluate_at", _fail_once())
         with pytest.raises(ValueError, match="first evaluation fails"):
             main(["group", "--spec", spec, "--out", str(out)])
         assert_no_child_left(pid)
@@ -1157,7 +1228,7 @@ def test_failure_before_ready_falls_back_to_one_process(tmp_path, capfd, two_wor
         return
     # The worker fails on its first chunk, silently; this process evaluates
     # its own half and then the worker's.
-    monkeypatch.setattr(cli, "evaluate_at", lambda *args: (
+    monkeypatch.setattr(qpt.pullback, "evaluate_at", lambda *args: (
         evaluate_at(*args) if os.getpid() == pid else os._exit(7)
     ))
     assert main(["group", "--spec", spec, "--out", str(out)]) == 0
