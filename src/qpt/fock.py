@@ -4,11 +4,13 @@ Single-mode matrices act on the number basis ``|0>, ..., |cutoff-1>``.
 Multi-mode states are flat vectors in Kronecker order, mode 0 most
 significant, so a state over ``modes`` modes reads as a ``(cutoff,) * modes``
 tensor.  The Weyl path (:mod:`qpt.weyl`) applies single-mode matrices to
-such states one axis at a time and never forms a multi-mode operator;
-:func:`position_momentum` builds the dense multi-mode operators
-``I (x) op (x) I``, in mode order, for :func:`qpt.liegroup.heisenberg_rep`
-and the dense oracles of the tests.  Position and momentum are normalised so that ``<0|Q^2|0> = 1/2``
-and ``[Q, P] = 1j`` on every matrix element except the truncation corner.
+such states one axis at a time and never forms a multi-mode operator.
+:func:`ladder_entries` lists the nonzero entries of the multi-mode operators
+``I (x) op (x) I``, in mode order: :func:`qpt.liegroup.heisenberg_rep`
+scatters and validates its stack from them, and :func:`position_momentum`
+scatters them into the dense oracles of the tests.  Position and momentum
+are normalised so that ``<0|Q^2|0> = 1/2`` and ``[Q, P] = 1j`` on every
+matrix element except the truncation corner.
 """
 
 from __future__ import annotations
@@ -52,10 +54,12 @@ def annihilation(cutoff: int) -> np.ndarray:
     return a
 
 
-def position_momentum(modes: int, cutoff: int) -> np.ndarray:
-    """Stack ``(Q^1..Q^n, P^1..P^n)`` of dense operators on the full space,
-    the single-mode ``Q``, ``P`` scattered onto the diagonal blocks of the
-    other modes (the Kronecker products, without forming them).
+def ladder_entries(modes: int, cutoff: int) -> tuple[np.ndarray, ...]:
+    """Nonzero entries ``(which, rows, cols, values)`` of the stack
+    ``(Q^1..Q^n, P^1..P^n)`` on the full space, row-major within each
+    generator: the nonzeros of the single-mode ``Q``, ``P`` on every diagonal
+    block of the other modes (``I (x) op (x) I``), each value read from that
+    single-mode matrix, so its bits are the ones a dense scatter writes.
 
     Refuses a space of more than :data:`MAX_DENSE_STATES` states before any
     allocation.
@@ -64,13 +68,33 @@ def position_momentum(modes: int, cutoff: int) -> np.ndarray:
     a = annihilation(cutoff)
     q1 = (a + a.conj().T) / np.sqrt(2.0)
     p1 = 1j * (a.conj().T - a) / np.sqrt(2.0)
+    parts = []
+    for op in (q1, p1):
+        levels = np.nonzero(op)  # row-major
+        for m in range(modes):
+            lo, hi = cutoff**m, cutoff ** (modes - 1 - m)
+            # The state (before, level, after) has index (before * cutoff + level) * hi + after.
+            block = np.arange(lo)[:, None, None] * (cutoff * hi) + np.arange(hi)
+            rows, cols = ((block + level[:, None] * hi).reshape(-1) for level in levels)
+            # Sorting by row alone keeps each row's columns in the order of op's.
+            order = np.argsort(rows, kind="stable")
+            values = np.broadcast_to(op[levels][:, None], (lo, levels[0].size, hi)).reshape(-1)
+            parts.append((rows[order], cols[order], values[order]))
+    which = np.repeat(np.arange(2 * modes), [part[0].size for part in parts])
+    return (which, *(np.concatenate(x) for x in zip(*parts)))
+
+
+def position_momentum(modes: int, cutoff: int) -> np.ndarray:
+    """Stack ``(Q^1..Q^n, P^1..P^n)`` of dense operators on the full space,
+    the Kronecker products scattered from :func:`ladder_entries` without
+    forming them.
+
+    Refuses a space of more than :data:`MAX_DENSE_STATES` states before any
+    allocation.
+    """
+    which, rows, cols, values = ladder_entries(modes, cutoff)
     ops = np.zeros((2 * modes, cutoff**modes, cutoff**modes), dtype=complex)
-    for m in range(modes):
-        lo, hi = cutoff**m, cutoff ** (modes - 1 - m)
-        before, after = np.arange(lo)[:, None], np.arange(hi)
-        for op, out in ((q1, ops[m]), (p1, ops[modes + m])):
-            # I_lo (x) op (x) I_hi: op on every diagonal block of the other modes.
-            out.reshape(lo, cutoff, hi, lo, cutoff, hi)[before, :, after, before, :, after] = op
+    ops[which, rows, cols] = values
     return ops
 
 

@@ -60,7 +60,10 @@ class LieAlgebraRep:
         Allow deliberately inconsistent data (negative controls) through;
         ``closure`` keeps the masked closure residual either way.
 
-    Construction reads the generators' nonzeros once.  ``hermiticity`` is
+    Construction reads the generators' nonzeros once, and checks their
+    finiteness on those values (NaN and +-inf are nonzero).  The builtin
+    :func:`heisenberg_rep` hands its nonzeros over instead, and the stack is
+    scattered from them, so no pass reads its zeros.  ``hermiticity`` is
     the largest ``|a_ij - conj(a_ji)|`` over them, equal to
     :func:`qpt.hilbert.hermiticity_defect`.  ``closure`` forms every
     commutator from the nonzeros when each pair ``(j, k)`` needs at most
@@ -82,12 +85,36 @@ class LieAlgebraRep:
         gens = np.asarray(self.generators, dtype=complex)
         if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
             raise ValueError("generators must be a stack of square matrices")
-        if not np.all(np.isfinite(gens)):
+        which, rows, cols = np.nonzero(gens)  # row-major within each generator
+        self._validate(gens, which, rows, cols, gens[which, rows, cols])
+
+    @classmethod
+    def _from_entries(cls, shape, entries, structure_constants, multiplier_form=None,
+                      closure_mask=None) -> "LieAlgebraRep":
+        """The rep whose ``(n, d, d)`` generator stack is zero but at
+        ``entries``, nonzero ``(which, rows, cols, values)`` row-major within
+        each generator: the stack is scattered from them and validated on
+        them, so no pass reads its zeros."""
+        which, rows, cols, vals = entries
+        gens = np.zeros(shape, dtype=complex)
+        gens[which, rows, cols] = vals
+        gens.setflags(write=False)  # owned and read-only: kept without a copy
+        rep = cls.__new__(cls)
+        for name, value in (("generators", gens), ("structure_constants", structure_constants),
+                            ("multiplier_form", multiplier_form), ("closure_mask", closure_mask),
+                            ("validate_closure", True)):
+            object.__setattr__(rep, name, value)
+        rep._validate(gens, which, rows, cols, vals)
+        return rep
+
+    def _validate(self, gens, which, rows, cols, vals):
+        """Check and freeze the fields and set ``hermiticity`` and ``closure``
+        from the complex stack ``gens`` and its nonzeros ``vals`` at
+        ``(which, rows, cols)``, row-major within each generator."""
+        if not np.isfinite(vals).all():  # NaN and +-inf are nonzero
             raise ValueError("generators have non-finite entries")
         n, d = gens.shape[0], gens.shape[1]
         tol = PROPERTY_ATOL * d
-        which, rows, cols = np.nonzero(gens)  # row-major within each generator
-        vals = gens[which, rows, cols]
         # Every nonzero position, or its mirror, is visited, so this is the
         # dense defect |a - a^dag| exactly.
         defect = np.abs(vals - gens[which, cols, rows].conj())
@@ -161,7 +188,7 @@ def _frozen(value: np.ndarray, given) -> np.ndarray:
     """``value``, the array made of the argument ``given``, made read-only.
     It is copied unless no caller can write to its memory: a fresh
     conversion, or ``given`` itself when that is a read-only array owning
-    its data, such as the stack :func:`heisenberg_rep` builds and hands over."""
+    its data, such as the stack :meth:`LieAlgebraRep._from_entries` scatters."""
     private = value.base is None and (value is not given or not value.flags.writeable)
     value = value if private else value.copy()
     value.setflags(write=False)
@@ -185,7 +212,7 @@ def _closure_from_nonzeros(entries, row_nnz, c, omega, mask) -> float:
     row-major ``(rows, cols, values)`` nonzeros and their counts per row:
     each defect ``R_j R_k - R_k R_j - 1j c_jk^r R_r - 1j omega_jk I`` is a
     list of terms, and ``np.bincount`` sums those that share a position on
-    the mask block."""
+    the mask block, in the order of the list."""
     d = row_nnz.shape[1]
     inside = np.ones(d, dtype=bool) if mask is None else np.asarray(mask)
     diagonal = np.arange(d)
@@ -202,8 +229,9 @@ def _closure_from_nonzeros(entries, row_nnz, c, omega, mask) -> float:
                 terms.append((diagonal, diagonal, np.full(d, -1j * omega[j, k])))
             rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
             keep = inside[rows] & inside[cols]
-            key = rows[keep] * d + cols[keep]
-            re, im = (np.bincount(key, part[keep])[key] for part in (vals.real, vals.imag))
+            # One slot per distinct position, not one bin per matrix entry.
+            _, slot = np.unique(rows[keep] * d + cols[keep], return_inverse=True)
+            re, im = (np.bincount(slot, part[keep])[slot] for part in (vals.real, vals.imag))
             total = np.hypot(re, im)
             worst = max(worst, float(total.max(initial=0.0)))
     return worst
@@ -246,10 +274,13 @@ def su2_spin_rep(s: float) -> LieAlgebraRep:
 def heisenberg_rep(n_modes: int, cutoff: int) -> LieAlgebraRep:
     """Position/momentum generators ``(Q^1..Q^n, P^1..P^n)`` on truncated
     Fock space, with zero structure constants and the standard symplectic
-    multiplier form.  Closure is verified away from the truncation boundary,
-    from the generators' nonzeros: the ladders are banded, so each
-    commutator needs far fewer than ``d**2`` scalar products and no dense
-    ``d**3`` product is formed (the rule of :class:`LieAlgebraRep`).
+    multiplier form.  The stack is scattered from the ladders' nonzero
+    entries (:func:`qpt.fock.ladder_entries`), and Hermiticity, finiteness
+    and closure are checked on those entries alone, with no scan of the
+    zeros.  Closure is verified away from the truncation boundary: the
+    ladders are banded, so each commutator needs far fewer than ``d**2``
+    scalar products and no dense ``d**3`` product is formed (the rule of
+    :class:`LieAlgebraRep`).
 
     The generators are dense ``cutoff**n_modes``-sized matrices, so a space
     of more than :data:`qpt.fock.MAX_DENSE_STATES` states (1024) is refused
@@ -257,11 +288,11 @@ def heisenberg_rep(n_modes: int, cutoff: int) -> LieAlgebraRep:
     (:mod:`qpt.weyl`) use this only at one mode; the dense multi-mode rep
     serves the ``heisenberg`` builtin of :func:`rep_from_spec` and the tests.
     """
-    gens = fock.position_momentum(n_modes, cutoff)  # checks the size first
-    gens.setflags(write=False)  # handed over: the rep keeps it without a copy
-    n = 2 * n_modes
-    return LieAlgebraRep(
-        gens,
+    entries = fock.ladder_entries(n_modes, cutoff)  # checks the size first
+    n, d = 2 * n_modes, cutoff**n_modes
+    return LieAlgebraRep._from_entries(
+        (n, d, d),
+        entries,
         np.zeros((n, n, n)),
         multiplier_form=fock.symplectic_form(n_modes),
         closure_mask=fock.low_fock_mask(n_modes, cutoff),

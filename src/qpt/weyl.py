@@ -35,11 +35,12 @@ axes.  No Weyl computation forms a multi-mode operator as a dense matrix:
   ``O(modes * cutoff**(modes + 1))`` instead of a dense exponential of a
   ``cutoff**modes``-sized matrix.
 
-Dense multi-mode operators remain only in :func:`qpt.fock.position_momentum`,
-under its own size budget: through :func:`qpt.liegroup.heisenberg_rep` for
-the ``heisenberg`` builtin of ``rep_from_spec`` (``verify`` on a group
-target), and as oracles for the tests (``heisenberg_rep`` and
-:attr:`WeylSystem.position_ops`).
+Dense multi-mode operators remain only where they are scattered from
+:func:`qpt.fock.ladder_entries`, under its own size budget: in
+:func:`qpt.liegroup.heisenberg_rep` for the ``heisenberg`` builtin of
+``rep_from_spec`` (``verify`` on a group target), and in
+:func:`qpt.fock.position_momentum`, the oracle of the tests and of
+:attr:`WeylSystem.position_ops`.
 """
 
 from __future__ import annotations

@@ -1599,7 +1599,7 @@ def test_weyl_run_builds_no_dense_multimode_operator(tmp_path, monkeypatch, mode
 
     reps, dense = [], []
     original_rep = qpt.liegroup.heisenberg_rep
-    original_dense = qpt.fock.position_momentum
+    original_dense = qpt.fock.ladder_entries  # what every rep or dense operator build calls
 
     def counting_rep(n_modes, n_cutoff):
         reps.append(n_modes)
@@ -1611,7 +1611,7 @@ def test_weyl_run_builds_no_dense_multimode_operator(tmp_path, monkeypatch, mode
 
     monkeypatch.setattr(qpt.liegroup, "heisenberg_rep", counting_rep)
     monkeypatch.setattr(qpt.weyl, "heisenberg_rep", counting_rep)
-    monkeypatch.setattr(qpt.fock, "position_momentum", counting_dense)
+    monkeypatch.setattr(qpt.fock, "ladder_entries", counting_dense)
     out = tmp_path / "w.jsonl"
     argv = ["weyl", "--modes", str(modes), "--cutoff", str(cutoff), "--out", str(out)]
     assert main(argv) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qpt import fock
+from qpt import fock, liegroup
 from qpt.errors import SpecError
 from qpt.hilbert import hermiticity_defect
 from qpt.liegroup import (
@@ -347,17 +347,27 @@ def test_rep_copies_an_array_its_caller_can_write():
 
 
 def test_rep_keeps_a_handed_over_stack_without_a_copy(monkeypatch):
-    built = []
-    position_momentum = fock.position_momentum
+    # heisenberg_rep scatters its stack from the ladder entries and keeps
+    # that stack, read-only, as the array it was frozen from.
+    built, frozen = [], []
+    ladder_entries, _frozen = fock.ladder_entries, liegroup._frozen
 
     def recorded(modes, cutoff):
-        built.append(position_momentum(modes, cutoff))
+        built.append(ladder_entries(modes, cutoff))
         return built[-1]
 
-    monkeypatch.setattr(fock, "position_momentum", recorded)
+    def recorded_frozen(value, given):
+        frozen.append((value, _frozen(value, given)))
+        return frozen[-1][1]
+
+    monkeypatch.setattr(fock, "ladder_entries", recorded)
+    monkeypatch.setattr(liegroup, "_frozen", recorded_frozen)
     rep = heisenberg_rep(2, 8)
-    assert rep.generators is built[0]
+    (which, rows, cols, values), = built
+    assert [kept is value for value, kept in frozen if kept is rep.generators] == [True]
     assert not rep.generators.flags.writeable
+    assert np.count_nonzero(rep.generators) == values.size
+    assert np.array_equal(rep.generators[which, rows, cols], values)
 
 
 def test_rep_validation_rejects_bad_closure():
@@ -372,9 +382,27 @@ def test_rep_validation_rejects_non_hermitian():
 
 
 def test_rep_validation_rejects_non_finite():
-    gens = np.array([SZ, [[np.nan, 0], [0, 0]]], dtype=complex)
-    with pytest.raises(ValueError, match="non-finite"):
-        LieAlgebraRep(gens, np.zeros((2, 2, 2)))
+    # Finiteness is checked on the nonzeros: a non-finite value is one.
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        gens = np.array([SZ, np.zeros((2, 2))], dtype=complex)
+        gens[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            LieAlgebraRep(gens, np.zeros((2, 2, 2)))
+
+
+def test_negative_zeros_are_not_nonzeros(monkeypatch):
+    # Counted as nonzeros, the -0.0 entries would push every pair of spin 20
+    # past d**2 products and onto the dense closure.
+    spin = su2_spin_rep(20)
+    plus = np.array(spin.generators)
+    minus = plus.copy()
+    minus[plus == 0] = complex(-0.0, -0.0)
+    assert np.signbit(minus.real).any() and np.signbit(minus.imag).any()
+    reps = [_built_counting_dense(monkeypatch, lambda g=g: LieAlgebraRep(g, spin.structure_constants))
+            for g in (plus, minus)]
+    assert [calls for _, calls in reps] == [0, 0]
+    assert reps[0][0].closure == reps[1][0].closure
+    assert reps[0][0].hermiticity == reps[1][0].hermiticity
 
 
 def test_rep_from_spec_builtins():
@@ -510,6 +538,54 @@ def test_heisenberg_rep_forms_no_dense_commutator(monkeypatch):
 
     monkeypatch.setattr(LieAlgebraRep, "closure_residual", refuse)
     assert heisenberg_rep(2, 16).closure <= 1e-10 * 256
+
+
+def test_heisenberg_rep_scans_no_dense_stack(monkeypatch):
+    # Built from its ladder entries: no pass of nonzero or isfinite reads
+    # the n * d**2 entries of the stack.
+    n, d = 4, 256
+    big = []
+    for name in ("nonzero", "isfinite"):
+        def recorded(a, *args, _name=name, _original=getattr(np, name), **kwargs):
+            if np.size(a) >= n * d * d:
+                big.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, recorded)
+    rep = heisenberg_rep(2, 16)
+    monkeypatch.undo()
+    assert rep.generators.shape == (n, d, d)
+    assert big == []
+
+
+def _block_assigned(modes, cutoff):
+    """``(Q^1..Q^n, P^1..P^n)`` by a 6-D block assignment of the single-mode
+    ``Q``, ``P`` onto every diagonal block of the other modes."""
+    a = fock.annihilation(cutoff)
+    q1 = (a + a.conj().T) / np.sqrt(2.0)
+    p1 = 1j * (a.conj().T - a) / np.sqrt(2.0)
+    ops = np.zeros((2 * modes, cutoff**modes, cutoff**modes), dtype=complex)
+    for m in range(modes):
+        lo, hi = cutoff**m, cutoff ** (modes - 1 - m)
+        before, after = np.arange(lo)[:, None], np.arange(hi)
+        for op, out in ((q1, ops[m]), (p1, ops[modes + m])):
+            out.reshape(lo, cutoff, hi, lo, cutoff, hi)[before, :, after, before, :, after] = op
+    return ops
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 3), (1, 8), (2, 4), (2, 8), (3, 4), (2, 32)])
+def test_entries_rep_has_the_bits_and_checks_of_the_scan(modes, cutoff):
+    # Two stacks at a time: 128 MiB at (2, 32).
+    expected = _block_assigned(modes, cutoff).view(np.uint64)
+    assert np.array_equal(fock.position_momentum(modes, cutoff).view(np.uint64), expected)
+    rep = heisenberg_rep(modes, cutoff)
+    assert np.array_equal(rep.generators.view(np.uint64), expected)
+    del expected
+    # The same stack through the constructor, which scans it for its nonzeros.
+    scanned = LieAlgebraRep(rep.generators, rep.structure_constants,
+                            multiplier_form=rep.multiplier_form, closure_mask=rep.closure_mask)
+    assert rep.closure == scanned.closure
+    assert rep.hermiticity == scanned.hermiticity
 
 
 def test_dense_rep_takes_the_dense_closure_once(monkeypatch):
