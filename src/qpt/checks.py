@@ -90,7 +90,7 @@ def projective_scale_residual(
     t = _as_tensor(rep, fiducial, projective=projective)
     psi = t.fiducial
     c = _samples(seed, (rep.n_generators, 2)) @ [1.0, 1j]
-    shifted = hermitian_tensor(psi, rep.generators @ psi + c[:, None] * psi, projective)
+    shifted = hermitian_tensor(psi, rep.apply(psi) + c[:, None] * psi, projective)
     return float(np.abs(shifted - t.coefficients).max())
 
 
@@ -151,8 +151,7 @@ def group_checks(
     first = first_moments(rep, psi)
     worst_dir = 0.0
     for u in degeneracy_directions(rep, projective):
-        op = np.tensordot(u, rep.generators, axes=1)
-        worst_dir = max(worst_dir, float(np.linalg.norm(op @ psi - (u @ first) * psi)))
+        worst_dir = max(worst_dir, float(np.linalg.norm(rep.apply(psi, u) - (u @ first) * psi)))
     results.append(CheckResult("degeneracy-direction-residual", worst_dir, 1e-6))
 
     results.append(

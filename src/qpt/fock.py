@@ -7,10 +7,11 @@ tensor.  The Weyl path (:mod:`qpt.weyl`) applies single-mode matrices to
 such states one axis at a time and never forms a multi-mode operator.
 :func:`ladder_entries` lists the nonzero entries of the multi-mode operators
 ``I (x) op (x) I``, in mode order: :func:`qpt.liegroup.heisenberg_rep`
-scatters and validates its stack from them, and :func:`position_momentum`
-scatters them into the dense oracles of the tests.  Position and momentum
-are normalised so that ``<0|Q^2|0> = 1/2`` and ``[Q, P] = 1j`` on every
-matrix element except the truncation corner.
+validates and applies its rep from them and scatters its dense stack only
+when that is read, and :func:`position_momentum` scatters them into the
+dense oracles of the tests.  Position and momentum are normalised so that
+``<0|Q^2|0> = 1/2`` and ``[Q, P] = 1j`` on every matrix element except the
+truncation corner.
 """
 
 from __future__ import annotations

@@ -62,9 +62,12 @@ class LieAlgebraRep:
 
     Construction reads the generators' nonzeros once, and checks their
     finiteness on those values (NaN and +-inf are nonzero).  The builtin
-    :func:`heisenberg_rep` hands its nonzeros over instead, and the stack is
-    scattered from them, so no pass reads its zeros.  ``hermiticity`` is
-    the largest ``|a_ij - conj(a_ji)|`` over them, equal to
+    :func:`heisenberg_rep` hands its nonzeros over instead and keeps them:
+    its stack is scattered from them only when ``generators`` is first read,
+    then kept read-only, and :meth:`apply` works from the nonzeros, so no
+    pass reads the zeros.  ``hermiticity`` is the largest
+    ``|a_ij - conj(a_ji)|`` over the nonzeros, each mirror looked up among
+    them (zero where absent), equal to
     :func:`qpt.hilbert.hermiticity_defect`.  ``closure`` forms every
     commutator from the nonzeros when each pair ``(j, k)`` needs at most
     ``d**2`` scalar products, counted as ``sum_m colnnz(R_j)[m] rownnz(R_k)[m]``
@@ -85,39 +88,55 @@ class LieAlgebraRep:
         gens = np.asarray(self.generators, dtype=complex)
         if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
             raise ValueError("generators must be a stack of square matrices")
+        object.__setattr__(self, "generators", _frozen(gens, self.generators))
+        object.__setattr__(self, "_entries", None)
         which, rows, cols = np.nonzero(gens)  # row-major within each generator
-        self._validate(gens, which, rows, cols, gens[which, rows, cols])
+        self._validate(gens.shape, which, rows, cols, gens[which, rows, cols])
 
     @classmethod
     def _from_entries(cls, shape, entries, structure_constants, multiplier_form=None,
                       closure_mask=None) -> "LieAlgebraRep":
         """The rep whose ``(n, d, d)`` generator stack is zero but at
         ``entries``, nonzero ``(which, rows, cols, values)`` row-major within
-        each generator: the stack is scattered from them and validated on
-        them, so no pass reads its zeros."""
-        which, rows, cols, vals = entries
-        gens = np.zeros(shape, dtype=complex)
-        gens[which, rows, cols] = vals
-        gens.setflags(write=False)  # owned and read-only: kept without a copy
+        each generator: validated on them and kept as them, with no stack."""
+        for part in entries:
+            part.setflags(write=False)
         rep = cls.__new__(cls)
-        for name, value in (("generators", gens), ("structure_constants", structure_constants),
+        for name, value in (("structure_constants", structure_constants),
                             ("multiplier_form", multiplier_form), ("closure_mask", closure_mask),
-                            ("validate_closure", True)):
+                            ("validate_closure", True), ("_entries", entries)):
             object.__setattr__(rep, name, value)
-        rep._validate(gens, which, rows, cols, vals)
+        rep._validate(shape, *entries)
         return rep
 
-    def _validate(self, gens, which, rows, cols, vals):
+    def __getattr__(self, name):
+        # Reached only for an attribute not set: the stack of a rep built
+        # from entries, before its first read.  It is scattered once and kept.
+        entries = self.__dict__.get("_entries")
+        if name != "generators" or entries is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        which, rows, cols, vals = entries
+        gens = np.zeros(self._shape, dtype=complex)
+        gens[which, rows, cols] = vals
+        gens.setflags(write=False)
+        object.__setattr__(self, "generators", gens)
+        return gens
+
+    def _validate(self, shape, which, rows, cols, vals):
         """Check and freeze the fields and set ``hermiticity`` and ``closure``
-        from the complex stack ``gens`` and its nonzeros ``vals`` at
-        ``(which, rows, cols)``, row-major within each generator."""
+        from the nonzeros ``vals`` at ``(which, rows, cols)``, row-major
+        within each generator, of a stack of ``shape``."""
         if not np.isfinite(vals).all():  # NaN and +-inf are nonzero
             raise ValueError("generators have non-finite entries")
-        n, d = gens.shape[0], gens.shape[1]
+        object.__setattr__(self, "_shape", shape)
+        n, d = shape[0], shape[1]
         tol = PROPERTY_ATOL * d
         # Every nonzero position, or its mirror, is visited, so this is the
         # dense defect |a - a^dag| exactly.
-        defect = np.abs(vals - gens[which, cols, rows].conj())
+        key = (which * d + rows) * d + cols  # ascending
+        mirror = (which * d + cols) * d + rows
+        hit = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+        defect = np.abs(vals - np.where(key[hit] == mirror, vals[hit], 0).conj())
         bounds = np.searchsorted(which, np.arange(n + 1))
         parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         herm = np.array([defect[part].max(initial=0.0) for part in parts])
@@ -137,7 +156,7 @@ class LieAlgebraRep:
                 raise ValueError(f"multiplier form must have shape {(n, n)}")
             if float(np.abs(omega + omega.T).max()) > tol:
                 raise ValueError("multiplier form must be antisymmetric")
-        for name, value in (("generators", gens), ("structure_constants", c), ("multiplier_form", omega)):
+        for name, value in (("structure_constants", c), ("multiplier_form", omega)):
             if value is not None:
                 value = _frozen(value, getattr(self, name))
             object.__setattr__(self, name, value)
@@ -153,13 +172,45 @@ class LieAlgebraRep:
         if self.validate_closure and self.closure > tol:
             raise ValueError(f"commutator closure fails: residual {self.closure:.3e} > {tol:g}")
 
+    def apply(self, psi, weights=None) -> np.ndarray:
+        """Tangent vectors ``R_j psi``, ``(..., n, d)``, of a state or stack of
+        states ``psi`` of shape ``(..., d)``; with ``weights`` ``u`` of shape
+        ``(n,)`` and one state ``psi``, the vector ``(u . R) psi``, ``(d,)``.
+
+        A rep that holds its dense stack multiplies by it (``u . R`` formed
+        first).  A rep built from entries sums its nonzeros row by row, in
+        their order, and then the weighted tangents, whether or not
+        ``generators`` has been read.
+        """
+        psi = np.asarray(psi)
+        if self._entries is None:
+            if weights is not None:
+                return np.tensordot(weights, self.generators, axes=1) @ psi
+            return (self.generators @ psi[..., None, :, None])[..., 0]
+        which, rows, cols, vals = self._entries
+        n, d = self._shape[0], self._shape[1]
+        slot = which * d + rows
+        starts = np.flatnonzero(np.diff(slot, prepend=-1))
+        out = np.zeros(psi.shape[:-1] + (n * d,), dtype=np.result_type(vals, psi))
+        out[..., slot[starts]] = np.add.reduceat(vals * psi[..., cols], starts, axis=-1)
+        out = out.reshape(psi.shape[:-1] + (n, d))
+        return out if weights is None else np.asarray(weights) @ out
+
+    def expectations(self, psi) -> np.ndarray:
+        """``<psi|R_j|psi>``, ``(n,)``, at one state ``psi`` ``(d,)``: one
+        contraction of a held dense stack, else from :meth:`apply`."""
+        psi = np.asarray(psi)
+        if self._entries is None:
+            return np.einsum("i,nij,j->n", np.conj(psi), self.generators, psi)
+        return self.apply(psi) @ np.conj(psi)
+
     @property
     def n_generators(self) -> int:
-        return self.generators.shape[0]
+        return self._shape[0]
 
     @property
     def dim(self) -> int:
-        return self.generators.shape[1]
+        return self._shape[1]
 
     def omega(self) -> np.ndarray:
         """Multiplier two-form, zero matrix when absent."""
@@ -186,11 +237,9 @@ class LieAlgebraRep:
 
 def _frozen(value: np.ndarray, given) -> np.ndarray:
     """``value``, the array made of the argument ``given``, made read-only.
-    It is copied unless no caller can write to its memory: a fresh
-    conversion, or ``given`` itself when that is a read-only array owning
-    its data, such as the stack :meth:`LieAlgebraRep._from_entries` scatters."""
-    private = value.base is None and (value is not given or not value.flags.writeable)
-    value = value if private else value.copy()
+    It is copied unless it is a fresh conversion, whose memory no caller
+    holds."""
+    value = value if value is not given and value.base is None else value.copy()
     value.setflags(write=False)
     return value
 
@@ -274,19 +323,21 @@ def su2_spin_rep(s: float) -> LieAlgebraRep:
 def heisenberg_rep(n_modes: int, cutoff: int) -> LieAlgebraRep:
     """Position/momentum generators ``(Q^1..Q^n, P^1..P^n)`` on truncated
     Fock space, with zero structure constants and the standard symplectic
-    multiplier form.  The stack is scattered from the ladders' nonzero
-    entries (:func:`qpt.fock.ladder_entries`), and Hermiticity, finiteness
-    and closure are checked on those entries alone, with no scan of the
-    zeros.  Closure is verified away from the truncation boundary: the
-    ladders are banded, so each commutator needs far fewer than ``d**2``
-    scalar products and no dense ``d**3`` product is formed (the rule of
+    multiplier form.  The rep keeps the ladders' nonzero entries
+    (:func:`qpt.fock.ladder_entries`), and Hermiticity, finiteness and
+    closure are checked on those entries alone, with no scan of the zeros.
+    Closure is verified away from the truncation boundary: the ladders are
+    banded, so each commutator needs far fewer than ``d**2`` scalar
+    products and no dense ``d**3`` product is formed (the rule of
     :class:`LieAlgebraRep`).
 
-    The generators are dense ``cutoff**n_modes``-sized matrices, so a space
-    of more than :data:`qpt.fock.MAX_DENSE_STATES` states (1024) is refused
-    with a :class:`SpecError` before any allocation.  Weyl systems
-    (:mod:`qpt.weyl`) use this only at one mode; the dense multi-mode rep
-    serves the ``heisenberg`` builtin of :func:`rep_from_spec` and the tests.
+    :meth:`LieAlgebraRep.apply` works from the entries.  The dense
+    ``cutoff**n_modes``-sized stack is scattered only when ``generators`` is
+    first read; to bound it, a space of more than
+    :data:`qpt.fock.MAX_DENSE_STATES` states (1024) is refused with a
+    :class:`SpecError` before any allocation.  Weyl systems
+    (:mod:`qpt.weyl`) use this only at one mode; the multi-mode rep serves
+    the ``heisenberg`` builtin of :func:`rep_from_spec` and the tests.
     """
     entries = fock.ladder_entries(n_modes, cutoff)  # checks the size first
     n, d = 2 * n_modes, cutoff**n_modes

@@ -85,9 +85,8 @@ def covariance_matrix(
     psi = _normalized_fiducial(fiducial)
     if psi.shape[-1] != rep.dim:
         raise ValueError(f"fiducial dimension {psi.shape[-1]} does not match rep dimension {rep.dim}")
-    tangents = (rep.generators @ psi[..., None, :, None])[..., 0]  # (..., n, d)
     return PullbackTensor(
-        coefficients=hermitian_tensor(psi, tangents, projective),
+        coefficients=hermitian_tensor(psi, rep.apply(psi), projective),
         projective=projective,
         fiducial=psi,
         multiplier_form=rep.multiplier_form,
@@ -123,7 +122,7 @@ def split(t: PullbackTensor) -> tuple[np.ndarray, np.ndarray]:
 def first_moments(rep: LieAlgebraRep, psi) -> np.ndarray:
     """First moments ``<psi|R_j|psi>`` of the generators at a unit state,
     real because the generators are Hermitian."""
-    return np.real(np.einsum("i,nij,j->n", np.conj(psi), rep.generators, psi))
+    return np.real(rep.expectations(psi))
 
 
 def multiplier_consistency(rep: LieAlgebraRep, fiducial) -> float:

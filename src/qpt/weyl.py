@@ -36,16 +36,19 @@ axes.  No Weyl computation forms a multi-mode operator as a dense matrix:
   ``cutoff**modes``-sized matrix.
 
 Dense multi-mode operators remain only where they are scattered from
-:func:`qpt.fock.ladder_entries`, under its own size budget: in
-:func:`qpt.liegroup.heisenberg_rep` for the ``heisenberg`` builtin of
-``rep_from_spec`` (``verify`` on a group target), and in
-:func:`qpt.fock.position_momentum`, the oracle of the tests and of
-:attr:`WeylSystem.position_ops`.
+:func:`qpt.fock.ladder_entries`, under its own size budget: at the first
+read of ``generators`` of a multi-mode :func:`qpt.liegroup.heisenberg_rep`
+(``verify`` on a ``heisenberg`` group target applies that rep from its
+entries and never reads it), and in :func:`qpt.fock.position_momentum`, the
+oracle of the tests and of :attr:`WeylSystem.position_ops`.  The two
+functions that build a :class:`qpt.pullback.PullbackTensor` import that
+module when they run, so setting up a Weyl system does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,7 +56,9 @@ from . import fock
 from .errors import NotLagrangianError
 from .hilbert import hermitian_tensor
 from .liegroup import LieAlgebraRep, heisenberg_rep
-from .pullback import PullbackTensor
+
+if TYPE_CHECKING:
+    from .pullback import PullbackTensor
 
 # Largest Fock space, cutoff**modes, a Weyl system may hold: 2**20 states is
 # a 16 MiB complex state vector (modes 4 at cutoff 32).  The defect checks
@@ -219,6 +224,8 @@ def gaussian_covariance(system: WeylSystem, projective: bool = False) -> Pullbac
     both are exact on the truncated space, and the projective flag changes
     nothing because the vacuum first moments vanish.
     """
+    from .pullback import PullbackTensor
+
     vac = system.vacuum()
     return PullbackTensor(
         coefficients=hermitian_tensor(vac, generator_states(system, vac), projective),
@@ -265,6 +272,8 @@ def lagrangian_restriction(t: PullbackTensor, subspace) -> PullbackTensor:
             f"{pairings[worst]:.3e}",
             violating_pair=worst,
         )
+    from .pullback import PullbackTensor
+
     restricted = s @ t.coefficients @ s.T
     return PullbackTensor(
         coefficients=restricted,

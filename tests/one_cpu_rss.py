@@ -24,6 +24,12 @@ whose records repeat once per α slice, so the encoder's row memo fills.  The
 ``(P, 3)`` point stack and its build take about 48; holding every record's
 columns until the output opens took about 168 (one CPU) or 101 (two).
 
+``qpt verify`` on a ``heisenberg`` group target of 2 modes at cutoff 32
+(1024 states) with the vacuum fiducial, pinned to one CPU and unpinned, fails
+if its peak exceeds 60 MiB.  The rep's dense ``(4, 1024, 1024)`` stack alone
+is 64 MiB; holding it took the peak to about 97 MiB, and applying the rep
+from its nonzero entries keeps it at about 34.
+
 Usage: ``python tests/one_cpu_rss.py`` from the repository root.  The name
 keeps pytest from collecting it.
 """
@@ -44,7 +50,15 @@ QGT_CASES = [  # name, direction, exit code, pinned to one CPU
     ("refusal, unpinned", [0, 0, 0], 3, False),
 ]
 GROUP_BYTES_PER_POINT = 64
-GROUP_CASES = [("one CPU", True), ("unpinned", False)]  # name, pinned to one CPU
+CPU_CASES = [("one CPU", True), ("unpinned", False)]  # name, pinned to one CPU
+VERIFY_BOUND_MIB = 60
+VERIFY_SPEC = {
+    "mode": "verify",
+    "target": "group",
+    "rep": {"builtin": "heisenberg", "modes": 2, "cutoff": 32},
+    "fiducial": [[1, 0]] + [[0, 0]] * 1023,
+    "grid": {"alpha": 0.0, "beta": [0.3, 2.8, 3], "gamma": [0.3, 6.0, 3]},
+}
 GROUP_FIELDS = {  # name -> the spec's fiducial fields
     "generic fiducial": {"fiducial": [[0.3, 0.1], [-0.2, 0.5], [0.7, -0.4], [0.1, 0.2]]},
     "repeating rows": {"fiducial": [[1, 0], [0, 0], [0, 0], [0, 0]], "projective": True, "frame": "left"},
@@ -98,13 +112,18 @@ def main() -> int:
             print(f"{name}: own ru_maxrss of qpt qgt, spin 10: {small:.1f} MiB at 4096 points, "
                   f"{large:.1f} MiB at 8192 points (ratio {large / small:.3f}, bound {GROWTH_BOUND})")
             failed |= large > GROWTH_BOUND * small
-        for (name, pinned), (kind, fields) in itertools.product(GROUP_CASES, GROUP_FIELDS.items()):
+        for (name, pinned), (kind, fields) in itertools.product(CPU_CASES, GROUP_FIELDS.items()):
             small, large = (peak_rss_mib(Path(work), group_spec(n, fields), 0, pinned, os.devnull) for n in (64, 128))
             per_point = (large - small) * 2**20 / (64 * 4096)
             print(f"{name}, {kind}: own ru_maxrss of qpt group, spin 3/2: {small:.1f} MiB at 262144 points, "
                   f"{large:.1f} MiB at 524288 points ({per_point:.0f} bytes per added point, "
                   f"bound {GROUP_BYTES_PER_POINT})")
             failed |= per_point > GROUP_BYTES_PER_POINT
+        for name, pinned in CPU_CASES:
+            peak = peak_rss_mib(Path(work), VERIFY_SPEC, 0, pinned, os.devnull)
+            print(f"{name}: own ru_maxrss of qpt verify on a heisenberg (2, 32) group target: "
+                  f"{peak:.1f} MiB (bound {VERIFY_BOUND_MIB})")
+            failed |= peak > VERIFY_BOUND_MIB
     return 1 if failed else 0
 
 

@@ -248,6 +248,9 @@ def test_each_command_loads_only_its_modules(tmp_path):
     # A submodule is an attribute of the package, loaded on first use.
     liegroup = loaded_by("import qpt\nassert qpt.liegroup.su2_spin_rep(0.5).dim == 2")
     assert "liegroup" in liegroup and not liegroup & {"pullback", "qgt", "weyl", "checks"}
+    # Only the functions that build a pulled-back tensor import qpt.pullback.
+    setup = loaded_by("import qpt\nqpt.build_weyl(2, 8)\nqpt.heisenberg_rep(2, 8)")
+    assert {"weyl", "liegroup", "fock"} <= setup and not setup & {"pullback", "checks", "qgt"}
 
 
 def test_public_names_resolve_from_the_package():

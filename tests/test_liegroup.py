@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -347,27 +349,32 @@ def test_rep_copies_an_array_its_caller_can_write():
 
 
 def test_rep_keeps_a_handed_over_stack_without_a_copy(monkeypatch):
-    # heisenberg_rep scatters its stack from the ladder entries and keeps
-    # that stack, read-only, as the array it was frozen from.
-    built, frozen = [], []
-    ladder_entries, _frozen = fock.ladder_entries, liegroup._frozen
+    # heisenberg_rep keeps the ladder entries it is handed; its stack is
+    # scattered from them once, at the first read, and kept read-only.
+    built, stacks = [], []
+    ladder_entries, zeros = fock.ladder_entries, np.zeros
 
     def recorded(modes, cutoff):
         built.append(ladder_entries(modes, cutoff))
         return built[-1]
 
-    def recorded_frozen(value, given):
-        frozen.append((value, _frozen(value, given)))
-        return frozen[-1][1]
+    def recorded_zeros(shape, *args, **kwargs):
+        out = zeros(shape, *args, **kwargs)
+        stacks.append(out.shape)
+        return out
 
     monkeypatch.setattr(fock, "ladder_entries", recorded)
-    monkeypatch.setattr(liegroup, "_frozen", recorded_frozen)
+    monkeypatch.setattr(np, "zeros", recorded_zeros)
     rep = heisenberg_rep(2, 8)
+    assert "generators" not in vars(rep) and (4, 64, 64) not in stacks
+    first = rep.generators
+    assert rep.generators is first and rep.generators is first
+    monkeypatch.undo()
+    assert stacks.count((4, 64, 64)) == 1
     (which, rows, cols, values), = built
-    assert [kept is value for value, kept in frozen if kept is rep.generators] == [True]
-    assert not rep.generators.flags.writeable
-    assert np.count_nonzero(rep.generators) == values.size
-    assert np.array_equal(rep.generators[which, rows, cols], values)
+    assert not first.flags.writeable
+    assert np.count_nonzero(first) == values.size
+    assert np.array_equal(first[which, rows, cols], values)
 
 
 def test_rep_validation_rejects_bad_closure():
@@ -542,7 +549,9 @@ def test_heisenberg_rep_forms_no_dense_commutator(monkeypatch):
 
 def test_heisenberg_rep_scans_no_dense_stack(monkeypatch):
     # Built from its ladder entries: no pass of nonzero or isfinite reads
-    # the n * d**2 entries of the stack.
+    # the n * d**2 entries of the stack, and no array of that size is
+    # allocated before ``generators`` is read (numpy reports its data
+    # allocations to tracemalloc).
     n, d = 4, 256
     big = []
     for name in ("nonzero", "isfinite"):
@@ -552,10 +561,19 @@ def test_heisenberg_rep_scans_no_dense_stack(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np, name, recorded)
-    rep = heisenberg_rep(2, 16)
+    tracemalloc.start()
+    try:
+        rep = heisenberg_rep(2, 16)
+        built_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert rep.generators.shape == (n, d, d)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     monkeypatch.undo()
-    assert rep.generators.shape == (n, d, d)
     assert big == []
+    stack_bytes = n * d * d * 16
+    assert built_peak < stack_bytes / 4 and read_peak >= stack_bytes
 
 
 def _block_assigned(modes, cutoff):
@@ -580,6 +598,7 @@ def test_entries_rep_has_the_bits_and_checks_of_the_scan(modes, cutoff):
     assert np.array_equal(fock.position_momentum(modes, cutoff).view(np.uint64), expected)
     rep = heisenberg_rep(modes, cutoff)
     assert np.array_equal(rep.generators.view(np.uint64), expected)
+    assert not rep.generators.flags.writeable and rep.generators is rep.generators
     del expected
     # The same stack through the constructor, which scans it for its nonzeros.
     scanned = LieAlgebraRep(rep.generators, rep.structure_constants,
@@ -592,3 +611,109 @@ def test_dense_rep_takes_the_dense_closure_once(monkeypatch):
     rep, calls = _built_counting_dense(monkeypatch, lambda: _random_rep(64, seed=5))
     assert calls == 1
     assert rep.closure == rep.closure_residual()
+
+
+def _entries_rep(entries, modes=1, cutoff=4):
+    """``heisenberg_rep(modes, cutoff)`` but from ``entries``, sorted first."""
+    which, rows, cols, vals = entries
+    order = np.lexsort((cols, rows, which))
+    n, d = 2 * modes, cutoff**modes
+    return LieAlgebraRep._from_entries(
+        (n, d, d), tuple(a[order] for a in (which, rows, cols, vals)), np.zeros((n, n, n)),
+        multiplier_form=fock.symplectic_form(modes), closure_mask=fock.low_fock_mask(modes, cutoff))
+
+
+def _dense_twin(entries, modes=1, cutoff=4):
+    """The stack of ``entries`` passed densely to the constructor."""
+    which, rows, cols, vals = entries
+    n, d = 2 * modes, cutoff**modes
+    gens = np.zeros((n, d, d), dtype=complex)
+    gens[which, rows, cols] = vals
+    return gens, lambda: LieAlgebraRep(gens, np.zeros((n, n, n)), multiplier_form=fock.symplectic_form(modes),
+                                       closure_mask=fock.low_fock_mask(modes, cutoff))
+
+
+def _edited_entries(kind, size):
+    """The ladder entries of one mode at cutoff 4 with generator 1's entry
+    ``(0, 1)`` dropped (``"absent"``: its mirror ``(1, 0)`` has no partner),
+    or its ``(1, 0)`` entry shifted by ``size`` (``"unequal"``), or with a
+    new entry ``size`` at ``(0, 3)`` of generator 0, whose mirror is absent
+    (``"unpaired"``)."""
+    which, rows, cols, vals = (np.array(a) for a in fock.ladder_entries(1, 4))
+    if kind == "absent":
+        keep = ~((which == 1) & (rows == 0) & (cols == 1))
+        return tuple(a[keep] for a in (which, rows, cols, vals))
+    if kind == "unequal":
+        vals[(which == 1) & (rows == 1) & (cols == 0)] += size
+        return which, rows, cols, vals
+    return tuple(np.append(a, x) for a, x in zip((which, rows, cols, vals), (0, 0, 3, size)))
+
+
+@pytest.mark.parametrize("kind, size, generator", [("absent", None, 1), ("unequal", 0.5, 1),
+                                                   ("unpaired", 1e-3, 0)])
+def test_entries_rep_refuses_a_non_hermitian_generator(kind, size, generator):
+    entries = _edited_entries(kind, size)
+    messages = []
+    for build in (lambda: _entries_rep(entries), _dense_twin(entries)[1]):
+        with pytest.raises(ValueError, match=f"generator {generator} is not Hermitian within") as refused:
+            build()
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("kind", ["unequal", "unpaired"])
+def test_entries_rep_has_the_dense_hermiticity_defect(kind):
+    # Below the tolerance, so both reps are built: the mirror looked up
+    # among the entries, or zero, gives the dense gather's defect.
+    entries = _edited_entries(kind, 3e-13)
+    gens, dense = _dense_twin(entries)
+    rep = _entries_rep(entries)
+    assert 0.0 < rep.hermiticity == dense().hermiticity == float(hermiticity_defect(gens).max())
+
+
+def _json_rep(spin):
+    """The spin-``spin`` su(2) rep through explicit JSON generators."""
+    rep = su2_spin_rep(spin)
+    pairs = np.stack([rep.generators.real, rep.generators.imag], axis=-1).tolist()
+    return rep_from_spec({"generators": pairs, "structure_constants": rep.structure_constants.tolist()})
+
+
+def _unit_states(d, seed, count=5):
+    """One unit state ``(d,)`` and a stack ``(count, d)`` of them."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
+    stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+    return stack[0], stack
+
+
+@pytest.mark.parametrize("build", [lambda: su2_spin_rep(0.5), lambda: su2_spin_rep(1.5), lambda: _json_rep(1)],
+                         ids=["spin-1/2", "spin-3/2", "json-spin-1"])
+def test_dense_rep_applies_its_stack_bit_for_bit(build):
+    rep = build()
+    gens = rep.generators
+    one, stack = _unit_states(rep.dim, seed=1)
+    u = np.array([0.3, -0.5, 0.8])
+    assert np.array_equal(rep.apply(one).view(np.uint64), (gens @ one).view(np.uint64))
+    assert np.array_equal(rep.apply(stack).view(np.uint64), np.array([gens @ p for p in stack]).view(np.uint64))
+    assert np.array_equal(rep.apply(one, u).view(np.uint64),
+                          (np.tensordot(u, gens, axes=1) @ one).view(np.uint64))
+    assert np.array_equal(rep.expectations(one).view(np.uint64),
+                          np.einsum("i,nij,j->n", one.conj(), gens, one).view(np.uint64))
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 8), (2, 4), (2, 8), (3, 4)])
+def test_entries_rep_applies_its_nonzeros(modes, cutoff):
+    rep = heisenberg_rep(modes, cutoff)
+    one, stack = _unit_states(rep.dim, seed=2)
+    u = np.linspace(-1.0, 1.0, 2 * modes)
+    applied = rep.apply(one), rep.apply(stack), rep.apply(one, u), rep.expectations(one)
+    assert "generators" not in vars(rep)
+    gens = fock.position_momentum(modes, cutoff)
+    dense = gens @ one, np.array([gens @ p for p in stack]), np.tensordot(u, gens, axes=1) @ one, gens @ one @ one.conj()
+    for got, expected in zip(applied, dense):
+        assert got.shape == expected.shape
+        assert float(np.abs(got - expected).max()) <= 1e-15
+    # Reading the stack does not change how the rep applies.
+    assert rep.generators is not None
+    again = rep.apply(one), rep.apply(stack), rep.apply(one, u), rep.expectations(one)
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(applied, again))

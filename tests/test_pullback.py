@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qpt.checks import equivariance_residual, two_form_closedness_residual
+from qpt import fock
+from qpt.checks import equivariance_residual, group_checks, two_form_closedness_residual
 from qpt.errors import ZeroFiducialError
 from qpt.liegroup import (
     LieAlgebraRep,
@@ -172,6 +175,34 @@ def test_degeneracy_directions_residual_property():
         op = np.tensordot(u, rep.generators, axes=1)
         mean = psi.conj() @ op @ psi
         assert np.linalg.norm(op @ psi - mean * psi) <= 1e-8
+
+
+def test_heisenberg_target_holds_no_dense_stack():
+    # The checks of a heisenberg group target take every vector from the
+    # rep's entries: its 64 MiB stack at (2, 32) is never allocated, and at
+    # (2, 8) the battery passes on the vacuum without scattering it.
+    tracemalloc.start()
+    try:
+        big = heisenberg_rep(2, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "generators" not in vars(big) and peak < 8 * 2**20
+    rep = heisenberg_rep(2, 8)
+    results = group_checks(rep, fock.vacuum(2, 8))
+    assert all(r.passed for r in results)
+    assert "generators" not in vars(rep)
+
+
+def test_covariance_of_entries_rep_matches_brute_force():
+    rep = heisenberg_rep(2, 4)
+    gens = fock.position_momentum(2, 4)
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(3, rep.dim)) + 1j * rng.normal(size=(3, rep.dim))
+    for projective in (False, True):
+        expected = np.array([brute_force_covariance(gens, fid, projective) for fid in stack])
+        assert np.abs(covariance_matrix(rep, stack[0], projective).coefficients - expected[0]).max() <= 1e-13
+        assert np.abs(covariance_matrix(rep, stack, projective).coefficients - expected).max() <= 1e-13
 
 
 def test_degeneracy_directions_weyl_vacuum_empty():
