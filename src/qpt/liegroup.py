@@ -5,6 +5,9 @@ chart (``m = 3``) has :func:`euler_elements` and :func:`euler_coframes`, the
 exponential chart (``m = n``) :func:`exponential_elements`.  Each takes one
 point or any stack of them and returns a value of matching leading shape.
 
+A :class:`LieAlgebraRep` is applied to states from its generators' nonzero
+entries alone; only the callers that need matrices read its stack.
+
 Conventions used throughout the package:
 
 * generators ``R_1..R_n`` are Hermitian and close as
@@ -60,12 +63,15 @@ class LieAlgebraRep:
         Allow deliberately inconsistent data (negative controls) through;
         ``closure`` keeps the masked closure residual either way.
 
-    Construction reads the generators' nonzeros once, and checks their
-    finiteness on those values (NaN and +-inf are nonzero).  The builtin
-    :func:`heisenberg_rep` hands its nonzeros over instead and keeps them:
-    its stack is scattered from them only when ``generators`` is first read,
-    then kept read-only, and :meth:`apply` works from the nonzeros, so no
-    pass reads the zeros.  ``hermiticity`` is the largest
+    Every rep holds its nonzero entries ``(which, rows, cols, values)``,
+    row-major within each generator, and :meth:`apply` works from them
+    alone.  A rep given a stack also keeps it.  The builtins hand their
+    entries over instead, and their stack is scattered from them only when a
+    caller that needs matrices (:func:`euler_elements`,
+    :func:`exponential_elements`, :func:`adjoint_matrix`,
+    :func:`qpt.qgt.orbit_family`) first reads ``generators``, then kept
+    read-only.  Finiteness is checked on the
+    values (NaN and +-inf are nonzero).  ``hermiticity`` is the largest
     ``|a_ij - conj(a_ji)|`` over the nonzeros, each mirror looked up among
     them (zero where absent), equal to
     :func:`qpt.hilbert.hermiticity_defect`.  ``closure`` forms every
@@ -89,9 +95,8 @@ class LieAlgebraRep:
         if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
             raise ValueError("generators must be a stack of square matrices")
         object.__setattr__(self, "generators", _frozen(gens, self.generators))
-        object.__setattr__(self, "_entries", None)
         which, rows, cols = np.nonzero(gens)  # row-major within each generator
-        self._validate(gens.shape, which, rows, cols, gens[which, rows, cols])
+        self._validate(gens.shape, (which, rows, cols, gens[which, rows, cols]))
 
     @classmethod
     def _from_entries(cls, shape, entries, structure_constants, multiplier_form=None,
@@ -99,36 +104,34 @@ class LieAlgebraRep:
         """The rep whose ``(n, d, d)`` generator stack is zero but at
         ``entries``, nonzero ``(which, rows, cols, values)`` row-major within
         each generator: validated on them and kept as them, with no stack."""
-        for part in entries:
-            part.setflags(write=False)
         rep = cls.__new__(cls)
         for name, value in (("structure_constants", structure_constants),
                             ("multiplier_form", multiplier_form), ("closure_mask", closure_mask),
-                            ("validate_closure", True), ("_entries", entries)):
+                            ("validate_closure", True)):
             object.__setattr__(rep, name, value)
-        rep._validate(shape, *entries)
+        rep._validate(shape, entries)
         return rep
 
     def __getattr__(self, name):
         # Reached only for an attribute not set: the stack of a rep built
         # from entries, before its first read.  It is scattered once and kept.
-        entries = self.__dict__.get("_entries")
-        if name != "generators" or entries is None:
+        if name != "generators" or "_entries" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        which, rows, cols, vals = entries
-        gens = np.zeros(self._shape, dtype=complex)
-        gens[which, rows, cols] = vals
+        gens = self._stack()
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
         return gens
 
-    def _validate(self, shape, which, rows, cols, vals):
-        """Check and freeze the fields and set ``hermiticity`` and ``closure``
-        from the nonzeros ``vals`` at ``(which, rows, cols)``, row-major
-        within each generator, of a stack of ``shape``."""
+    def _validate(self, shape, entries):
+        """Keep the ``entries`` of a stack of ``shape`` read-only, check and
+        freeze the fields and set ``hermiticity`` and ``closure`` from them."""
+        for part in entries:
+            part.setflags(write=False)
+        which, rows, cols, vals = entries
         if not np.isfinite(vals).all():  # NaN and +-inf are nonzero
             raise ValueError("generators have non-finite entries")
         object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_entries", entries)
         n, d = shape[0], shape[1]
         tol = PROPERTY_ATOL * d
         # Every nonzero position, or its mirror, is visited, so this is the
@@ -177,16 +180,10 @@ class LieAlgebraRep:
         states ``psi`` of shape ``(..., d)``; with ``weights`` ``u`` of shape
         ``(n,)`` and one state ``psi``, the vector ``(u . R) psi``, ``(d,)``.
 
-        A rep that holds its dense stack multiplies by it (``u . R`` formed
-        first).  A rep built from entries sums its nonzeros row by row, in
-        their order, and then the weighted tangents, whether or not
-        ``generators`` has been read.
+        The nonzeros are summed row by row, in their order, and then the
+        weighted tangents; the stack is never read.
         """
         psi = np.asarray(psi)
-        if self._entries is None:
-            if weights is not None:
-                return np.tensordot(weights, self.generators, axes=1) @ psi
-            return (self.generators @ psi[..., None, :, None])[..., 0]
         which, rows, cols, vals = self._entries
         n, d = self._shape[0], self._shape[1]
         slot = which * d + rows
@@ -197,11 +194,8 @@ class LieAlgebraRep:
         return out if weights is None else np.asarray(weights) @ out
 
     def expectations(self, psi) -> np.ndarray:
-        """``<psi|R_j|psi>``, ``(n,)``, at one state ``psi`` ``(d,)``: one
-        contraction of a held dense stack, else from :meth:`apply`."""
-        psi = np.asarray(psi)
-        if self._entries is None:
-            return np.einsum("i,nij,j->n", np.conj(psi), self.generators, psi)
+        """``<psi|R_j|psi>``, ``(n,)``, at one state ``psi`` ``(d,)``, from
+        :meth:`apply`."""
         return self.apply(psi) @ np.conj(psi)
 
     @property
@@ -217,10 +211,20 @@ class LieAlgebraRep:
         n = self.n_generators
         return np.zeros((n, n)) if self.multiplier_form is None else self.multiplier_form
 
+    def _stack(self) -> np.ndarray:
+        """The stack held, else one scattered from the entries, not kept."""
+        if "generators" in self.__dict__:
+            return self.generators
+        which, rows, cols, vals = self._entries
+        gens = np.zeros(self._shape, dtype=complex)
+        gens[which, rows, cols] = vals
+        return gens
+
     def closure_residual(self, mask: np.ndarray | None = None) -> float:
         """Max-norm defect of the commutator identity, on the ``mask`` block if
-        given, from dense products: the form ``closure`` falls back to."""
-        gens = self.generators
+        given, from dense products: the form ``closure`` falls back to.  A
+        rep holding no stack scatters one for the call and does not keep it."""
+        gens = self._stack()
         n, d = self.n_generators, self.dim
         eye = np.eye(d)
         omega = self.omega()
@@ -288,52 +292,57 @@ def _closure_from_nonzeros(entries, row_nnz, c, omega, mask) -> float:
 
 def angular_momentum(s: float) -> list[np.ndarray]:
     """Standard spin-``s`` matrices ``[J_1, J_2, J_3]`` in the basis with
-    magnetic number descending from ``+s`` to ``-s``."""
+    magnetic number descending from ``+s`` to ``-s``: half the generators of
+    :func:`su2_spin_rep`."""
+    return list(su2_spin_rep(s).generators / 2)
+
+
+def su2_entries(s: float) -> tuple[np.ndarray, ...]:
+    """Nonzero entries ``(which, rows, cols, values)``, row-major within each
+    generator, of the spin-``s`` generators ``R = 2 J``, magnetic number
+    descending from ``+s``: ``R_1 = J+ + J-``, ``R_2 = -1j (J+ - J-)`` and
+    ``R_3 = 2 J_3``, whose zero at ``m = 0`` (integer spin) is not listed.
+    ``O(d)`` memory; no matrix is formed."""
     two_s = round(2 * s)
     if abs(2 * s - two_s) > 1e-12 or two_s < 1:
         raise SpecError(f"spin must be a positive half-integer, got {s!r}")
     d = two_s + 1
     m = s - np.arange(d)
-    j3 = np.diag(m).astype(complex)
-    jp = np.zeros((d, d), dtype=complex)
-    for k in range(1, d):
-        jp[k - 1, k] = np.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
-    j1 = (jp + jp.conj().T) / 2
-    j2 = (jp - jp.conj().T) / 2j
-    return [j1, j2, j3]
-
-
-def _epsilon() -> np.ndarray:
-    eps = np.zeros((3, 3, 3))
-    for (j, k, r), sign in (
-        ((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-        ((1, 0, 2), -1.0), ((2, 1, 0), -1.0), ((0, 2, 1), -1.0),
-    ):
-        eps[j, k, r] = sign
-    return eps
+    ladder = np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1))  # J+ at (k - 1, k)
+    k = np.arange(1, d)
+    rows, cols = np.concatenate([k - 1, k]), np.concatenate([k, k - 1])  # J+, then J-
+    order = np.argsort(rows * d + cols)
+    diagonal = np.flatnonzero(m)
+    parts = np.zeros((2 * rows.size + diagonal.size, 2))  # [re, im] of each value
+    parts[: rows.size, 0] = np.concatenate([ladder, ladder])[order]
+    parts[rows.size : 2 * rows.size, 1] = np.concatenate([-ladder, ladder])[order]
+    parts[2 * rows.size :, 0] = 2.0 * m[diagonal]
+    which = np.repeat(np.arange(3), [rows.size, rows.size, diagonal.size])
+    rows, cols = (np.concatenate([at[order], at[order], diagonal]) for at in (rows, cols))
+    return which, rows, cols, parts.view(complex).ravel()
 
 
 def su2_spin_rep(s: float) -> LieAlgebraRep:
-    """Spin-``s`` representation with generators ``2 J`` (Pauli at s = 1/2)."""
-    js = angular_momentum(s)
-    gens = np.array([2.0 * jm for jm in js])
-    return LieAlgebraRep(gens, 2.0 * _epsilon())
+    """Spin-``s`` representation with generators ``2 J`` (Pauli at s = 1/2),
+    built from its :func:`su2_entries`; the ``(3, d, d)`` stack is scattered
+    only when ``generators`` is first read."""
+    entries = su2_entries(s)
+    d = round(2 * s) + 1
+    c = np.zeros((3, 3, 3))  # 2 eps_jkr
+    for j, k, r in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[j, k, r], c[k, j, r] = 2.0, -2.0
+    return LieAlgebraRep._from_entries((3, d, d), entries, c)
 
 
 def heisenberg_rep(n_modes: int, cutoff: int) -> LieAlgebraRep:
     """Position/momentum generators ``(Q^1..Q^n, P^1..P^n)`` on truncated
     Fock space, with zero structure constants and the standard symplectic
-    multiplier form.  The rep keeps the ladders' nonzero entries
-    (:func:`qpt.fock.ladder_entries`), and Hermiticity, finiteness and
-    closure are checked on those entries alone, with no scan of the zeros.
-    Closure is verified away from the truncation boundary: the ladders are
-    banded, so each commutator needs far fewer than ``d**2`` scalar
-    products and no dense ``d**3`` product is formed (the rule of
-    :class:`LieAlgebraRep`).
+    multiplier form, built from the ladders' nonzero entries
+    (:func:`qpt.fock.ladder_entries`) as :func:`su2_spin_rep` is from its
+    own.  Closure is verified from them, away from the truncation boundary.
 
-    :meth:`LieAlgebraRep.apply` works from the entries.  The dense
-    ``cutoff**n_modes``-sized stack is scattered only when ``generators`` is
-    first read; to bound it, a space of more than
+    The dense ``cutoff**n_modes``-sized stack is scattered only when
+    ``generators`` is first read; to bound it, a space of more than
     :data:`qpt.fock.MAX_DENSE_STATES` states (1024) is refused with a
     :class:`SpecError` before any allocation.  Weyl systems
     (:mod:`qpt.weyl`) use this only at one mode; the multi-mode rep serves
@@ -367,7 +376,7 @@ def rep_from_spec(spec: dict, path: str = "$.rep") -> LieAlgebraRep:
         name = spec["builtin"]
         if name == "su2":
             spin = require_number(spec.get("spin"), f"{path}.spin")
-            if 2 * spin + 1 > fock.MAX_DENSE_STATES:  # before angular_momentum allocates
+            if 2 * spin + 1 > fock.MAX_DENSE_STATES:  # before su2_entries allocates
                 raise SpecError(f"at {path}.spin: dimension 2s+1 = {2 * spin + 1:g} exceeds "
                                 f"the budget of {fock.MAX_DENSE_STATES} states")
             try:

@@ -255,6 +255,8 @@ def ham_from_spec(spec: dict) -> HamiltonianFamily:
             from .liegroup import rep_from_spec
 
             rep = rep_from_spec(spec.get("rep"), "$.hamiltonian.rep")
+            if rep.n_generators != 3:  # before orbit_family reads the generator stack
+                raise SpecError("at $.hamiltonian.rep: the euler chart needs a three-generator representation")
             direction = require_array(spec.get("direction"), "$.hamiltonian.direction", 1)
             if len(direction) != rep.n_generators:
                 raise SpecError(f"at $.hamiltonian.direction: expected {rep.n_generators} numbers")

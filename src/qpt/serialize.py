@@ -14,14 +14,12 @@ part.  Each process keeps one memo from the bytes of each tensor part to its
 text, so a grid whose records repeat their tensors spells and formats the
 distinct ones only: the left-frame ``group`` tensors do not depend on α, so
 they recur once per α slice of #β·#γ rows.  The memo holds at most four
-chunks of rows, enough for the 2,500-row slice of a 50 × 50 grid.  It
-stores a chunk that finds no row in it only while it holds less than a
-chunk, or once a chunk has found a row since it was last emptied, so
-records that never repeat (``qgt``) keep it at one chunk.  A chunk whose
-fresh rows would take it past its bound empties it and is stored whole.
-Grids with a longer period fall back to a per-chunk dedupe: within a chunk,
-one ``np.unique`` spells the point values and the fresh rows' values once
-each.  Every line of a chunk is filled from one ``%s`` template, with the
+chunks of rows, enough for the 2,500-row slice of a 50 × 50 grid.  Every
+chunk stores its fresh rows, and a chunk whose fresh rows would take the
+memo past its bound empties it first and is stored whole.  Grids with a
+longer period fall back to a per-chunk dedupe: within a chunk, one
+``np.unique`` spells the point values and the fresh rows' values once each.
+Every line of a chunk is filled from one ``%s`` template, with the
 point's slots and one slot for the tensor part's text.  The bytes are
 those of :func:`dump_line` on each record's dict (JSON spells the non-finite
 floats ``NaN``, ``Infinity`` and ``-Infinity``) or of ``csv.writer`` on each
@@ -107,7 +105,7 @@ def write_records(stream, points, columns, fmt: str = "jsonl") -> None:
     """
     bounds = [(lo, min(lo + CHUNK_RECORDS, len(points))) for lo in range(0, len(points), CHUNK_RECORDS)]
     cut = (len(bounds) + 1) // 2
-    memo = _RowMemo()  # the worker spells into its own copy
+    memo = {}  # the worker spells into its own copy
     parent = os.getpid()
 
     def write(out, part, worker=False) -> None:
@@ -124,24 +122,16 @@ def write_records(stream, points, columns, fmt: str = "jsonl") -> None:
             shutil.copyfileobj(rest, stream)
 
 
-class _RowMemo(dict):
-    """The bytes of each record's tensor part spelled so far -> its text;
-    the bytes keep ``-0.0`` apart from ``0.0``.  ``hit`` tells whether a
-    chunk has found a row in it since it was last emptied."""
-
-    hit = False
-
-
-def _encode(columns: dict, fmt: str, memo: _RowMemo) -> str:
+def _encode(columns: dict, fmt: str, memo: dict) -> str:
     """The lines of one chunk of records, field name -> ``(n, ...)`` stack.
 
     A record's tensor part is every field after the first; each distinct
     one not in ``memo`` is spelled once, and one ``np.unique`` spells the
-    first field's values and the fresh rows' values once each.  The chunk's
-    rows are stored if it or an earlier chunk found a row in the memo since
-    the memo was last emptied, or if the memo holds less than
-    :data:`CHUNK_RECORDS` rows.  A chunk whose fresh rows would take the
-    memo past ``_MEMO_CHUNKS`` chunks empties it first and is stored whole."""
+    first field's values and the fresh rows' values once each.  ``memo``
+    maps the bytes of each tensor part spelled so far, which keep ``-0.0``
+    apart from ``0.0``, to its text.  The chunk's fresh rows are stored in
+    it; a chunk whose fresh rows would take it past ``_MEMO_CHUNKS`` chunks
+    empties it first and is stored whole."""
     columns = {name: np.asarray(col, dtype=float) for name, col in columns.items()}
     first, *rest = columns
     count = len(columns[first])
@@ -149,13 +139,9 @@ def _encode(columns: dict, fmt: str, memo: _RowMemo) -> str:
     tensors = np.concatenate([np.empty((count, 0))] + [columns[name].reshape(count, -1) for name in rest], axis=1)
     width = tensors.itemsize * tensors.shape[1]
     keys = tensors.view(f"V{width}").ravel().tolist() if width else [b""] * count
-    missing = [row for row, key in enumerate(keys) if key not in memo]
-    memo.hit |= len(missing) < count
-    store = memo.hit or len(memo) < CHUNK_RECORDS
-    fresh = {keys[row]: row for row in missing}  # each distinct fresh tensor part -> a row holding it
-    if store and len(memo) + len(fresh) > _MEMO_CHUNKS * CHUNK_RECORDS:
+    fresh = {key: row for row, key in enumerate(keys) if key not in memo}  # each distinct one -> a row holding it
+    if len(memo) + len(fresh) > _MEMO_CHUNKS * CHUNK_RECORDS:
         memo.clear()
-        memo.hit = False
         fresh = dict(zip(keys, range(count)))
     values = np.concatenate([head.ravel(), tensors[list(fresh.values())].ravel()])
     distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
@@ -163,13 +149,10 @@ def _encode(columns: dict, fmt: str, memo: _RowMemo) -> str:
     spell = json.dumps if fmt == "jsonl" and not np.isfinite(distinct).all() else repr
     words = np.array(list(map(spell, distinct.tolist())), dtype=object)[inverse]
     row_template, line_template = _templates(columns, fmt)
-    texts = dict(zip(fresh, ("\0".join([row_template] * len(fresh)) % tuple(words[head.size:].tolist())).split("\0")))
-    if store:
-        memo.update(texts)
-        texts = memo
+    memo.update(zip(fresh, ("\0".join([row_template] * len(fresh)) % tuple(words[head.size:].tolist())).split("\0")))
     cells = np.empty((count, head.shape[1] + 1), dtype=object)
     cells[:, :-1] = words[:head.size].reshape(head.shape)
-    cells[:, -1] = list(map(texts.__getitem__, keys))
+    cells[:, -1] = list(map(memo.__getitem__, keys))
     return (line_template * count) % tuple(cells.ravel().tolist())
 
 

@@ -1,6 +1,7 @@
 """Guard: ``qpt qgt`` and ``qpt group`` evaluate and write their grids chunk
 by chunk, on success and on refusal, so their peak memory does not grow
-with the grid beyond the point stack.
+with the grid beyond the point stack; and ``qpt group`` never forms the
+rep's dense generator stack, so its peak does not grow with the spin.
 
 Reads each run's own ``ru_maxrss`` from ``os.wait4``.  ``qpt qgt`` runs on
 the spin-10 ``orbit`` family at 4,096 and at 8,192 points, and fails if the
@@ -30,6 +31,12 @@ if its peak exceeds 60 MiB.  The rep's dense ``(4, 1024, 1024)`` stack alone
 is 64 MiB; holding it took the peak to about 97 MiB, and applying the rep
 from its nonzero entries keeps it at about 34.
 
+``qpt group`` on spin 511.5 (1024 states) with the highest-weight fiducial
+on 100 points, pinned to one CPU and unpinned, fails if its peak exceeds
+48 MiB.  The rep's dense ``(3, 1024, 1024)`` stack alone is 48 MiB; forming
+it took the peak to about 192 MiB, and applying the rep from its ``O(d)``
+nonzero entries keeps it at about 33.
+
 Usage: ``python tests/one_cpu_rss.py`` from the repository root.  The name
 keeps pytest from collecting it.
 """
@@ -58,6 +65,13 @@ VERIFY_SPEC = {
     "rep": {"builtin": "heisenberg", "modes": 2, "cutoff": 32},
     "fiducial": [[1, 0]] + [[0, 0]] * 1023,
     "grid": {"alpha": 0.0, "beta": [0.3, 2.8, 3], "gamma": [0.3, 6.0, 3]},
+}
+LARGE_SPIN_BOUND_MIB = 48
+LARGE_SPIN_SPEC = {
+    "mode": "group",
+    "rep": {"builtin": "su2", "spin": 511.5},
+    "fiducial": [[1, 0]] + [[0, 0]] * 1023,
+    "grid": {"alpha": [0.0, 6.0, 4], "beta": [0.3, 2.8, 5], "gamma": [0.3, 6.0, 5]},
 }
 GROUP_FIELDS = {  # name -> the spec's fiducial fields
     "generic fiducial": {"fiducial": [[0.3, 0.1], [-0.2, 0.5], [0.7, -0.4], [0.1, 0.2]]},
@@ -124,6 +138,10 @@ def main() -> int:
             print(f"{name}: own ru_maxrss of qpt verify on a heisenberg (2, 32) group target: "
                   f"{peak:.1f} MiB (bound {VERIFY_BOUND_MIB})")
             failed |= peak > VERIFY_BOUND_MIB
+        for name, pinned in CPU_CASES:
+            peak = peak_rss_mib(Path(work), LARGE_SPIN_SPEC, 0, pinned, os.devnull)
+            print(f"{name}: own ru_maxrss of qpt group, spin 511.5: {peak:.1f} MiB (bound {LARGE_SPIN_BOUND_MIB})")
+            failed |= peak > LARGE_SPIN_BOUND_MIB
     return 1 if failed else 0
 
 

@@ -822,24 +822,25 @@ def test_each_value_is_spelled_as_alone(monkeypatch, two_workers, data, chunk, p
 
 def test_row_memo_stores_within_its_bound(monkeypatch):
     # Chunks of 4 records, so the memo holds at most 16 rows.  Row r is
-    # [r, -r]; each chunk is listed by its rows.
+    # [r, -r]; each chunk is listed by its rows.  Every chunk stores its
+    # fresh rows.
     monkeypatch.setattr(serialize, "CHUNK_RECORDS", 4)
-    chunks = [[0, 1, 2, 3],  # stored: the memo held less than a chunk
-              [4, 5, 6, 7],  # no row found, and none found before: not stored
-              [0, 4, 8, 9],  # row 0 found: stored
-              [10, 11, 12, 13],  # no row found, but one was before: stored
-              [0, 14, 15, 16],
-              [0, 17, 18, 19],  # 17 rows would overflow: emptied, and the whole chunk stored
-              [20, 21, 22, 23]]  # no row found since: not stored
-    memo, sizes = serialize._RowMemo(), []
+    chunks = [[0, 1, 2, 3],
+              [4, 5, 6, 7],  # no row found: stored all the same
+              [0, 4, 8, 9],  # rows 0 and 4 found: 8 and 9 stored
+              [10, 11, 12, 13],
+              [0, 14, 15, 16],  # 17 rows would overflow: emptied, and the whole chunk stored
+              [0, 17, 18, 19],
+              [20, 21, 22, 23]]
+    memo, sizes = {}, []
     for rows in chunks:
         columns = {"point": np.arange(4.0)[:, None], "t": np.array([[r, -r] for r in rows], dtype=float)}
         assert serialize._encode(columns, "jsonl", memo) == encoded_alone(columns, "jsonl")
         assert len(memo) <= 16
         sizes.append(len(memo))
-    assert sizes == [4, 4, 7, 11, 14, 4, 4]
-    assert memo == {np.array([r, -r], dtype=float).tobytes(): f', "t": [{r}.0, {-r}.0]' for r in chunks[-2]}
-    memo = serialize._RowMemo()
+    assert sizes == [4, 8, 10, 14, 4, 7, 11]
+    assert memo == {np.array([r, -r], dtype=float).tobytes(): f', "t": [{r}.0, {-r}.0]' for r in [0, *range(14, 24)]}
+    memo = {}
     columns = {"point": np.zeros((4, 1)), "t": np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])}
     assert serialize._encode(columns, "csv", memo) == "0.0,0.0,1.0\r\n0.0,-0.0,1.0\r\n" * 2
     assert sorted(memo.values()) == [",-0.0,1.0", ",0.0,1.0"]
@@ -1744,6 +1745,26 @@ def test_heisenberg_rep_spec_errors_exit_2(tmp_path, capsys, rep, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["qgt", "verify"])
+def test_orbit_rep_without_three_generators_exits_2_before_its_stack(tmp_path, capsys, monkeypatch, command):
+    # heisenberg (2, 32) has four generators: refused at its spec path before
+    # its 64 MiB stack is scattered for the family.
+    from qpt.liegroup import LieAlgebraRep
+
+    read = LieAlgebraRep.__getattr__
+    monkeypatch.setattr(LieAlgebraRep, "__getattr__",
+                        lambda rep, name: pytest.fail("stack scattered") if name == "generators" else read(rep, name))
+    family = dict(ORBIT_FAMILY, rep={"builtin": "heisenberg", "modes": 2, "cutoff": 32}, direction=[0, 0, 1, 0])
+    spec = {"mode": command, "hamiltonian": family, "grid": ORBIT_GRID}
+    if command == "verify":
+        spec["target"] = "qgt"
+    out = tmp_path / "q.jsonl"
+    assert main([command, "--spec", write_spec(tmp_path, "q.json", spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: at $.hamiltonian.rep: the euler chart needs a three-generator representation\n"
+    assert not out.exists()
+
+
 PAULI_PAIRS = [
     SX_PAIRS,
     [[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
@@ -1839,8 +1860,8 @@ def test_spin_over_dense_budget_exits_2_before_allocation(tmp_path, capsys, monk
     import qpt.liegroup
 
     monkeypatch.setattr(qpt.fock, "MAX_DENSE_STATES", 4)
-    if code:  # refused before any spin matrix is allocated
-        monkeypatch.setattr(qpt.liegroup, "angular_momentum", lambda s: pytest.fail("allocated"))
+    if code:  # refused before the rep's entries are built
+        monkeypatch.setattr(qpt.liegroup, "su2_entries", lambda s: pytest.fail("allocated"))
     spec = dict(group_spec(), rep={"builtin": "su2", "spin": spin}, fiducial=[[1, 0]] + [[0, 0]] * int(2 * spin))
     out = tmp_path / "g.jsonl"
     assert main(["group", "--spec", write_spec(tmp_path, "g.json", spec), "--out", str(out)]) == code
@@ -1848,6 +1869,23 @@ def test_spin_over_dense_budget_exits_2_before_allocation(tmp_path, capsys, monk
         assert capsys.readouterr().err.startswith("error: at $.rep.spin: dimension 2s+1 = 5 exceeds")
     else:
         assert len(records_of(str(out))) == 25
+
+
+@pytest.mark.parametrize("spin", [0.5, 1.5, 3, 511.5])
+def test_group_applies_the_su2_entries_without_a_stack(tmp_path, monkeypatch, spin):
+    # group needs only the tangent vectors R_j psi, so no (3, d, d) stack is
+    # formed: at spin 511.5 it would be 48 MiB.
+    import qpt.liegroup
+
+    built, rep_from_spec = [], qpt.liegroup.rep_from_spec
+    monkeypatch.setattr(qpt.liegroup, "rep_from_spec", lambda *args: built.append(rep_from_spec(*args)) or built[-1])
+    d = int(2 * spin + 1)
+    fiducial = [[0.3 + 0.01 * k, -0.2] for k in range(d)]
+    spec = dict(group_spec(), rep={"builtin": "su2", "spin": spin}, fiducial=fiducial, frame="left")
+    out = tmp_path / "g.jsonl"
+    assert main(["group", "--spec", write_spec(tmp_path, "g.json", spec), "--out", str(out)]) == 0
+    assert len(records_of(str(out))) == 25
+    assert len(built) == 1 and "generators" not in vars(built[0])
 
 
 def exit_code(argv):

@@ -56,6 +56,24 @@ def test_bad_spin_rejected():
         su2_spin_rep(0)
 
 
+@pytest.mark.parametrize("two_s", range(1, 21))
+def test_su2_entries_scatter_to_the_spin_matrices_bit_for_bit(two_s):
+    # Spins 1/2 to 10, against the dense spin matrices: an integer spin's
+    # zero at m = 0 on R_3's diagonal is not an entry, as np.nonzero of the
+    # dense stack would not list it.
+    spin = two_s / 2
+    stack = _su2_stack(spin)
+    which, rows, cols, vals = liegroup.su2_entries(spin)
+    for got, expected in zip((which, rows, cols), np.nonzero(stack)):
+        assert np.array_equal(got, expected)
+    assert np.array_equal(vals.view(np.uint64), stack[which, rows, cols].view(np.uint64))
+    rep = su2_spin_rep(spin)
+    assert "generators" not in vars(rep)
+    assert np.array_equal(rep.generators.view(np.uint64), stack.view(np.uint64))
+    half = np.array(liegroup.angular_momentum(spin))
+    assert np.array_equal(half.view(np.uint64), (stack / 2).view(np.uint64))
+
+
 def test_heisenberg_single_mode():
     rep = heisenberg_rep(1, 8)
     assert rep.n_generators == 2 and rep.dim == 8
@@ -686,33 +704,44 @@ def _unit_states(d, seed, count=5):
     return stack[0], stack
 
 
-@pytest.mark.parametrize("build", [lambda: su2_spin_rep(0.5), lambda: su2_spin_rep(1.5), lambda: _json_rep(1)],
-                         ids=["spin-1/2", "spin-3/2", "json-spin-1"])
-def test_dense_rep_applies_its_stack_bit_for_bit(build):
+def _su2_stack(spin):
+    """The dense su(2) generators ``2 J``, built from the spin matrices:
+    ``J+`` on the superdiagonal, ``J_1 = (J+ + J-) / 2`` and
+    ``J_2 = (J+ - J-) / 2j``."""
+    d = round(2 * spin) + 1
+    m = spin - np.arange(d)
+    jp = np.zeros((d, d), dtype=complex)
+    for k in range(1, d):
+        jp[k - 1, k] = np.sqrt(spin * (spin + 1) - m[k] * (m[k] + 1))
+    js = [(jp + jp.conj().T) / 2, (jp - jp.conj().T) / 2j, np.diag(m).astype(complex)]
+    return np.array([2.0 * j for j in js])
+
+
+_HEISENBERG = [(1, 8), (2, 4), (2, 8), (3, 4)]
+
+
+# Each rep applies its nonzeros, whether built from entries (the builtins,
+# which hold no stack) or given a stack, so every case matches the dense
+# products within rounding, not bit for bit.
+@pytest.mark.parametrize("build, dense_stack, given_stack", [
+    *(pytest.param(lambda m=m, c=c: heisenberg_rep(m, c), lambda m=m, c=c: fock.position_momentum(m, c), False,
+                   id=f"{m}-{c}") for m, c in _HEISENBERG),
+    pytest.param(lambda: su2_spin_rep(0.5), lambda: _su2_stack(0.5), False, id="spin-1/2"),
+    pytest.param(lambda: su2_spin_rep(1.5), lambda: _su2_stack(1.5), False, id="spin-3/2"),
+    pytest.param(lambda: _json_rep(1), lambda: _su2_stack(1), True, id="json-spin-1"),
+])
+def test_entries_rep_applies_its_nonzeros(build, dense_stack, given_stack):
     rep = build()
-    gens = rep.generators
-    one, stack = _unit_states(rep.dim, seed=1)
-    u = np.array([0.3, -0.5, 0.8])
-    assert np.array_equal(rep.apply(one).view(np.uint64), (gens @ one).view(np.uint64))
-    assert np.array_equal(rep.apply(stack).view(np.uint64), np.array([gens @ p for p in stack]).view(np.uint64))
-    assert np.array_equal(rep.apply(one, u).view(np.uint64),
-                          (np.tensordot(u, gens, axes=1) @ one).view(np.uint64))
-    assert np.array_equal(rep.expectations(one).view(np.uint64),
-                          np.einsum("i,nij,j->n", one.conj(), gens, one).view(np.uint64))
-
-
-@pytest.mark.parametrize("modes, cutoff", [(1, 8), (2, 4), (2, 8), (3, 4)])
-def test_entries_rep_applies_its_nonzeros(modes, cutoff):
-    rep = heisenberg_rep(modes, cutoff)
     one, stack = _unit_states(rep.dim, seed=2)
-    u = np.linspace(-1.0, 1.0, 2 * modes)
+    u = np.linspace(-1.0, 1.0, rep.n_generators)
     applied = rep.apply(one), rep.apply(stack), rep.apply(one, u), rep.expectations(one)
-    assert "generators" not in vars(rep)
-    gens = fock.position_momentum(modes, cutoff)
-    dense = gens @ one, np.array([gens @ p for p in stack]), np.tensordot(u, gens, axes=1) @ one, gens @ one @ one.conj()
+    assert ("generators" in vars(rep)) == given_stack
+    gens = dense_stack()
+    dense = (gens @ one, np.array([gens @ p for p in stack]), np.tensordot(u, gens, axes=1) @ one,
+             gens @ one @ one.conj())
     for got, expected in zip(applied, dense):
         assert got.shape == expected.shape
-        assert float(np.abs(got - expected).max()) <= 1e-15
+        assert float(np.abs(got - expected).max()) <= 1e-15 * max(1.0, float(np.abs(gens).max()))
     # Reading the stack does not change how the rep applies.
     assert rep.generators is not None
     again = rep.apply(one), rep.apply(stack), rep.apply(one, u), rep.expectations(one)
